@@ -22,8 +22,6 @@ from .analysis import (
 from .datagen import (
     GenSpec,
     code_alphabet,
-    decode_message,
-    encode_message,
     fig5_alphabets,
     fig5_languages,
     generate_compositional,
@@ -80,9 +78,9 @@ from .space import (
     VectorShape,
     ZeroNormError,
     compose,
-    composition_gradients,
+    decode_message,
     distance,
-    distance_subgradient,
+    encode_message,
     is_hard_code,
 )
 

@@ -28,9 +28,14 @@ from .dataio import (
 from .datagen import GenSpec, fig5_alphabets, fig5_languages, generate_compositional, generate_random
 from .derivation import DerivationSyntaxError, parse_derivation, tree_edit_distance
 from .solver import DivergenceError, FitConfig, fit, gradient_check
-from .space import AdditiveComposition, DistanceSpec, LinearComposition, VectorShape, CodeShape
-
-DISTANCE_CHOICES = ("cosine", "l1", "squared_l2")
+from .space import (
+    DISTANCE_KINDS,
+    AdditiveComposition,
+    CodeShape,
+    DistanceSpec,
+    LinearComposition,
+    VectorShape,
+)
 
 
 def _composition_from_flag(name: str):
@@ -149,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a compositional approximation and "
                                        "report reconstruction errors")
     p_fit.add_argument("dataset")
-    p_fit.add_argument("--distance", choices=DISTANCE_CHOICES, default="squared_l2")
+    p_fit.add_argument("--distance", choices=DISTANCE_KINDS, default="squared_l2")
     p_fit.add_argument("--composition", choices=("additive", "linear"),
                        default="additive")
     p_fit.add_argument("--learn-composition", action="store_true",
@@ -173,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_topo = sub.add_parser("topo", help="correlation between representation "
                                          "and derivation distances")
     p_topo.add_argument("dataset")
-    p_topo.add_argument("--distance", choices=DISTANCE_CHOICES, default="squared_l2")
+    p_topo.add_argument("--distance", choices=DISTANCE_KINDS, default="squared_l2")
     p_topo.add_argument("--rank", action="store_true",
                         help="Spearman instead of Pearson")
     p_topo.set_defaults(func=cmd_topo)
@@ -199,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "gradients vs finite differences")
     p_gc.add_argument("--composition", choices=("additive", "linear"),
                       default="additive")
-    p_gc.add_argument("--distance", choices=DISTANCE_CHOICES, default="squared_l2")
+    p_gc.add_argument("--distance", choices=DISTANCE_KINDS, default="squared_l2")
     p_gc.add_argument("--trials", type=int, default=100)
     p_gc.add_argument("--threshold", type=float, default=1e-4)
     p_gc.add_argument("--seed", type=int, default=0)

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivation import Derivation, Leaf, Node, Symbol, parse_derivation
-from .solver import Dataset, PrimitiveTable, Record, eval_compositional
-from .space import AdditiveComposition, CodeShape, CompositionSpec, Shape
-
-_SEED_MASK = (1 << 64) - 1
+from .solver import Dataset, PrimitiveTable, Record, _rng, eval_compositional
+from .space import AdditiveComposition, CodeShape, CompositionSpec, Shape, encode_message
 
 
 @dataclass(frozen=True)
@@ -51,10 +49,7 @@ class GenSpec:
 def _streams(seed: int):
     """Independent generators for table entries, trees, and noise/values, so
     derivations are identical across noise levels at a fixed seed."""
-    return tuple(
-        np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, k]))
-        for k in range(3)
-    )
+    return tuple(_rng(seed, k) for k in range(3))
 
 
 def _random_tree(rng: np.random.Generator, symbols: list[Symbol],
@@ -87,9 +82,9 @@ def generate_compositional(spec: GenSpec) -> tuple[Dataset, PrimitiveTable]:
     truth = PrimitiveTable({s: table_rng.normal(0.0, 1.0, shape) for s in symbols})
 
     derivations = _sample_derivations(spec, tree_rng)
+    values = eval_compositional(truth, spec.composition, derivations)
     records = []
-    for i, deriv in enumerate(derivations):
-        value = eval_compositional(truth, spec.composition, deriv).copy()
+    for i, (deriv, value) in enumerate(zip(derivations, values)):
         if spec.noise_sigma > 0:
             value += noise_rng.normal(0.0, spec.noise_sigma, shape)
         records.append(Record(f"r{i:04d}", value, deriv))
@@ -141,22 +136,6 @@ def code_alphabet(messages, vocab: int) -> str:
     if len(alphabet) < vocab:
         raise ValueError("not enough padding characters for requested vocab")
     return alphabet[:vocab]
-
-
-def encode_message(message: str, alphabet: str) -> np.ndarray:
-    """One-hot position-by-vocabulary matrix for a token string."""
-    matrix = np.zeros((len(message), len(alphabet)))
-    for pos, ch in enumerate(message):
-        col = alphabet.find(ch)
-        if col < 0:
-            raise ValueError(f"token {ch!r} not in alphabet {alphabet!r}")
-        matrix[pos, col] = 1.0
-    return matrix
-
-
-def decode_message(matrix: np.ndarray, alphabet: str) -> str:
-    """Inverse of encode_message for hard one-hot matrices."""
-    return "".join(alphabet[int(row.argmax())] for row in matrix)
 
 
 def _language_dataset(messages) -> Dataset:

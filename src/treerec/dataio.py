@@ -30,6 +30,8 @@ from .space import (
     Shape,
     VectorShape,
     as_representation,
+    decode_message,
+    encode_message,
     is_hard_code,
 )
 
@@ -76,8 +78,7 @@ def dataset_to_lines(dataset: Dataset, alphabet: str | None = None) -> list[str]
     for rec in dataset.records:
         row = {"id": rec.id, "derivation": format_derivation(rec.derivation)}
         if tokens_form:
-            row["tokens"] = "".join(
-                alphabet[int(r.argmax())] for r in rec.representation)
+            row["tokens"] = decode_message(rec.representation, alphabet)
         else:
             row["repr"] = rec.representation.ravel().tolist()
         lines.append(_dump_line(row))
@@ -169,12 +170,10 @@ def _parse_record(line_no: int, line: str, shape: Shape, alphabet: str | None,
         tokens = row["tokens"]
         if not isinstance(tokens, str) or len(tokens) != shape.length:
             fail(f"'tokens' must be a string of length {shape.length}")
-        matrix = np.zeros(shape.array_shape())
-        for pos, ch in enumerate(tokens):
-            col = alphabet.find(ch)
-            if col < 0:
-                fail(f"token {ch!r} not in declared alphabet")
-            matrix[pos, col] = 1.0
+        try:
+            matrix = encode_message(tokens, alphabet)
+        except ValueError as e:
+            fail(str(e))
         return Record(rid, matrix, deriv)
 
     values = row["repr"]

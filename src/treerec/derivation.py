@@ -79,11 +79,22 @@ class Node:
     def __eq__(self, other):
         if self is other:
             return True
-        return (
-            isinstance(other, Node)
-            and self.left == other.left
-            and self.right == other.right
-        )
+        if type(other) is not Node or self._hash != other._hash:
+            return False
+        # Iterative, so arbitrarily deep trees compare without recursion.
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            for x, y in ((a.left, b.left), (a.right, b.right)):
+                if x is y:
+                    continue
+                if type(x) is not type(y) or x._hash != y._hash:
+                    return False
+                if type(x) is Node:
+                    stack.append((x, y))
+                elif x.symbol.name != y.symbol.name:
+                    return False
+        return True
 
     def __hash__(self) -> int:
         return self._hash
@@ -176,19 +187,17 @@ def format_derivation(d: Derivation) -> str:
     ``parse_derivation(format_derivation(d)) == d`` for every derivation.
     """
     parts: list[str] = []
-    _format_into(d, parts)
+    stack: list[Derivation | str] = [d]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            parts.append(t)
+        elif isinstance(t, Leaf):
+            parts.append(t.symbol.name)
+        else:
+            parts.append("(")
+            stack += (")", t.right, " ", t.left)
     return "".join(parts)
-
-
-def _format_into(d: Derivation, parts: list[str]):
-    if isinstance(d, Leaf):
-        parts.append(d.symbol.name)
-    else:
-        parts.append("(")
-        _format_into(d.left, parts)
-        parts.append(" ")
-        _format_into(d.right, parts)
-        parts.append(")")
 
 
 def primitives_of(d: Derivation) -> tuple[Symbol, ...]:

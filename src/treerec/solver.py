@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +31,9 @@ from .space import (
     DistanceSpec,
     LinearComposition,
     Shape,
+    TableComposition,
+    ZeroNormError,
+    _loss_and_dpred,
     as_representation,
     compose,
     distance,
@@ -172,16 +176,17 @@ class TreReport:
 
 
 def eval_compositional(table: PrimitiveTable, comp: CompositionSpec,
-                       d: Derivation) -> np.ndarray:
-    """Bottom-up evaluation: leaves read the table, nodes compose children."""
-    if isinstance(d, Leaf):
-        try:
-            return table.entries[d.symbol]
-        except KeyError:
-            raise MissingPrimitiveError(d.symbol) from None
-    left = eval_compositional(table, comp, d.left)
-    right = eval_compositional(table, comp, d.right)
-    return compose(comp, left, right)
+                       d: Derivation | Sequence[Derivation]) -> np.ndarray:
+    """Bottom-up evaluation: leaves read the table, nodes compose children.
+
+    ``d`` is one derivation, whose value is returned, or a sequence of
+    derivations, whose values are returned stacked along a new first axis.
+    Subtrees shared within or between derivations are evaluated once.
+    """
+    single = isinstance(d, (Leaf, Node))
+    dag = _compile([d] if single else d)
+    values = _forward(dag, _table_params(table, dag), comp)[dag.roots]
+    return values[0] if single else values
 
 
 def _effective_composition(config: FitConfig, table: PrimitiveTable) -> CompositionSpec:
@@ -194,16 +199,24 @@ def _effective_composition(config: FitConfig, table: PrimitiveTable) -> Composit
     return comp
 
 
+def _record_errors(table: PrimitiveTable, config: FitConfig,
+                   records: Sequence[Record], dag: _Dag) -> list[float]:
+    """Per-record distances, given the DAG compiled from ``records``."""
+    comp = _effective_composition(config, table)
+    preds = _forward(dag, _table_params(table, dag), comp)[dag.roots]
+    return [distance(config.distance, rec.representation, pred)
+            for rec, pred in zip(records, preds)]
+
+
 def tre_datum(table: PrimitiveTable, config: FitConfig, record: Record) -> float:
     """Distance between the stored representation and the composed prediction."""
-    comp = _effective_composition(config, table)
-    predicted = eval_compositional(table, comp, record.derivation)
-    return distance(config.distance, record.representation, predicted)
+    return _record_errors(table, config, [record], _compile([record.derivation]))[0]
 
 
 def objective(table: PrimitiveTable, config: FitConfig, dataset: Dataset) -> float:
     """Sum (not mean) of per-record errors at the current table."""
-    return math.fsum(tre_datum(table, config, rec) for rec in dataset.records)
+    return math.fsum(_record_errors(table, config, dataset.records,
+                                    _compile_dataset(dataset)))
 
 
 # -- internal optimization machinery -----------------------------------------
@@ -218,117 +231,128 @@ def _symbol_key(name: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-@dataclass
-class _Compiled:
-    """Postorder program for one derivation.
+@dataclass(frozen=True)
+class _Dag:
+    """The distinct subtrees of some derivations, numbered ``0 .. size-1``.
 
-    ``instr[p] >= 0`` loads parameter row ``instr[p]``; ``instr[p] == -1``
-    composes the two most recent unconsumed values.  ``left/right`` hold the
-    operand positions for node instructions.
+    A leaf is keyed by its symbol and a node by its children's ids, so equal
+    subtrees get one id however often they occur.  ``symbols`` is in
+    lexicographic order and ``leaf_ids[i]`` is the id of ``symbols[i]``.
+    ``levels[h - 1]`` holds ``(ids, left ids, right ids)`` of the nodes of
+    height ``h``; children always sit lower, so evaluating the levels in
+    order is bottom-up.  ``roots`` has one id per compiled derivation.
     """
 
-    instr: list[int]
-    left: list[int]
-    right: list[int]
+    size: int
+    symbols: tuple[Symbol, ...]
+    leaf_ids: np.ndarray
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    roots: np.ndarray
 
 
-def _compile_derivation(d: Derivation, sym_index: dict[Symbol, int]) -> _Compiled:
-    instr: list[int] = []
-    left: list[int] = []
-    right: list[int] = []
-    stack: list[int] = []
+def _compile(derivations: Iterable[Derivation]) -> _Dag:
+    ids: dict = {}
+    heights: list[int] = []
+    levels: list[tuple[list[int], list[int], list[int]]] = []
+    roots: list[int] = []
+    for d in derivations:
+        # Iterative postorder: ``None`` marks a node whose children are done.
+        stack: list[Derivation | None] = [d]
+        done: list[int] = []
+        while stack:
+            t = stack.pop()
+            if t is None:
+                r = done.pop()
+                l = done.pop()
+                key = (l, r)
+            elif isinstance(t, Leaf):
+                key = t.symbol
+            else:
+                stack += (None, t.right, t.left)
+                continue
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(heights)
+                h = 0 if t is not None else 1 + max(heights[l], heights[r])
+                heights.append(h)
+                if h:
+                    if h > len(levels):
+                        levels.append(([], [], []))
+                    level_ids, lefts, rights = levels[h - 1]
+                    level_ids.append(i)
+                    lefts.append(l)
+                    rights.append(r)
+            done.append(i)
+        roots.append(done[0])
 
-    def walk(t: Derivation):
-        if isinstance(t, Leaf):
-            instr.append(sym_index[t.symbol])
-            left.append(-1)
-            right.append(-1)
-            stack.append(len(instr) - 1)
-            return
-        walk(t.left)
-        walk(t.right)
-        r = stack.pop()
-        l = stack.pop()
-        instr.append(-1)
-        left.append(l)
-        right.append(r)
-        stack.append(len(instr) - 1)
-
-    walk(d)
-    return _Compiled(instr, left, right)
+    symbols = tuple(sorted((k for k in ids if isinstance(k, Symbol)),
+                           key=lambda s: s.name))
+    as_ids = partial(np.array, dtype=np.intp)
+    return _Dag(len(heights), symbols, as_ids([ids[s] for s in symbols]),
+                tuple(tuple(map(as_ids, level)) for level in levels), as_ids(roots))
 
 
-class _ZeroPrediction(Exception):
-    def __init__(self, record_indices):
-        self.record_indices = list(record_indices)
+def _compile_dataset(dataset: Dataset) -> _Dag:
+    return _compile(rec.derivation for rec in dataset.records)
 
 
-def _forward_record(prog: _Compiled, params: np.ndarray,
-                    weights: tuple[np.ndarray, np.ndarray] | None) -> list[np.ndarray]:
-    values: list[np.ndarray] = [None] * len(prog.instr)  # type: ignore[list-item]
-    for p, ins in enumerate(prog.instr):
-        if ins >= 0:
-            values[p] = params[ins]
-        elif weights is None:
-            values[p] = values[prog.left[p]] + values[prog.right[p]]
+def _table_params(table: PrimitiveTable, dag: _Dag) -> np.ndarray:
+    try:
+        return np.stack([table.entries[s] for s in dag.symbols])
+    except KeyError as e:
+        raise MissingPrimitiveError(e.args[0]) from None
+
+
+def _forward(dag: _Dag, params: np.ndarray, comp: CompositionSpec) -> np.ndarray:
+    """Value of every subtree of ``dag``, indexed by id; ``params[i]`` is the
+    value of ``dag.symbols[i]``.  One numpy op per level, except for table
+    composition, which looks every node up on its own."""
+    values = np.empty((dag.size,) + params.shape[1:])
+    values[dag.leaf_ids] = params
+    if not dag.levels:
+        return values
+    if not isinstance(comp, TableComposition):
+        compose(comp, params[0], params[0])  # raises for unusable weights or kinds
+    # Columns view: a vector is a d x 1 matrix, so one matmul serves both shapes.
+    cols = values.reshape(dag.size, params.shape[1], -1)
+    for ids, left, right in dag.levels:
+        if isinstance(comp, AdditiveComposition):
+            values[ids] = values[left] + values[right]
+        elif isinstance(comp, LinearComposition):
+            cols[ids] = (np.matmul(comp.left_weights, cols[left])
+                         + np.matmul(comp.right_weights, cols[right]))
         else:
-            lw, rw = weights
-            values[p] = lw @ values[prog.left[p]] + rw @ values[prog.right[p]]
+            for i, l, r in zip(ids, left, right):
+                values[i] = compose(comp, values[l], values[r])
     return values
 
 
-def _backward_record(prog: _Compiled, values: list[np.ndarray], upstream: np.ndarray,
-                     weights: tuple[np.ndarray, np.ndarray] | None,
-                     grad_params: np.ndarray,
-                     grad_weights: tuple[np.ndarray, np.ndarray] | None):
-    grads: list[np.ndarray] = [None] * len(prog.instr)  # type: ignore[list-item]
-    grads[-1] = upstream
-    for p in range(len(prog.instr) - 1, -1, -1):
-        g = grads[p]
-        ins = prog.instr[p]
-        if ins >= 0:
-            grad_params[ins] += g
-            continue
-        l, r = prog.left[p], prog.right[p]
-        if weights is None:
-            grads[l] = g
-            grads[r] = g
-        else:
-            lw, rw = weights
-            grads[l] = lw.T @ g
-            grads[r] = rw.T @ g
-            if grad_weights is not None:
-                gl, gr = grad_weights
-                lv, rv = values[l], values[r]
-                if g.ndim == 1:
-                    gl += np.outer(g, lv)
-                    gr += np.outer(g, rv)
-                else:
-                    gl += g @ lv.T
-                    gr += g @ rv.T
+def _backward(dag: _Dag, values: np.ndarray, comp: CompositionSpec,
+              upstream: np.ndarray, learn_weights: bool):
+    """Adjoint of ``_forward`` for linear composition.
 
-
-def _loss_and_dpred(kind: str, preds: np.ndarray, targets: np.ndarray):
-    """Objective and its gradient w.r.t. predictions, vectorized over records."""
-    if kind == "squared_l2":
-        resid = preds - targets
-        return float((resid * resid).sum()), 2.0 * resid
-    if kind == "l1":
-        resid = preds - targets
-        return float(np.abs(resid).sum()), np.sign(resid)
-    # cosine
-    n = preds.shape[0]
-    pf = preds.reshape(n, -1)
-    tf = targets.reshape(n, -1)
-    pn = np.linalg.norm(pf, axis=1)
-    tn = np.linalg.norm(tf, axis=1)
-    zero = np.nonzero(pn == 0.0)[0]
-    if zero.size:
-        raise _ZeroPrediction(zero)
-    dots = (pf * tf).sum(axis=1)
-    loss = float(np.maximum(1.0 - dots / (pn * tn), 0.0).sum())
-    dpred = (dots / (pn**3 * tn))[:, None] * pf - tf / (pn * tn)[:, None]
-    return loss, dpred.reshape(preds.shape)
+    ``upstream[k]`` is the gradient with respect to the value of root k.
+    Returns the gradient for each parameter row and, when ``learn_weights``,
+    for the two weight matrices.  A subtree shared by several parents
+    receives the sum of their gradients before passing it on.
+    """
+    if not isinstance(comp, LinearComposition):
+        raise TypeError(f"composition kind {getattr(comp, 'kind', comp)!r} "
+                        f"has no level-batched gradient")
+    lw, rw = comp.left_weights, comp.right_weights
+    grads = np.zeros_like(values)
+    np.add.at(grads, dag.roots, upstream)
+    shape = (dag.size, values.shape[1], -1)
+    cols, gcols = values.reshape(shape), grads.reshape(shape)
+    grad_lw, grad_rw = np.zeros_like(lw), np.zeros_like(rw)
+    for ids, left, right in reversed(dag.levels):
+        g = gcols[ids]
+        np.add.at(gcols, left, np.matmul(lw.T, g))
+        np.add.at(gcols, right, np.matmul(rw.T, g))
+        if learn_weights:
+            grad_lw += np.tensordot(g, cols[left], axes=([0, 2], [0, 2]))
+            grad_rw += np.tensordot(g, cols[right], axes=([0, 2], [0, 2]))
+    return grads[dag.leaf_ids], (grad_lw, grad_rw) if learn_weights else None
 
 
 class _Adam:
@@ -354,70 +378,44 @@ class _Adam:
 @dataclass
 class _Problem:
     dataset: Dataset
-    config: FitConfig
-    symbols: tuple[Symbol, ...]
-    sym_index: dict[Symbol, int]
+    dag: _Dag
     targets: np.ndarray                 # (n, *shape)
-    programs: list[_Compiled] | None    # None on the additive fast path
-    counts: np.ndarray | None           # (n, P) leaf counts, additive only
-    record_symbol_rows: list[list[int]]
+    counts: np.ndarray                  # (n, P) leaf counts
+
+    @property
+    def symbols(self) -> tuple[Symbol, ...]:
+        return self.dag.symbols
 
 
-def _build_problem(dataset: Dataset, config: FitConfig) -> _Problem:
-    symbols = dataset.primitives()
-    sym_index = {s: i for i, s in enumerate(symbols)}
+def _leaf_counts(dag: _Dag) -> np.ndarray:
+    """(roots, symbols) leaf-count matrix: the additive evaluation at
+    one-hot parameters."""
+    eye = np.eye(len(dag.symbols))
+    return _forward(dag, eye, AdditiveComposition())[dag.roots]
+
+
+def _build_problem(dataset: Dataset) -> _Problem:
+    dag = _compile_dataset(dataset)
     targets = np.stack([r.representation for r in dataset.records])
-    record_rows = [
-        sorted({sym_index[s] for s in _leaf_symbols(r.derivation)})
-        for r in dataset.records
-    ]
-    if isinstance(config.composition, AdditiveComposition):
-        counts = np.zeros((len(dataset), len(symbols)))
-        for i, rec in enumerate(dataset.records):
-            for s in _leaf_symbols(rec.derivation):
-                counts[i, sym_index[s]] += 1.0
-        return _Problem(dataset, config, symbols, sym_index, targets, None,
-                        counts, record_rows)
-    programs = [_compile_derivation(r.derivation, sym_index) for r in dataset.records]
-    return _Problem(dataset, config, symbols, sym_index, targets, programs,
-                    None, record_rows)
+    return _Problem(dataset, dag, targets, _leaf_counts(dag))
 
 
-def _leaf_symbols(d: Derivation):
-    stack = [d]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Leaf):
-            yield t.symbol
-        else:
-            stack.append(t.left)
-            stack.append(t.right)
+def _problem_forward(problem: _Problem, params: np.ndarray, comp: CompositionSpec):
+    """Predictions (n, *shape) plus the subtree values backward needs.
 
-
-def _problem_forward(problem: _Problem, params: np.ndarray,
-                     weights: tuple[np.ndarray, np.ndarray] | None):
-    """Predictions (n, *shape) plus per-record cached node values."""
-    if problem.counts is not None:
+    Additive composition is linear in the parameters, so it multiplies the
+    leaf counts instead of walking the DAG."""
+    if isinstance(comp, AdditiveComposition):
         return np.tensordot(problem.counts, params, axes=1), None
-    values = [_forward_record(prog, params, weights) for prog in problem.programs]
-    preds = np.stack([v[-1] for v in values])
-    return preds, values
+    values = _forward(problem.dag, params, comp)
+    return values[problem.dag.roots], values
 
 
-def _problem_backward(problem: _Problem, params: np.ndarray,
-                      weights: tuple[np.ndarray, np.ndarray] | None,
-                      values, dpred: np.ndarray,
-                      learn_weights: bool):
-    grad_params = np.zeros_like(params)
-    grad_weights = None
-    if weights is not None and learn_weights:
-        grad_weights = (np.zeros_like(weights[0]), np.zeros_like(weights[1]))
-    if problem.counts is not None:
-        grad_params += np.tensordot(problem.counts.T, dpred, axes=1)
-        return grad_params, grad_weights
-    for i, prog in enumerate(problem.programs):
-        _backward_record(prog, values[i], dpred[i], weights, grad_params, grad_weights)
-    return grad_params, grad_weights
+def _problem_backward(problem: _Problem, comp: CompositionSpec, values,
+                      dpred: np.ndarray, learn_weights: bool):
+    if isinstance(comp, AdditiveComposition):
+        return np.tensordot(problem.counts.T, dpred, axes=1), None
+    return _backward(problem.dag, values, comp, dpred, learn_weights)
 
 
 def _init_params(problem: _Problem, seed: int, restart: int, scale: float) -> np.ndarray:
@@ -437,13 +435,12 @@ def _init_weights(problem: _Problem, seed: int, restart: int, scale: float):
     return lw, rw
 
 
-def _table_from(problem: _Problem, params: np.ndarray,
-                weights: tuple[np.ndarray, np.ndarray] | None,
+def _table_from(problem: _Problem, params: np.ndarray, comp: CompositionSpec,
                 learned: bool) -> PrimitiveTable:
     entries = {sym: params[i].copy() for i, sym in enumerate(problem.symbols)}
     comp_params = None
-    if weights is not None and learned:
-        comp_params = LinearComposition(weights[0].copy(), weights[1].copy())
+    if learned:
+        comp_params = LinearComposition(comp.left_weights.copy(), comp.right_weights.copy())
     return PrimitiveTable(entries, comp_params)
 
 
@@ -460,8 +457,10 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
     Runs at most ``config.steps`` updates per restart, stopping early once the
     best objective seen stops improving (relatively) by ``convergence_tol``
     over a 50-step window, and keeps the restart with the lowest final
-    objective.  Gradients accumulate in record-index order, so runs are
-    bit-reproducible given (dataset order, config).
+    objective.  The dataset's derivations are compiled once into a DAG of
+    distinct subtrees, and every step evaluates and differentiates that DAG
+    in a fixed order, so runs are bit-reproducible given (dataset order,
+    config).
     """
     if isinstance(config.composition, LinearComposition):
         if not config.learn_composition and not config.composition.has_weights:
@@ -477,24 +476,22 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
             if float(np.linalg.norm(rec.representation)) == 0.0:
                 raise ValueError(f"cosine distance is undefined for zero-norm "
                                  f"representation in record {rec.id!r}")
-
-    problem = _build_problem(dataset, config)
-    fixed_weights = None
     if isinstance(config.composition, LinearComposition) and config.composition.has_weights:
         side = dataset.shape.array_shape()[0]
         if config.composition.left_weights.shape[0] != side:
             raise ValueError("composition weights do not match the dataset shape")
-        fixed_weights = (config.composition.left_weights, config.composition.right_weights)
 
+    problem = _build_problem(dataset)
     best = None
     for restart in range(config.effective_restarts):
-        outcome = _fit_once(problem, config, restart, fixed_weights)
+        outcome = _fit_once(problem, config, restart)
         if best is None or outcome[0] < best[0]:
             best = outcome
 
-    _, params, weights, trace, converged, diagnostics = best
-    table = _table_from(problem, params, weights, config.learn_composition)
-    per_datum = {rec.id: tre_datum(table, config, rec) for rec in dataset.records}
+    _, params, comp, trace, converged, diagnostics = best
+    table = _table_from(problem, params, comp, config.learn_composition)
+    errors = _record_errors(table, config, dataset.records, problem.dag)
+    per_datum = {rec.id: e for rec, e in zip(dataset.records, errors)}
     return TreReport(
         per_datum=per_datum,
         aggregate=_aggregate(per_datum),
@@ -505,21 +502,17 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
     )
 
 
-def _fit_once(problem: _Problem, config: FitConfig, restart: int,
-              fixed_weights: tuple[np.ndarray, np.ndarray] | None):
+def _fit_once(problem: _Problem, config: FitConfig, restart: int):
     params = _init_params(problem, config.seed, restart, config.init_scale)
     learn = config.learn_composition
-    if learn:
-        weights = _init_weights(problem, config.seed, restart, config.init_scale)
-    else:
-        weights = fixed_weights
-
+    comp = config.composition
     opt_params = _Adam(params.shape, config.learning_rate)
-    opt_weights = None
     if learn:
-        opt_weights = (_Adam(weights[0].shape, config.learning_rate),
-                       _Adam(weights[1].shape, config.learning_rate))
-        weights = (weights[0].copy(), weights[1].copy())
+        # Fresh arrays that the Adam steps below update in place.
+        comp = LinearComposition(*_init_weights(problem, config.seed, restart,
+                                                config.init_scale))
+        opt_weights = (_Adam(comp.left_weights.shape, config.learning_rate),
+                       _Adam(comp.right_weights.shape, config.learning_rate))
 
     trace: list[tuple[int, float]] = []
     best_so_far: list[float] = []
@@ -530,16 +523,15 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int,
     step = 0
     while True:
         try:
-            preds, values = _problem_forward(problem, params, weights)
+            preds, values = _problem_forward(problem, params, comp)
             obj, dpred = _loss_and_dpred(config.distance.kind, preds, problem.targets)
-        except _ZeroPrediction as zp:
+        except ZeroNormError as zero:
             rescues += 1
             if rescues > _MAX_COSINE_RESCUES:
                 raise DivergenceError(
                     step, f"cosine predictions collapsed to zero norm at step {step} "
                           f"and re-initialization did not recover")
-            rows = sorted({row for i in zp.record_indices
-                           for row in problem.record_symbol_rows[i]})
+            rows = np.flatnonzero(problem.counts[list(zero.rows)].any(axis=0)).tolist()
             for row in rows:
                 rng = _rng(config.seed, 2, restart, rescues, row)
                 params[row] = rng.normal(0.0, config.init_scale,
@@ -565,17 +557,15 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int,
                 converged = True
                 break
 
-        grad_params, grad_weights = _problem_backward(
-            problem, params, weights, values, dpred, learn)
+        grad_params, grad_weights = _problem_backward(problem, comp, values, dpred, learn)
         opt_params.step(params, grad_params)
         if learn:
-            lw, rw = weights
-            opt_weights[0].step(lw, grad_weights[0])
-            opt_weights[1].step(rw, grad_weights[1])
+            opt_weights[0].step(comp.left_weights, grad_weights[0])
+            opt_weights[1].step(comp.right_weights, grad_weights[1])
         step += 1
 
     final_obj = trace[-1][1]
-    return final_obj, params, weights, trace, converged, diagnostics
+    return final_obj, params, comp, trace, converged, diagnostics
 
 
 def closed_form_fit(dataset: Dataset,
@@ -592,13 +582,8 @@ def closed_form_fit(dataset: Dataset,
     if not isinstance(composition, AdditiveComposition):
         raise ValueError("closed_form_fit requires additive composition")
 
-    symbols = dataset.primitives()
-    sym_index = {s: i for i, s in enumerate(symbols)}
-    n, p = len(dataset), len(symbols)
-    counts = np.zeros((n, p))
-    for i, rec in enumerate(dataset.records):
-        for s in _leaf_symbols(rec.derivation):
-            counts[i, sym_index[s]] += 1.0
+    dag = _compile_dataset(dataset)
+    counts = _leaf_counts(dag)
     flat_targets = np.stack([r.representation.ravel() for r in dataset.records])
     solution, *_ = np.linalg.lstsq(counts, flat_targets, rcond=None)
 
@@ -606,7 +591,7 @@ def closed_form_fit(dataset: Dataset,
     per_datum = {rec.id: float((resid[i] * resid[i]).sum())
                  for i, rec in enumerate(dataset.records)}
     shape = dataset.shape.array_shape()
-    entries = {sym: solution[i].reshape(shape).copy() for i, sym in enumerate(symbols)}
+    entries = {sym: solution[i].reshape(shape).copy() for i, sym in enumerate(dag.symbols)}
     total = math.fsum(per_datum.values())
     return TreReport(
         per_datum=per_datum,
@@ -624,30 +609,30 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100,
 
     For the l1 objective, points whose residuals sit within ``kink_tol`` of a
     sign tie are redrawn, since the subgradient is not a derivative there.
-    The numeric side goes through ``objective`` (recursive evaluation), the
-    analytic side through the optimizer's backward pass, so the two paths are
-    independent.
+    The numeric side evaluates the objective through the forward pass over
+    the dataset's DAG, compiled once per check; the analytic side goes
+    through the optimizer's gradient (leaf counts for additive composition,
+    the level-batched backward pass for linear).
     """
-    problem = _build_problem(dataset, config)
+    problem = _build_problem(dataset)
     shape = dataset.shape.array_shape()
     learn = config.learn_composition
     is_linear = isinstance(config.composition, LinearComposition)
+    random_weights = is_linear and (learn or not config.composition.has_weights)
+    comp = config.composition
     worst = 0.0
 
     for trial in range(trials):
-        params = weights = None
+        params = None
         for attempt in range(64):
             rng = _rng(config.seed, 3, trial, attempt)
             params = rng.normal(0.0, 1.0, (len(problem.symbols),) + shape)
-            if is_linear:
-                if config.composition.has_weights and not learn:
-                    weights = (config.composition.left_weights,
-                               config.composition.right_weights)
-                else:
-                    side = shape[0]
-                    weights = (np.eye(side) + 0.5 * rng.normal(0.0, 1.0, (side, side)),
-                               np.eye(side) + 0.5 * rng.normal(0.0, 1.0, (side, side)))
-            preds, values = _problem_forward(problem, params, weights)
+            if random_weights:
+                side = shape[0]
+                comp = LinearComposition(
+                    np.eye(side) + 0.5 * rng.normal(0.0, 1.0, (side, side)),
+                    np.eye(side) + 0.5 * rng.normal(0.0, 1.0, (side, side)))
+            preds, values = _problem_forward(problem, params, comp)
             if config.distance.kind == "l1":
                 if np.abs(preds - problem.targets).min() <= kink_tol:
                     continue
@@ -658,28 +643,22 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100,
             break
 
         _, dpred = _loss_and_dpred(config.distance.kind, preds, problem.targets)
-        grad_params, grad_weights = _problem_backward(
-            problem, params, weights, values, dpred, learn)
-
-        def numeric_objective(p, w):
-            table = PrimitiveTable(
-                {sym: p[i] for i, sym in enumerate(problem.symbols)},
-                LinearComposition(w[0], w[1]) if (is_linear and w is not None) else None,
-            )
-            return objective(table, config, dataset)
+        grad_params, grad_weights = _problem_backward(problem, comp, values, dpred, learn)
+        table = PrimitiveTable(dict(zip(problem.symbols, params)),
+                               comp if is_linear else None)
 
         blocks = [(params, grad_params)]
         if learn:
-            blocks.append((weights[0], grad_weights[0]))
-            blocks.append((weights[1], grad_weights[1]))
+            blocks.append((comp.left_weights, grad_weights[0]))
+            blocks.append((comp.right_weights, grad_weights[1]))
         for block, analytic in blocks:
             flat = block.ravel()
             for k in range(flat.size):
                 orig = flat[k]
                 flat[k] = orig + step_size
-                hi = numeric_objective(params, weights)
+                hi = math.fsum(_record_errors(table, config, dataset.records, problem.dag))
                 flat[k] = orig - step_size
-                lo = numeric_objective(params, weights)
+                lo = math.fsum(_record_errors(table, config, dataset.records, problem.dag))
                 flat[k] = orig
                 numeric = (hi - lo) / (2.0 * step_size)
                 a = analytic.ravel()[k]
@@ -697,8 +676,6 @@ def trivial_composition_table(dataset: Dataset):
     unrestricted composition function, reconstruction error can always be
     driven to zero.
     """
-    from .space import TableComposition
-
     rep_of: dict[Derivation, np.ndarray] = {}
     for rec in dataset.records:
         prev = rep_of.get(rec.derivation)

@@ -30,7 +30,14 @@ class ShapeMismatchError(ValueError):
 
 
 class ZeroNormError(ValueError):
-    """Cosine distance requested for a zero-norm operand."""
+    """Cosine distance requested for a zero-norm operand.
+
+    ``rows`` lists the offending rows when a batch was evaluated.
+    """
+
+    def __init__(self, message: str, rows=()):
+        super().__init__(message)
+        self.rows = tuple(rows)
 
 
 class CompositionLookupError(KeyError):
@@ -77,20 +84,28 @@ def as_representation(values, shape: Shape | None = None) -> np.ndarray:
     return arr
 
 
-def shape_of(arr: np.ndarray) -> Shape:
-    if arr.ndim == 1:
-        return VectorShape(arr.shape[0])
-    if arr.ndim == 2:
-        return CodeShape(arr.shape[0], arr.shape[1])
-    raise ShapeMismatchError(f"representations are 1- or 2-d, got ndim={arr.ndim}")
-
-
 def is_hard_code(arr: np.ndarray) -> bool:
     """True when every row is exactly one-hot (entries 0.0 or 1.0)."""
     if arr.ndim != 2:
         return False
     onehot = np.isin(arr, (0.0, 1.0)).all()
     return bool(onehot and (arr.sum(axis=1) == 1.0).all())
+
+
+def encode_message(message: str, alphabet: str) -> np.ndarray:
+    """One-hot position-by-vocabulary matrix for a token string."""
+    matrix = np.zeros((len(message), len(alphabet)))
+    for pos, ch in enumerate(message):
+        col = alphabet.find(ch)
+        if col < 0:
+            raise ValueError(f"token {ch!r} not in alphabet {alphabet!r}")
+        matrix[pos, col] = 1.0
+    return matrix
+
+
+def decode_message(matrix: np.ndarray, alphabet: str) -> str:
+    """Inverse of encode_message for hard one-hot matrices."""
+    return "".join(alphabet[int(row.argmax())] for row in matrix)
 
 
 DISTANCE_KINDS = ("cosine", "l1", "squared_l2")
@@ -203,27 +218,6 @@ def distance(spec: DistanceSpec, r: np.ndarray, s: np.ndarray) -> float:
     return max(0.0, 1.0 - float(rf @ sf) / (nr * ns))
 
 
-def distance_subgradient(spec: DistanceSpec, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Subgradient of ``distance(spec, r, s)`` with respect to ``r``.
-
-    l1 uses sign(r - s) with 0 at exact ties, so an optimizer sits still on
-    coordinates it has matched exactly.
-    """
-    _check_equal_shapes(r, s)
-    if spec.kind == "l1":
-        return np.sign(r - s)
-    if spec.kind == "squared_l2":
-        return 2.0 * (r - s)
-    rf, sf = r.ravel(), s.ravel()
-    nr = float(np.linalg.norm(rf))
-    ns = float(np.linalg.norm(sf))
-    if nr == 0.0 or ns == 0.0:
-        raise ZeroNormError("cosine distance is undefined for a zero-norm operand")
-    dot = float(rf @ sf)
-    grad = (dot / (nr**3 * ns)) * rf - sf / (nr * ns)
-    return grad.reshape(r.shape)
-
-
 def compose(spec: CompositionSpec, r: np.ndarray, s: np.ndarray) -> np.ndarray:
     if isinstance(spec, AdditiveComposition):
         _check_equal_shapes(r, s)
@@ -244,28 +238,31 @@ def compose(spec: CompositionSpec, r: np.ndarray, s: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown composition spec {spec!r}")
 
 
-def _outer_like(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # Gradient of (W @ v) w.r.t. W given upstream g: g v^T for vectors,
-    # g @ v^T for position-by-vocab matrices.
-    if g.ndim == 1:
-        return np.outer(g, v)
-    return g @ v.T
+def _loss_and_dpred(kind: str, preds: np.ndarray, targets: np.ndarray):
+    """Summed distance over a batch and its gradient with respect to ``preds``.
 
-
-def composition_gradients(spec: CompositionSpec, r: np.ndarray, s: np.ndarray,
-                          upstream: np.ndarray):
-    """Analytic adjoints of ``compose`` for the differentiable kinds.
-
-    Returns ``(grad_r, grad_s)`` for additive composition and
-    ``(grad_r, grad_s, grad_left_weights, grad_right_weights)`` for linear.
+    Rows of ``preds`` and ``targets`` pair up.  l1 uses sign(pred - target)
+    with 0 at exact ties, so an optimizer sits still on coordinates it has
+    matched exactly.  Cosine raises ZeroNormError naming every row with a
+    zero-norm operand.
     """
-    if isinstance(spec, AdditiveComposition):
-        _check_equal_shapes(r, s)
-        return upstream, upstream
-    if isinstance(spec, LinearComposition):
-        if not spec.has_weights:
-            raise ValueError("linear composition has no weights yet")
-        grad_r = spec.left_weights.T @ upstream
-        grad_s = spec.right_weights.T @ upstream
-        return grad_r, grad_s, _outer_like(upstream, r), _outer_like(upstream, s)
-    raise TypeError(f"composition kind {getattr(spec, 'kind', spec)!r} has no gradient")
+    if kind == "squared_l2":
+        resid = preds - targets
+        return float((resid * resid).sum()), 2.0 * resid
+    if kind == "l1":
+        resid = preds - targets
+        return float(np.abs(resid).sum()), np.sign(resid)
+    # cosine
+    n = preds.shape[0]
+    pf = preds.reshape(n, -1)
+    tf = targets.reshape(n, -1)
+    pn = np.linalg.norm(pf, axis=1)
+    tn = np.linalg.norm(tf, axis=1)
+    zero = np.flatnonzero((pn == 0.0) | (tn == 0.0))
+    if zero.size:
+        raise ZeroNormError("cosine distance is undefined for a zero-norm "
+                            "operand", zero.tolist())
+    dots = (pf * tf).sum(axis=1)
+    loss = float(np.maximum(1.0 - dots / (pn * tn), 0.0).sum())
+    dpred = (dots / (pn**3 * tn))[:, None] * pf - tf / (pn * tn)[:, None]
+    return loss, dpred.reshape(preds.shape)

@@ -24,6 +24,7 @@ from pytest import approx
 import treerec.solver as solver_module
 from treerec import (
     AdditiveComposition,
+    CodeShape,
     Dataset,
     DistanceSpec,
     DivergenceError,
@@ -199,7 +200,6 @@ class TestFit:
             assert abs(report.aggregate - oracle.aggregate) < 1e-3
 
     def test_agrees_with_closed_form_on_code_shaped_data(self):
-        from treerec import CodeShape
         data, _ = generate_compositional(
             GenSpec(num_primitives=4, shape=CodeShape(3, 5), num_records=20,
                     noise_sigma=0.1, seed=3))
@@ -388,3 +388,18 @@ class TestGradientCheckOperation:
         config = FitConfig(distance=L1, composition=LinearComposition(),
                            learn_composition=True, seed=11)
         assert gradient_check(data, config, trials=10) < 1e-4
+
+    @pytest.mark.parametrize("spec", [SQL2, L1, COSINE], ids=lambda s: s.kind)
+    def test_linear_code_matrices_with_shared_subtrees(self, spec):
+        # r0 and r2 share one derivation and (a b) recurs inside others, so
+        # the backward pass must sum gradients arriving at a shared subtree.
+        rng = np.random.default_rng(4)
+        texts = ["(a b)", "((a b) c)", "(a b)", "(c (a b))", "((a b) (b c))",
+                 "(b c)", "c"]
+        data = Dataset.build(
+            [(f"r{i}", rng.normal(0, 1, (3, 5)), parse_derivation(text))
+             for i, text in enumerate(texts)],
+            CodeShape(3, 5))
+        config = FitConfig(distance=spec, composition=LinearComposition(),
+                           learn_composition=True, seed=11)
+        assert gradient_check(data, config, trials=10) < 1e-6

@@ -6,7 +6,9 @@ Core claims:
       invariance (on dyadic inputs where float addition is exact)
     - cosine with a zero operand raises instead of returning NaN
     - analytic gradients of every distance and composition match central
-      finite differences (the oracle lives in this file, not the library)
+      finite differences (the oracle lives in this file, not the library);
+      they come from the solver's kernels: the batched distance gradient and
+      the backward pass over the one-node derivation "(a b)"
 """
 
 import numpy as np
@@ -14,10 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
+import treerec.solver as solver
 from treerec import (
     AdditiveComposition,
     CodeShape,
     CompositionLookupError,
+    Dataset,
     DistanceSpec,
     LinearComposition,
     ShapeMismatchError,
@@ -25,15 +29,35 @@ from treerec import (
     VectorShape,
     ZeroNormError,
     compose,
-    composition_gradients,
     distance,
-    distance_subgradient,
     is_hard_code,
+    parse_derivation,
 )
+from treerec.space import _loss_and_dpred
 
 COSINE = DistanceSpec("cosine")
 L1 = DistanceSpec("l1")
 SQL2 = DistanceSpec("squared_l2")
+
+
+def distance_subgradient(spec, r, s):
+    """Gradient of ``distance(spec, r, s)`` w.r.t. ``r`` from the batched
+    kernel, on a batch of one row."""
+    return _loss_and_dpred(spec.kind, r[None], s[None])[1][0]
+
+
+def composition_gradients(spec, r, s, upstream):
+    """Adjoints of ``compose(spec, r, s)`` from the solver's gradient: the
+    derivation "(a b)" with a = r and b = s, and ``upstream`` at its root.
+    Returns (grad_r, grad_s), plus the two weight gradients for linear."""
+    shape = VectorShape(r.size) if r.ndim == 1 else CodeShape(*r.shape)
+    data = Dataset.build([("x", np.zeros_like(r), parse_derivation("(a b)"))], shape)
+    problem = solver._build_problem(data)
+    params = np.stack([r, s])
+    values = solver._forward(problem.dag, params, spec) if isinstance(
+        spec, LinearComposition) else None
+    grads, weights = solver._problem_backward(problem, spec, values, upstream[None], True)
+    return (grads[0], grads[1]) + (weights or ())
 
 
 def central_difference(f, x, h=1e-5):
