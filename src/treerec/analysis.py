@@ -22,7 +22,7 @@ from scipy import stats
 
 from .derivation import pairwise_tree_edit_distances
 from .solver import Dataset, FitConfig, PrimitiveTable, tre_datum
-from .space import AdditiveComposition, CompositionSpec, DistanceSpec, distance
+from .space import AdditiveComposition, CompositionSpec, DistanceSpec, distance, distances
 
 # Slack absorbing pure floating-point rounding in inequality checks; the
 # quantities compared are O(1)-scale sums of absolute values.
@@ -125,6 +125,18 @@ def spearman(xs, ys, exact: bool = False) -> CorrelationResult:
     return CorrelationResult(r, p, len(xs))
 
 
+def _pair_distances(dataset: Dataset, distance_spec: DistanceSpec):
+    """Representation and tree edit distances of every record pair (i, j),
+    i < j, in row-major upper-triangle order, as two float arrays."""
+    reps = np.stack([r.representation for r in dataset.records])
+    rep_d = np.concatenate([
+        distances(distance_spec.kind, np.broadcast_to(rep, reps[i + 1:].shape), reps[i + 1:])
+        for i, rep in enumerate(reps)])
+    tree = np.array(pairwise_tree_edit_distances([r.derivation for r in dataset.records]),
+                    dtype=np.float64)
+    return rep_d, tree[np.triu_indices(len(reps), 1)]
+
+
 def topographic_similarity(dataset: Dataset, distance_spec: DistanceSpec,
                            rank_based: bool = True) -> CorrelationResult:
     """Correlation between representation and derivation distances.
@@ -133,17 +145,9 @@ def topographic_similarity(dataset: Dataset, distance_spec: DistanceSpec,
     ``n`` is the number of pairs.  Rank-based mode (Spearman) makes the score
     invariant to any monotone rescaling of either distance.
     """
-    records = dataset.records
-    if len(records) < 3:
+    if len(dataset) < 3:
         raise ValueError("topographic similarity needs at least 3 records")
-    tree_matrix = pairwise_tree_edit_distances([r.derivation for r in records])
-    rep_d: list[float] = []
-    tree_d: list[float] = []
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            rep_d.append(distance(distance_spec, records[i].representation,
-                                  records[j].representation))
-            tree_d.append(float(tree_matrix[i][j]))
+    rep_d, tree_d = _pair_distances(dataset, distance_spec)
     corr = spearman if rank_based else pearson
     try:
         return corr(rep_d, tree_d)
@@ -193,16 +197,12 @@ def bound_check(dataset: Dataset, table: PrimitiveTable, comp: CompositionSpec,
     config = FitConfig(distance=distance_spec, composition=comp)
     epsilon = max(tre_datum(table, config, rec) for rec in dataset.records)
 
-    violations = []
+    rep_d, tree_d = _pair_distances(dataset, distance_spec)
+    rhs = tree_d + 2.0 * epsilon
     records = dataset.records
-    tree_matrix = pairwise_tree_edit_distances([r.derivation for r in records])
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            lhs = distance(distance_spec, records[i].representation,
-                           records[j].representation)
-            rhs = tree_matrix[i][j] + 2.0 * epsilon
-            if lhs > rhs + _FLOAT_SLACK:
-                violations.append(((records[i].id, records[j].id), lhs, rhs))
+    rows, cols = np.triu_indices(len(records), 1)
+    violations = [((records[rows[k]].id, records[cols[k]].id), float(rep_d[k]), float(rhs[k]))
+                  for k in np.flatnonzero(rep_d > rhs + _FLOAT_SLACK)]
     return BoundCheckReport(epsilon=epsilon, violations=tuple(violations),
                             holds=not violations)
 

@@ -13,7 +13,10 @@ tokens that may not contain whitespace or parentheses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from functools import partial
+from typing import Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 
 class DerivationSyntaxError(ValueError):
@@ -71,8 +74,8 @@ class Node:
     right: "Derivation"
 
     def __post_init__(self):
-        # Hash and size cached at construction so edit-distance memo lookups
-        # stay O(1) per node.
+        # Hash and size cached at construction: the hash lets ``__eq__``
+        # return early on a mismatch and keeps dict keys O(1) per node.
         object.__setattr__(self, "_hash", hash(("node", self.left, self.right)))
         object.__setattr__(self, "_size", self.left._size + self.right._size)
 
@@ -202,53 +205,74 @@ def format_derivation(d: Derivation) -> str:
 
 def primitives_of(d: Derivation) -> tuple[Symbol, ...]:
     """Distinct leaf symbols of ``d``, in lexicographic order."""
-    seen: set[Symbol] = set()
-    stack: list[Derivation] = [d]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Leaf):
-            seen.add(t.symbol)
-        else:
-            stack.append(t.left)
-            stack.append(t.right)
-    return tuple(sorted(seen, key=lambda s: s.name))
+    return _compile([d]).symbols
 
 
-def dataset_primitives(derivations: Sequence[Derivation]) -> tuple[Symbol, ...]:
-    """Union of ``primitives_of`` over several derivations, lexicographic."""
-    seen: set[Symbol] = set()
-    for d in derivations:
-        seen.update(primitives_of(d))
-    return tuple(sorted(seen, key=lambda s: s.name))
+@dataclass(frozen=True)
+class _Dag:
+    """The distinct subtrees of some derivations, numbered ``0 .. size-1``.
+
+    A leaf is keyed by its symbol and a node by its children's ids, so equal
+    subtrees get one id however often they occur.  ``symbols`` is in
+    lexicographic order and ``leaf_ids[i]`` is the id of ``symbols[i]``.
+    ``levels[h - 1]`` holds ``(ids, left ids, right ids)`` of the nodes of
+    height ``h``; children always sit lower, so evaluating the levels in
+    order is bottom-up.  ``roots`` has one id per compiled derivation.
+    """
+
+    size: int
+    symbols: tuple[Symbol, ...]
+    leaf_ids: np.ndarray
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    roots: np.ndarray
 
 
-def _edit_distance(a: Derivation, b: Derivation,
-                   memo: dict[tuple[Derivation, Derivation], int]) -> int:
-    key = (a, b)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    a_leaf = isinstance(a, Leaf)
-    b_leaf = isinstance(b, Leaf)
-    if a_leaf and b_leaf:
-        value = 0 if a.symbol == b.symbol else 1
-    elif a_leaf:
-        value = min(_edit_distance(a, b.left, memo) + b.right._size,
-                    _edit_distance(a, b.right, memo) + b.left._size)
-    elif b_leaf:
-        value = min(_edit_distance(a.left, b, memo) + a.right._size,
-                    _edit_distance(a.right, b, memo) + a.left._size)
-    else:
-        value = min(
-            _edit_distance(a.left, b.left, memo) + _edit_distance(a.right, b.right, memo),
-            _edit_distance(a, b.left, memo) + b.right._size,
-            _edit_distance(a, b.right, memo) + b.left._size,
-            _edit_distance(b, a.left, memo) + a.right._size,
-            _edit_distance(b, a.right, memo) + a.left._size,
-        )
-    memo[key] = value
-    memo[(b, a)] = value
-    return value
+def _compile(derivations: Iterable[Derivation]) -> _Dag:
+    trees = list(derivations)  # keeps every node alive, so ``id`` stays unique
+    ids: dict = {}  # symbol, (left id, right id) or id(node object) -> id
+    heights: list[int] = []
+    levels: list[tuple[list[int], list[int], list[int]]] = []
+    roots: list[int] = []
+    for d in trees:
+        # Iterative postorder: ``(node,)`` marks a node whose children are
+        # done.  A node object met before is not walked again.
+        stack: list = [d]
+        done: list[int] = []
+        while stack:
+            t = stack.pop()
+            if type(t) is tuple:
+                r, l = done.pop(), done.pop()
+                key = (l, r)
+            elif isinstance(t, Leaf):
+                key = t.symbol
+            elif id(t) in ids:
+                done.append(ids[id(t)])
+                continue
+            else:
+                stack += ((t,), t.right, t.left)
+                continue
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(heights)
+                h = 0 if type(t) is not tuple else 1 + max(heights[l], heights[r])
+                heights.append(h)
+                if h:
+                    if h > len(levels):
+                        levels.append(([], [], []))
+                    level_ids, lefts, rights = levels[h - 1]
+                    level_ids.append(i)
+                    lefts.append(l)
+                    rights.append(r)
+            if type(t) is tuple:
+                ids[id(t[0])] = i
+            done.append(i)
+        roots.append(done[0])
+
+    symbols = tuple(sorted((k for k in ids if isinstance(k, Symbol)),
+                           key=lambda s: s.name))
+    as_ids = partial(np.array, dtype=np.intp)
+    return _Dag(len(heights), symbols, as_ids([ids[s] for s in symbols]),
+                tuple(tuple(map(as_ids, level)) for level in levels), as_ids(roots))
 
 
 def tree_edit_distance(d1: Derivation, d2: Derivation) -> int:
@@ -259,17 +283,59 @@ def tree_edit_distance(d1: Derivation, d2: Derivation) -> int:
     costs 0, so the distance is a metric: symmetric, zero exactly on equal
     trees, and obeying the triangle inequality.
 
-    Memoized on structural identity of subtree pairs; cost is bounded by the
-    product of the two trees' subtree counts.
+    One entry of ``pairwise_tree_edit_distances([d1, d2])``, with its cost.
     """
-    return _edit_distance(d1, d2, {})
+    return pairwise_tree_edit_distances([d1, d2])[0][1]
 
 
 def pairwise_tree_edit_distances(trees: Sequence[Derivation]) -> list[list[int]]:
-    """Full symmetric distance matrix over ``trees``, sharing one memo so
-    repeated subtree pairs are solved once across the whole collection."""
-    memo: dict[tuple[Derivation, Derivation], int] = {}
-    return [[_edit_distance(a, b, memo) for b in trees] for a in trees]
+    """Full symmetric ``tree_edit_distance`` matrix over ``trees``.
+
+    Fills an m x m table over the m distinct subtrees of ``trees``, so a
+    subtree pair shared across trees is solved once: O(m^2) time and memory,
+    and no recursion.  The table is int64, as leaf counts outgrow 32 bits:
+    ``Node(t, t)`` nested 40 times has 2^40 leaves.  Trees of 2^60 leaves or
+    more raise OverflowError.
+    """
+    if any(t._size >= 1 << 60 for t in trees):
+        raise OverflowError("tree edit distance needs fewer than 2^60 leaves per tree")
+    dag = _compile(trees)
+    # Subtrees ranked by height, so each height is a block of ranks from
+    # ``start[h]``.  Rank m stands for the children of a leaf; as it is far
+    # from everything (twice ``far`` still fits), a term using it never wins.
+    by_height = [dag.leaf_ids, *(ids for ids, _, _ in dag.levels)]
+    start = np.cumsum([0, *map(len, by_height)])
+    m, top, n_leaves = start[-1], len(dag.levels), start[1]
+    height = np.repeat(np.arange(top + 1), np.diff(start))
+    rank = np.empty(m, dtype=np.intp)
+    rank[np.concatenate(by_height)] = np.arange(m)
+    left, right = np.full(m + 1, m), np.full(m + 1, m)
+    leaves = np.zeros(m + 1, dtype=np.int64)
+    leaves[:n_leaves] = 1
+    for ids, lefts, rights in dag.levels:
+        r = rank[ids]
+        left[r], right[r] = rank[lefts], rank[rights]
+        leaves[r] = leaves[left[r]] + leaves[right[r]]
+
+    far = np.iinfo(np.int64).max // 2
+    dist = np.full((m + 1, m + 1), far, dtype=np.int64)
+    dist[:n_leaves, :n_leaves] = 1 - np.eye(n_leaves, dtype=np.int64)
+    # Each term for a pair of height sum s reads pairs of smaller sums, so
+    # one batched step fills a sum: every a with h(a) <= h(b), against the
+    # block of b ranks of the height s - h(a), into both halves of the table.
+    for s in range(1, 2 * top + 1):
+        a = np.arange(start[max(0, s - top)], start[s // 2 + 1])
+        first, count = start[s - height[a]], np.diff(start)[s - height[a]]
+        a = np.repeat(a, count)
+        b = np.arange(len(a)) + np.repeat(first - np.cumsum(count) + count, count)
+        la, ra, lb, rb = left[a], right[a], left[b], right[b]
+        d = dist[la, lb] + dist[ra, rb]
+        for term in (dist[a, lb] + leaves[rb], dist[a, rb] + leaves[lb],
+                     dist[la, b] + leaves[ra], dist[ra, b] + leaves[la]):
+            np.minimum(d, term, out=d)
+        dist[a, b] = dist[b, a] = d
+    roots = rank[dag.roots]
+    return dist[np.ix_(roots, roots)].tolist()
 
 
 def all_derivations(symbols: Sequence[Symbol], max_size: int) -> list[Derivation]:

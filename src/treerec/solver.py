@@ -19,12 +19,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .derivation import Derivation, Leaf, Node, Symbol, dataset_primitives, format_derivation
+from .derivation import Derivation, Leaf, Node, Symbol, _compile, _Dag, format_derivation
 from .space import (
     AdditiveComposition,
     CompositionSpec,
@@ -37,6 +36,7 @@ from .space import (
     as_representation,
     compose,
     distance,
+    distances,
 )
 
 ADAM_BETA1 = 0.9
@@ -96,7 +96,7 @@ class Dataset:
         return iter(self.records)
 
     def primitives(self) -> tuple[Symbol, ...]:
-        return dataset_primitives([r.derivation for r in self.records])
+        return _compile_dataset(self).symbols
 
     @staticmethod
     def build(rows: Iterable[tuple[str, object, Derivation]], shape: Shape) -> "Dataset":
@@ -204,8 +204,8 @@ def _record_errors(table: PrimitiveTable, config: FitConfig,
     """Per-record distances, given the DAG compiled from ``records``."""
     comp = _effective_composition(config, table)
     preds = _forward(dag, _table_params(table, dag), comp)[dag.roots]
-    return [distance(config.distance, rec.representation, pred)
-            for rec, pred in zip(records, preds)]
+    targets = np.stack([rec.representation for rec in records])
+    return distances(config.distance.kind, targets, preds).tolist()
 
 
 def tre_datum(table: PrimitiveTable, config: FitConfig, record: Record) -> float:
@@ -229,67 +229,6 @@ def _rng(seed: int, *keys: int) -> np.random.Generator:
 def _symbol_key(name: str) -> int:
     digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-@dataclass(frozen=True)
-class _Dag:
-    """The distinct subtrees of some derivations, numbered ``0 .. size-1``.
-
-    A leaf is keyed by its symbol and a node by its children's ids, so equal
-    subtrees get one id however often they occur.  ``symbols`` is in
-    lexicographic order and ``leaf_ids[i]`` is the id of ``symbols[i]``.
-    ``levels[h - 1]`` holds ``(ids, left ids, right ids)`` of the nodes of
-    height ``h``; children always sit lower, so evaluating the levels in
-    order is bottom-up.  ``roots`` has one id per compiled derivation.
-    """
-
-    size: int
-    symbols: tuple[Symbol, ...]
-    leaf_ids: np.ndarray
-    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    roots: np.ndarray
-
-
-def _compile(derivations: Iterable[Derivation]) -> _Dag:
-    ids: dict = {}
-    heights: list[int] = []
-    levels: list[tuple[list[int], list[int], list[int]]] = []
-    roots: list[int] = []
-    for d in derivations:
-        # Iterative postorder: ``None`` marks a node whose children are done.
-        stack: list[Derivation | None] = [d]
-        done: list[int] = []
-        while stack:
-            t = stack.pop()
-            if t is None:
-                r = done.pop()
-                l = done.pop()
-                key = (l, r)
-            elif isinstance(t, Leaf):
-                key = t.symbol
-            else:
-                stack += (None, t.right, t.left)
-                continue
-            i = ids.get(key)
-            if i is None:
-                i = ids[key] = len(heights)
-                h = 0 if t is not None else 1 + max(heights[l], heights[r])
-                heights.append(h)
-                if h:
-                    if h > len(levels):
-                        levels.append(([], [], []))
-                    level_ids, lefts, rights = levels[h - 1]
-                    level_ids.append(i)
-                    lefts.append(l)
-                    rights.append(r)
-            done.append(i)
-        roots.append(done[0])
-
-    symbols = tuple(sorted((k for k in ids if isinstance(k, Symbol)),
-                           key=lambda s: s.name))
-    as_ids = partial(np.array, dtype=np.intp)
-    return _Dag(len(heights), symbols, as_ids([ids[s] for s in symbols]),
-                tuple(tuple(map(as_ids, level)) for level in levels), as_ids(roots))
 
 
 def _compile_dataset(dataset: Dataset) -> _Dag:
@@ -587,9 +526,8 @@ def closed_form_fit(dataset: Dataset,
     flat_targets = np.stack([r.representation.ravel() for r in dataset.records])
     solution, *_ = np.linalg.lstsq(counts, flat_targets, rcond=None)
 
-    resid = counts @ solution - flat_targets
-    per_datum = {rec.id: float((resid[i] * resid[i]).sum())
-                 for i, rec in enumerate(dataset.records)}
+    errors = distances("squared_l2", counts @ solution, flat_targets).tolist()
+    per_datum = {rec.id: e for rec, e in zip(dataset.records, errors)}
     shape = dataset.shape.array_shape()
     entries = {sym: solution[i].reshape(shape).copy() for i, sym in enumerate(dag.symbols)}
     total = math.fsum(per_datum.values())

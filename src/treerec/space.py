@@ -12,6 +12,8 @@ Distances: ``cosine`` (1 - dot/(|r||s|), computed on flattened values),
 differences).  Only l1 and squared_l2 separate points (zero distance iff
 equal); cosine is scale-invariant, so colinear representations coincide
 under it, and a zero-norm operand is rejected rather than mapped to NaN.
+``distances`` holds each formula once, over batches of rows; ``distance``
+is its one-row case, and the fit's loss and gradient reuse it.
 Compositions: elementwise addition, a learned/fixed linear form
 ``L @ r + R @ s`` that mixes positions but never vocabulary columns, and an
 exact-lookup table keyed on bit-identical operand pairs.
@@ -19,6 +21,7 @@ exact-lookup table keyed on bit-identical operand pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -202,20 +205,39 @@ def _check_equal_shapes(r: np.ndarray, s: np.ndarray):
 
 def distance(spec: DistanceSpec, r: np.ndarray, s: np.ndarray) -> float:
     _check_equal_shapes(r, s)
-    if spec.kind == "l1":
-        return float(np.abs(r - s).sum())
-    if spec.kind == "squared_l2":
-        d = r - s
-        return float((d * d).sum())
-    # cosine
-    rf, sf = r.ravel(), s.ravel()
-    nr = float(np.linalg.norm(rf))
-    ns = float(np.linalg.norm(sf))
-    if nr == 0.0 or ns == 0.0:
-        raise ZeroNormError("cosine distance is undefined for a zero-norm operand")
-    if np.array_equal(rf, sf):
-        return 0.0
-    return max(0.0, 1.0 - float(rf @ sf) / (nr * ns))
+    return float(distances(spec.kind, r[None], s[None])[0])
+
+
+def distances(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise distances: ``out[k]`` is the ``kind`` distance between
+    ``a[k]`` and ``b[k]``.
+
+    ``a`` and ``b`` have equal shapes; rows run along the leading axis and
+    each row is flattened.  Cosine is 0.0 on exactly equal rows, and raises
+    ZeroNormError naming every row with a zero-norm operand.
+    """
+    return _distances_and_terms(kind, a, b)[0]
+
+
+def _distances_and_terms(kind: str, a: np.ndarray, b: np.ndarray):
+    """``distances`` plus the intermediates its gradient reuses: the
+    flattened ``a - b`` for l1 and squared_l2, and for cosine the flattened
+    rows, their norms and their dot products."""
+    shape = (a.shape[0], math.prod(a.shape[1:]))
+    af, bf = a.reshape(shape), b.reshape(shape)
+    if kind != "cosine":
+        diff = af - bf
+        return (np.abs(diff) if kind == "l1" else diff * diff).sum(axis=1), diff
+    an = np.linalg.norm(af, axis=1)
+    bn = np.linalg.norm(bf, axis=1)
+    zero = np.flatnonzero((an == 0.0) | (bn == 0.0))
+    if zero.size:
+        raise ZeroNormError("cosine distance is undefined for a zero-norm "
+                            "operand", zero.tolist())
+    dots = (af * bf).sum(axis=1)
+    out = np.maximum(1.0 - dots / (an * bn), 0.0)
+    out[(af == bf).all(axis=1)] = 0.0
+    return out, (af, bf, an, bn, dots)
 
 
 def compose(spec: CompositionSpec, r: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -239,30 +261,16 @@ def compose(spec: CompositionSpec, r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _loss_and_dpred(kind: str, preds: np.ndarray, targets: np.ndarray):
-    """Summed distance over a batch and its gradient with respect to ``preds``.
+    """Summed ``distances`` over a batch and its gradient with respect to
+    ``preds``.
 
-    Rows of ``preds`` and ``targets`` pair up.  l1 uses sign(pred - target)
-    with 0 at exact ties, so an optimizer sits still on coordinates it has
-    matched exactly.  Cosine raises ZeroNormError naming every row with a
-    zero-norm operand.
+    l1 uses sign(pred - target) with 0 at exact ties, so an optimizer sits
+    still on coordinates it has matched exactly.
     """
-    if kind == "squared_l2":
-        resid = preds - targets
-        return float((resid * resid).sum()), 2.0 * resid
-    if kind == "l1":
-        resid = preds - targets
-        return float(np.abs(resid).sum()), np.sign(resid)
-    # cosine
-    n = preds.shape[0]
-    pf = preds.reshape(n, -1)
-    tf = targets.reshape(n, -1)
-    pn = np.linalg.norm(pf, axis=1)
-    tn = np.linalg.norm(tf, axis=1)
-    zero = np.flatnonzero((pn == 0.0) | (tn == 0.0))
-    if zero.size:
-        raise ZeroNormError("cosine distance is undefined for a zero-norm "
-                            "operand", zero.tolist())
-    dots = (pf * tf).sum(axis=1)
-    loss = float(np.maximum(1.0 - dots / (pn * tn), 0.0).sum())
+    rows, terms = _distances_and_terms(kind, preds, targets)
+    loss = float(rows.sum())
+    if kind != "cosine":
+        return loss, (np.sign(terms) if kind == "l1" else 2.0 * terms).reshape(preds.shape)
+    pf, tf, pn, tn, dots = terms
     dpred = (dots / (pn**3 * tn))[:, None] * pf - tf / (pn * tn)[:, None]
     return loss, dpred.reshape(preds.shape)

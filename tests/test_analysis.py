@@ -5,7 +5,8 @@ Core claims:
       exact permutation p-value is available for small n
     - a dataset whose representation distances equal its derivation distances
       scores topographic similarity exactly 1.0; structure-free data scores
-      near 0; constant distances raise
+      near 0; constant distances raise; the batched computation equals a
+      per-pair loop (exactly for l1 and squared_l2)
     - with l1 distance, additive composition, and unit-ball primitive entries,
       representation distances never exceed derivation distance plus twice
       the worst per-record error (verified by enumerating all record pairs)
@@ -132,6 +133,15 @@ class TestPearsonSpearman:
         assert result.p_value == approx(0.0374, abs=1e-3)
 
 
+def reference_distance(kind, r, s):
+    """One pair's distance, straight from the definitions."""
+    if kind == "l1":
+        return float(np.abs(r - s).sum())
+    if kind == "squared_l2":
+        return float(((r - s) ** 2).sum())
+    return 1.0 - float(r @ s) / (np.linalg.norm(r) * np.linalg.norm(s))
+
+
 class TestTopographicSimilarity:
     def test_distance_faithful_dataset_scores_one(self):
         ds = chain_dataset()
@@ -172,6 +182,28 @@ class TestTopographicSimilarity:
                 ("b", [2.0], parse_derivation("(a a)"))]
         with pytest.raises(ValueError):
             topographic_similarity(Dataset.build(rows, VectorShape(1)), L1)
+
+    @pytest.mark.parametrize("kind", ["cosine", "l1", "squared_l2"])
+    def test_matches_per_pair_reference_loop(self, kind):
+        spec = GenSpec(num_primitives=5, shape=VectorShape(6), depth_range=(1, 4),
+                       num_records=25, noise_sigma=0.1, seed=3)
+        ds, _ = generate_compositional(spec)
+        records = ds.records
+        tree = pairwise_tree_edit_distances([r.derivation for r in records])
+        rep_d, tree_d = [], []
+        for i in range(len(records)):
+            for j in range(i + 1, len(records)):
+                rep_d.append(reference_distance(kind, records[i].representation,
+                                                records[j].representation))
+                tree_d.append(float(tree[i][j]))
+        for rank, corr in ((True, spearman), (False, pearson)):
+            expected = corr(rep_d, tree_d)
+            got = topographic_similarity(ds, DistanceSpec(kind), rank_based=rank)
+            if kind == "cosine":
+                assert got.n == expected.n
+                assert got.coefficient == approx(expected.coefficient, rel=0, abs=1e-12)
+            else:
+                assert got == expected
 
     def test_rank_mode_invariant_to_rescaling_and_relabeling(self):
         spec = GenSpec(num_primitives=4, shape=VectorShape(6), num_records=10,

@@ -2,9 +2,12 @@
 
 Core claim: every entry point that walks a derivation handles a 5000-leaf
 left comb, a tree 5000 levels deep, without RecursionError.  Tree edit
-distance is still recursive and is not covered here.
+distance is checked on a 1500-leaf comb, since its table is quadratic in
+the number of distinct subtrees.
 """
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -25,11 +28,13 @@ from treerec import (
     format_derivation,
     parse_derivation,
     size,
+    tree_edit_distance,
     write_dataset,
 )
 from treerec.cli import main as cli_main
 
 LEAVES = 5000
+TED_LEAVES = 1500
 SQL2 = DistanceSpec("squared_l2")
 ENTRIES = {Symbol("s0"): np.array([1.0, 0.0]),
            Symbol("s1"): np.array([0.0, 1.0]),
@@ -100,9 +105,33 @@ def check_cli_fit(tmp_path):
     assert np.isfinite(json.loads(out.read_text())["per_datum_tre"]["comb"])
 
 
+def comb_pair(leaves: int) -> tuple[str, str]:
+    """A left comb and its copy with the deepest leaf changed."""
+    text = left_comb(leaves)
+    return text, text.replace("s0", "s2", 1)
+
+
+def check_tree_edit_distance(tmp_path):
+    a, b = comb_pair(TED_LEAVES)
+    assert tree_edit_distance(parse_derivation(a), parse_derivation(b)) == 1
+
+
+def check_cli_editdist(tmp_path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["editdist", *comb_pair(TED_LEAVES)]) == 0
+    assert out.getvalue() == "1\n"
+
+
 @pytest.mark.parametrize("check", [
     check_parse, check_equality, check_format_round_trip, check_eval,
     check_fit_additive, check_fit_linear, check_closed_form_fit, check_cli_fit,
 ], ids=lambda f: f.__name__[len("check_"):])
 def test_5000_leaf_left_comb(check, tmp_path):
+    check(tmp_path)
+
+
+@pytest.mark.parametrize("check", [check_tree_edit_distance, check_cli_editdist],
+                         ids=lambda f: f.__name__[len("check_"):])
+def test_1500_leaf_left_comb(check, tmp_path):
     check(tmp_path)

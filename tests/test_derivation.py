@@ -6,8 +6,10 @@ Core claims:
     - the four hand-derived edit distances (0, 1, 1, 2) hold
     - edit distance is a metric, checked exhaustively over all derivations
       of size <= 4 on a 3-symbol alphabet
-    - the memoized implementation agrees with an independent naive recursion
-      and with an independent bottom-up dynamic program
+    - the subtree-table implementation agrees with an independent naive
+      recursion and with an independent bottom-up dynamic program
+    - a tree built from shared subtree objects costs its distinct subtrees,
+      however many leaves it has
 """
 
 import numpy as np
@@ -232,6 +234,18 @@ class TestEditDistanceHandValues:
         # no swap move exists; cheapest is two substitutions
         assert tree_edit_distance(parse_derivation("(a b)"),
                                   parse_derivation("(b a)")) == 2
+
+    def test_doubled_trees_of_2_to_the_40_leaves(self):
+        def doubled(symbol, times):
+            t = Leaf(symbol)
+            for _ in range(times):
+                t = Node(t, t)
+            return t
+
+        # every leaf substituted; the leaf count needs 64-bit integers
+        assert tree_edit_distance(doubled(A, 40), doubled(B, 40)) == 2**40
+        with pytest.raises(OverflowError):
+            tree_edit_distance(doubled(A, 60), doubled(B, 1))
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ Core claims:
     - identity, symmetry, l1 triangle inequality, exact l1 translation
       invariance (on dyadic inputs where float addition is exact)
     - cosine with a zero operand raises instead of returning NaN
+    - ``distance`` is the one-row case of the batched ``distances``
     - analytic gradients of every distance and composition match central
       finite differences (the oracle lives in this file, not the library);
       they come from the solver's kernels: the batched distance gradient and
@@ -33,7 +34,7 @@ from treerec import (
     is_hard_code,
     parse_derivation,
 )
-from treerec.space import _loss_and_dpred
+from treerec.space import _loss_and_dpred, distances
 
 COSINE = DistanceSpec("cosine")
 L1 = DistanceSpec("l1")
@@ -119,6 +120,24 @@ class TestDistanceValues:
             distance(COSINE, np.zeros(2), np.array([1.0, 0.0]))
         with pytest.raises(ZeroNormError):
             distance_subgradient(COSINE, np.array([1.0, 0.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("kind", ["cosine", "l1", "squared_l2"])
+@pytest.mark.parametrize("shape", [VectorShape(3), CodeShape(2, 3)], ids=repr)
+def test_distance_is_one_row_of_distances(kind, shape):
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4,) + shape.array_shape())
+    b = rng.normal(size=a.shape)
+    b[1] = a[1]  # an exactly equal row
+    rows = distances(kind, a, b)
+    for k in range(len(a)):
+        assert distance(DistanceSpec(kind), a[k], b[k]) == rows[k]
+    assert rows[1] == 0.0
+    if kind == "cosine":
+        b[2] = 0.0
+        with pytest.raises(ZeroNormError) as err:
+            distances(kind, a, b)
+        assert err.value.rows == (2,)
 
 
 class TestDistanceProperties:
