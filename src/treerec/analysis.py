@@ -113,16 +113,10 @@ def _average_ranks(xs: np.ndarray) -> np.ndarray:
 
 
 def spearman(xs, ys, exact: bool = False) -> CorrelationResult:
-    """Spearman rank correlation (average ranks on ties)."""
-    xs, ys = _as_float_array(xs), _as_float_array(ys)
-    if len(xs) != len(ys):
-        raise ValueError("sequences must have equal length")
-    if len(xs) < 3:
-        raise ValueError("need at least 3 pairs")
-    rx, ry = _average_ranks(xs), _average_ranks(ys)
-    r = _pearson_coefficient(rx, ry)
-    p = _exact_permutation_p(rx, ry, r) if exact else _t_approx_p_value(r, len(xs))
-    return CorrelationResult(r, p, len(xs))
+    """Spearman rank correlation: ``pearson`` on average ranks (ties share
+    the mean of their ranks)."""
+    return pearson(_average_ranks(_as_float_array(xs)),
+                   _average_ranks(_as_float_array(ys)), exact)
 
 
 def _pair_distances(dataset: Dataset, distance_spec: DistanceSpec):

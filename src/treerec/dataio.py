@@ -64,17 +64,14 @@ def write_dataset(path: str | Path, dataset: Dataset,
 
 def dataset_to_lines(dataset: Dataset, alphabet: str | None = None) -> list[str]:
     shape = dataset.shape
-    if isinstance(shape, VectorShape):
-        lines = [_dump_line({"dim": shape.dim})]
-        tokens_form = False
-    else:
+    tokens_form = False
+    if isinstance(shape, CodeShape):
         if alphabet is None:
             alphabet = default_alphabet(shape.vocab)
         if len(alphabet) != shape.vocab or len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet must contain vocab distinct characters")
-        lines = [_dump_line({"length": shape.length, "vocab": shape.vocab,
-                             "alphabet": alphabet})]
         tokens_form = all(is_hard_code(r.representation) for r in dataset.records)
+    lines = [_dump_line(_shape_header(shape, alphabet))]
     for rec in dataset.records:
         row = {"id": rec.id, "derivation": format_derivation(rec.derivation)}
         if tokens_form:
@@ -111,20 +108,30 @@ def read_dataset(path: str | Path) -> tuple[Dataset, str | None]:
     return Dataset(tuple(records), shape), alphabet
 
 
+def _shape_header(shape: Shape, alphabet: str | None) -> dict:
+    """The JSON header of ``shape``, as dataset files and reports write it;
+    ``_parse_header`` reads it back."""
+    if isinstance(shape, VectorShape):
+        return {"dim": shape.dim}
+    return {"length": shape.length, "vocab": shape.vocab,
+            "alphabet": alphabet or default_alphabet(shape.vocab)}
+
+
 def _parse_header(line_no: int, header) -> tuple[Shape, str | None]:
+    # ``type(v) is int``, here and for 'repr': JSON true/false load as bools.
     if not isinstance(header, dict):
         raise DatasetFormatError(line_no, "header must be a JSON object")
     if "dim" in header:
         if set(header) != {"dim"}:
             raise DatasetFormatError(line_no, "vector header declares only 'dim'")
         dim = header["dim"]
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise DatasetFormatError(line_no, "'dim' must be a positive integer")
         return VectorShape(dim), None
     if set(header) == {"length", "vocab", "alphabet"}:
         length, vocab, alphabet = header["length"], header["vocab"], header["alphabet"]
-        if not (isinstance(length, int) and length >= 1
-                and isinstance(vocab, int) and vocab >= 1):
+        if not (type(length) is int and length >= 1
+                and type(vocab) is int and vocab >= 1):
             raise DatasetFormatError(
                 line_no, "'length' and 'vocab' must be positive integers")
         if (not isinstance(alphabet, str) or len(alphabet) != vocab
@@ -179,14 +186,14 @@ def _parse_record(line_no: int, line: str, shape: Shape, alphabet: str | None,
     values = row["repr"]
     expected = int(np.prod(shape.array_shape()))
     if (not isinstance(values, list)
-            or not all(isinstance(v, (int, float)) for v in values)):
+            or not all(type(v) in (int, float) for v in values)):
         fail("'repr' must be a flat list of numbers")
     if len(values) != expected:
         fail(f"'repr' has {len(values)} values, expected {expected}")
     try:
         arr = as_representation(
             np.asarray(values, dtype=np.float64).reshape(shape.array_shape()))
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # OverflowError: an int past float range
         fail(str(e))
     return Record(rid, arr, deriv)
 
@@ -209,13 +216,6 @@ def config_echo(config: FitConfig, **extra) -> dict:
     }
     echo.update(extra)
     return echo
-
-
-def _shape_header(shape: Shape, alphabet: str | None) -> dict:
-    if isinstance(shape, VectorShape):
-        return {"dim": shape.dim}
-    return {"length": shape.length, "vocab": shape.vocab,
-            "alphabet": alphabet or default_alphabet(shape.vocab)}
 
 
 def report_to_dict(report: TreReport, config: FitConfig, shape: Shape,
@@ -258,12 +258,10 @@ def load_report(path: str | Path) -> tuple[dict, PrimitiveTable, Shape]:
     re-evaluation against the original dataset."""
     from .derivation import Symbol
 
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    header = data["shape"]
-    if "dim" in header:
-        shape: Shape = VectorShape(header["dim"])
-    else:
-        shape = CodeShape(header["length"], header["vocab"])
+    text = Path(path).read_text(encoding="utf-8")
+    data = json.loads(text)
+    shape_line = text.count("\n", 0, max(text.find('"shape":'), 0)) + 1
+    shape, _ = _parse_header(shape_line, data.get("shape"))
     entries = {
         Symbol(name): np.asarray(values, dtype=np.float64).reshape(shape.array_shape())
         for name, values in data["primitives"].items()

@@ -13,7 +13,7 @@ tokens that may not contain whitespace or parentheses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -210,28 +210,32 @@ def primitives_of(d: Derivation) -> tuple[Symbol, ...]:
 
 @dataclass(frozen=True)
 class _Dag:
-    """The distinct subtrees of some derivations, numbered ``0 .. size-1``.
+    """The distinct subtrees of some derivations, numbered in evaluation order.
 
     A leaf is keyed by its symbol and a node by its children's ids, so equal
-    subtrees get one id however often they occur.  ``symbols`` is in
-    lexicographic order and ``leaf_ids[i]`` is the id of ``symbols[i]``.
-    ``levels[h - 1]`` holds ``(ids, left ids, right ids)`` of the nodes of
-    height ``h``; children always sit lower, so evaluating the levels in
-    order is bottom-up.  ``roots`` has one id per compiled derivation.
+    subtrees get one id however often they occur.  Ids ``0 .. len(symbols)-1``
+    are the leaves, id ``i`` for ``symbols[i]`` (lexicographic order); then
+    come the nodes by height, in discovery order within a height.  Node
+    ``i`` has children ``left[i]`` and ``right[i]``, which are -1 for a leaf.
+    ``levels[h - 1]`` is the id range ``(lo, hi)`` of the nodes of height
+    ``h``; children always have lower ids, so evaluating the ids in order,
+    one level slice at a time, is bottom-up.  ``roots`` has one id per
+    compiled derivation.
     """
 
     size: int
     symbols: tuple[Symbol, ...]
-    leaf_ids: np.ndarray
-    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    left: np.ndarray
+    right: np.ndarray
+    levels: tuple[tuple[int, int], ...]
     roots: np.ndarray
 
 
 def _compile(derivations: Iterable[Derivation]) -> _Dag:
     trees = list(derivations)  # keeps every node alive, so ``id`` stays unique
     ids: dict = {}  # symbol, (left id, right id) or id(node object) -> id
-    heights: list[int] = []
-    levels: list[tuple[list[int], list[int], list[int]]] = []
+    heights: list[int] = []  # by discovery id
+    children: list[int] = []  # left and right child by discovery id, flat
     roots: list[int] = []
     for d in trees:
         # Iterative postorder: ``(node,)`` marks a node whose children are
@@ -244,7 +248,7 @@ def _compile(derivations: Iterable[Derivation]) -> _Dag:
                 r, l = done.pop(), done.pop()
                 key = (l, r)
             elif isinstance(t, Leaf):
-                key = t.symbol
+                key, l, r = t.symbol, -1, -1
             elif id(t) in ids:
                 done.append(ids[id(t)])
                 continue
@@ -254,25 +258,25 @@ def _compile(derivations: Iterable[Derivation]) -> _Dag:
             i = ids.get(key)
             if i is None:
                 i = ids[key] = len(heights)
-                h = 0 if type(t) is not tuple else 1 + max(heights[l], heights[r])
-                heights.append(h)
-                if h:
-                    if h > len(levels):
-                        levels.append(([], [], []))
-                    level_ids, lefts, rights = levels[h - 1]
-                    level_ids.append(i)
-                    lefts.append(l)
-                    rights.append(r)
+                heights.append(0 if l < 0 else 1 + max(heights[l], heights[r]))
+                children += (l, r)
             if type(t) is tuple:
                 ids[id(t[0])] = i
             done.append(i)
         roots.append(done[0])
 
+    # Renumber: the leaves in symbol order, then the nodes by height.
     symbols = tuple(sorted((k for k in ids if isinstance(k, Symbol)),
                            key=lambda s: s.name))
-    as_ids = partial(np.array, dtype=np.intp)
-    return _Dag(len(heights), symbols, as_ids([ids[s] for s in symbols]),
-                tuple(tuple(map(as_ids, level)) for level in levels), as_ids(roots))
+    height = np.array(heights, dtype=np.intp)
+    order = np.argsort(height, kind="stable")
+    order[:len(symbols)] = [ids[s] for s in symbols]
+    new_id = np.empty(len(order) + 1, dtype=np.intp)
+    new_id[order], new_id[-1] = np.arange(len(order)), -1
+    left, right = new_id[np.array(children, dtype=np.intp).reshape(-1, 2)[order]].T
+    ends = list(accumulate(np.bincount(height).tolist()))
+    return _Dag(len(order), symbols, left, right, tuple(zip(ends, ends[1:])),
+                new_id[np.array(roots, dtype=np.intp)])
 
 
 def tree_edit_distance(d1: Derivation, d2: Derivation) -> int:
@@ -300,29 +304,24 @@ def pairwise_tree_edit_distances(trees: Sequence[Derivation]) -> list[list[int]]
     if any(t._size >= 1 << 60 for t in trees):
         raise OverflowError("tree edit distance needs fewer than 2^60 leaves per tree")
     dag = _compile(trees)
-    # Subtrees ranked by height, so each height is a block of ranks from
-    # ``start[h]``.  Rank m stands for the children of a leaf; as it is far
-    # from everything (twice ``far`` still fits), a term using it never wins.
-    by_height = [dag.leaf_ids, *(ids for ids, _, _ in dag.levels)]
-    start = np.cumsum([0, *map(len, by_height)])
-    m, top, n_leaves = start[-1], len(dag.levels), start[1]
+    # Ids run by height, so each height is a block of ids from ``start[h]``.
+    # Id -1 (table row m) stands for the children of a leaf; as it is far from
+    # everything (twice ``far`` still fits), a term using it never wins.
+    m, top, n_leaves = dag.size, len(dag.levels), len(dag.symbols)
+    start = np.array([0, n_leaves, *(hi for _, hi in dag.levels)])
     height = np.repeat(np.arange(top + 1), np.diff(start))
-    rank = np.empty(m, dtype=np.intp)
-    rank[np.concatenate(by_height)] = np.arange(m)
-    left, right = np.full(m + 1, m), np.full(m + 1, m)
+    left, right = dag.left, dag.right
     leaves = np.zeros(m + 1, dtype=np.int64)
     leaves[:n_leaves] = 1
-    for ids, lefts, rights in dag.levels:
-        r = rank[ids]
-        left[r], right[r] = rank[lefts], rank[rights]
-        leaves[r] = leaves[left[r]] + leaves[right[r]]
+    for lo, hi in dag.levels:
+        leaves[lo:hi] = leaves[left[lo:hi]] + leaves[right[lo:hi]]
 
     far = np.iinfo(np.int64).max // 2
     dist = np.full((m + 1, m + 1), far, dtype=np.int64)
     dist[:n_leaves, :n_leaves] = 1 - np.eye(n_leaves, dtype=np.int64)
     # Each term for a pair of height sum s reads pairs of smaller sums, so
     # one batched step fills a sum: every a with h(a) <= h(b), against the
-    # block of b ranks of the height s - h(a), into both halves of the table.
+    # block of b ids of the height s - h(a), into both halves of the table.
     for s in range(1, 2 * top + 1):
         a = np.arange(start[max(0, s - top)], start[s // 2 + 1])
         first, count = start[s - height[a]], np.diff(start)[s - height[a]]
@@ -334,8 +333,7 @@ def pairwise_tree_edit_distances(trees: Sequence[Derivation]) -> list[list[int]]
                      dist[la, b] + leaves[ra], dist[ra, b] + leaves[la]):
             np.minimum(d, term, out=d)
         dist[a, b] = dist[b, a] = d
-    roots = rank[dag.roots]
-    return dist[np.ix_(roots, roots)].tolist()
+    return dist[np.ix_(dag.roots, dag.roots)].tolist()
 
 
 def all_derivations(symbols: Sequence[Symbol], max_size: int) -> list[Derivation]:

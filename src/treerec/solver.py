@@ -34,8 +34,7 @@ from .space import (
     ZeroNormError,
     _loss_and_dpred,
     as_representation,
-    compose,
-    distance,
+    composes,
     distances,
 )
 
@@ -244,25 +243,12 @@ def _table_params(table: PrimitiveTable, dag: _Dag) -> np.ndarray:
 
 def _forward(dag: _Dag, params: np.ndarray, comp: CompositionSpec) -> np.ndarray:
     """Value of every subtree of ``dag``, indexed by id; ``params[i]`` is the
-    value of ``dag.symbols[i]``.  One numpy op per level, except for table
-    composition, which looks every node up on its own."""
+    value of leaf ``i``, ``dag.symbols[i]``.  One ``composes`` call per
+    level."""
     values = np.empty((dag.size,) + params.shape[1:])
-    values[dag.leaf_ids] = params
-    if not dag.levels:
-        return values
-    if not isinstance(comp, TableComposition):
-        compose(comp, params[0], params[0])  # raises for unusable weights or kinds
-    # Columns view: a vector is a d x 1 matrix, so one matmul serves both shapes.
-    cols = values.reshape(dag.size, params.shape[1], -1)
-    for ids, left, right in dag.levels:
-        if isinstance(comp, AdditiveComposition):
-            values[ids] = values[left] + values[right]
-        elif isinstance(comp, LinearComposition):
-            cols[ids] = (np.matmul(comp.left_weights, cols[left])
-                         + np.matmul(comp.right_weights, cols[right]))
-        else:
-            for i, l, r in zip(ids, left, right):
-                values[i] = compose(comp, values[l], values[r])
+    values[:len(params)] = params
+    for lo, hi in dag.levels:
+        values[lo:hi] = composes(comp, values[dag.left[lo:hi]], values[dag.right[lo:hi]])
     return values
 
 
@@ -284,14 +270,14 @@ def _backward(dag: _Dag, values: np.ndarray, comp: CompositionSpec,
     shape = (dag.size, values.shape[1], -1)
     cols, gcols = values.reshape(shape), grads.reshape(shape)
     grad_lw, grad_rw = np.zeros_like(lw), np.zeros_like(rw)
-    for ids, left, right in reversed(dag.levels):
-        g = gcols[ids]
+    for lo, hi in reversed(dag.levels):
+        g, left, right = gcols[lo:hi], dag.left[lo:hi], dag.right[lo:hi]
         np.add.at(gcols, left, np.matmul(lw.T, g))
         np.add.at(gcols, right, np.matmul(rw.T, g))
         if learn_weights:
             grad_lw += np.tensordot(g, cols[left], axes=([0, 2], [0, 2]))
             grad_rw += np.tensordot(g, cols[right], axes=([0, 2], [0, 2]))
-    return grads[dag.leaf_ids], (grad_lw, grad_rw) if learn_weights else None
+    return grads[:len(dag.symbols)], (grad_lw, grad_rw) if learn_weights else None
 
 
 class _Adam:
@@ -653,10 +639,11 @@ def homomorphism_residuals(dataset: Dataset, comp: CompositionSpec,
     rep_of: dict[Derivation, np.ndarray] = {}
     for rec in dataset.records:
         rep_of.setdefault(rec.derivation, rec.representation)
-    out: dict[str, float] = {}
-    for rec in dataset.records:
-        d = rec.derivation
-        if isinstance(d, Node) and d.left in rep_of and d.right in rep_of:
-            composed = compose(comp, rep_of[d.left], rep_of[d.right])
-            out[rec.id] = distance(distance_spec, rec.representation, composed)
-    return out
+    recs = [rec for rec in dataset.records if isinstance(rec.derivation, Node)
+            and rec.derivation.left in rep_of and rec.derivation.right in rep_of]
+    shape = (len(recs), *dataset.shape.array_shape())
+    composed = composes(comp, np.reshape([rep_of[r.derivation.left] for r in recs], shape),
+                        np.reshape([rep_of[r.derivation.right] for r in recs], shape))
+    targets = np.reshape([r.representation for r in recs], shape)
+    errors = distances(distance_spec.kind, targets, composed).tolist()
+    return {rec.id: e for rec, e in zip(recs, errors)}

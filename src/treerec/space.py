@@ -16,7 +16,9 @@ under it, and a zero-norm operand is rejected rather than mapped to NaN.
 is its one-row case, and the fit's loss and gradient reuse it.
 Compositions: elementwise addition, a learned/fixed linear form
 ``L @ r + R @ s`` that mixes positions but never vocabulary columns, and an
-exact-lookup table keyed on bit-identical operand pairs.
+exact-lookup table keyed on bit-identical operand pairs.  ``composes``
+holds each of them once, over batches of rows, and ``compose`` is its
+one-row case.
 """
 
 from __future__ import annotations
@@ -241,6 +243,16 @@ def _distances_and_terms(kind: str, a: np.ndarray, b: np.ndarray):
 
 
 def compose(spec: CompositionSpec, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return composes(spec, r[None], s[None])[0]
+
+
+def composes(spec: CompositionSpec, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Row-wise compositions: ``out[k]`` composes ``r[k]`` with ``s[k]``.
+
+    Rows run along the leading axis.  Linear composition treats a vector
+    row as a d x 1 matrix, so one matmul serves both shapes; a table looks
+    each row pair up on its own.
+    """
     if isinstance(spec, AdditiveComposition):
         _check_equal_shapes(r, s)
         return r + s
@@ -249,14 +261,17 @@ def compose(spec: CompositionSpec, r: np.ndarray, s: np.ndarray) -> np.ndarray:
             raise ValueError("linear composition has no weights yet; "
                              "fit with learn_composition=True or supply matrices")
         _check_equal_shapes(r, s)
-        if spec.left_weights.shape[1] != r.shape[0]:
+        if spec.left_weights.shape[1] != r.shape[1]:
             raise ShapeMismatchError(
                 f"weights act on leading axis of size {spec.left_weights.shape[1]}, "
-                f"operands have leading axis {r.shape[0]}"
+                f"operands have leading axis {r.shape[1]}"
             )
-        return spec.left_weights @ r + spec.right_weights @ s
+        cols = r.shape[:2] + (math.prod(r.shape[2:]),)
+        return (np.matmul(spec.left_weights, r.reshape(cols))
+                + np.matmul(spec.right_weights, s.reshape(cols))).reshape(r.shape)
     if isinstance(spec, TableComposition):
-        return spec.lookup(r, s)
+        rows = [spec.lookup(a, b) for a, b in zip(r, s)]
+        return np.stack(rows) if rows else np.empty_like(r)
     raise TypeError(f"unknown composition spec {spec!r}")
 
 

@@ -8,7 +8,10 @@ Core claims:
     - generated files are accepted by fit (format closure); identical flags
       produce byte-identical outputs
     - a written report can be re-ingested and its learned primitives
-      re-evaluated to the recorded per-record errors
+      re-evaluated to the recorded per-record errors; a malformed report
+      shape is a format error
+    - a JSON boolean, or an integer beyond float range, is not a number
+      anywhere in a dataset file
 """
 
 import json
@@ -34,8 +37,21 @@ from treerec import (
     write_dataset,
 )
 from treerec.cli import main
+from treerec.dataio import render_report
 
 SQL2 = DistanceSpec("squared_l2")
+# Dataset files where a JSON boolean, or an integer beyond float range,
+# stands for a number, with the line of the fault.
+NON_NUMBERS = {
+    "dim": ('{"dim": true}\n{"id": "x", "derivation": "a", "repr": [1.0]}\n', 1),
+    "length": ('{"length": true, "vocab": 2, "alphabet": "ab"}\n'
+               '{"id": "x", "derivation": "a", "tokens": "a"}\n', 1),
+    "vocab": ('{"length": 1, "vocab": true, "alphabet": "a"}\n'
+              '{"id": "x", "derivation": "a", "tokens": "a"}\n', 1),
+    "repr": ('{"dim": 2}\n{"id": "x", "derivation": "a", "repr": [true, 0.0]}\n', 2),
+    "repr_beyond_float": ('{"dim": 1}\n{"id": "x", "derivation": "a", "repr": [1%s]}\n'
+                          % ("0" * 400), 2),
+}
 
 
 def run_cli(*args, capsys=None):
@@ -132,6 +148,15 @@ class TestDatasetFiles:
         with pytest.raises(DatasetFormatError) as err:
             read_dataset(path)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("case", NON_NUMBERS)
+    def test_non_numbers_carry_line_numbers(self, tmp_path, case):
+        text, line = NON_NUMBERS[case]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError) as err:
+            read_dataset(path)
+        assert err.value.line == line
 
     def test_token_outside_alphabet(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -237,6 +262,15 @@ class TestFitCommand:
         assert code == 1
         assert "line 3" in err
 
+    @pytest.mark.parametrize("case", NON_NUMBERS)
+    def test_non_number_exits_one_with_line(self, tmp_path, capsys, case):
+        text, line = NON_NUMBERS[case]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        code, _, err = run_cli("fit", str(path), "--steps", "5", capsys=capsys)
+        assert code == 1
+        assert f"error: line {line}: " in err
+
     def test_bad_flag_value_exits_two(self, hand_file, capsys):
         code, _, _ = run_cli("fit", str(hand_file), "--distance", "chebyshev",
                              capsys=capsys)
@@ -287,6 +321,20 @@ class TestFitCommand:
         for rec in dataset.records:
             recorded = payload["per_datum_tre"][rec.id]
             assert tre_datum(table, config, rec) == approx(recorded, abs=1e-9)
+
+    def test_malformed_report_shape_is_a_format_error(self, hand_file, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        run_cli("fit", str(hand_file), "--steps", "5", "--out", str(report_path),
+                capsys=capsys)
+        payload = json.loads(report_path.read_text())
+        payload["shape"] = {"vocab": 2, "alphabet": "ab"}  # no length
+        report_path.write_text(render_report(payload))
+        shape_line = next(no for no, text in
+                          enumerate(report_path.read_text().splitlines(), 1)
+                          if text.startswith('  "shape":'))
+        with pytest.raises(DatasetFormatError) as err:
+            load_report(report_path)
+        assert err.value.line == shape_line
 
     def test_learned_composition_report_round_trip(self, tmp_path, capsys):
         lang_path = tmp_path / "langs"

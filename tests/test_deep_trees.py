@@ -26,6 +26,7 @@ from treerec import (
     eval_compositional,
     fit,
     format_derivation,
+    homomorphism_residuals,
     parse_derivation,
     size,
     tree_edit_distance,
@@ -53,11 +54,13 @@ def comb_value(leaves: int) -> np.ndarray:
     return sum(c * ENTRIES[Symbol(f"s{i}")] for i, c in enumerate(counts))
 
 
-def comb_dataset() -> Dataset:
-    """The comb plus its three leaves, representations composed exactly."""
+def comb_dataset(*extra_rows) -> Dataset:
+    """The comb plus its three leaves and ``extra_rows``, representations
+    composed exactly."""
     rows = [(name.name, value, parse_derivation(name.name))
             for name, value in ENTRIES.items()]
     rows.append(("comb", comb_value(LEAVES), parse_derivation(left_comb(LEAVES))))
+    rows += extra_rows
     return Dataset.build(rows, VectorShape(2))
 
 
@@ -98,6 +101,14 @@ def check_closed_form_fit(tmp_path):
     assert closed_form_fit(comb_dataset()).aggregate < 1e-12
 
 
+def check_homomorphism_residuals(tmp_path):
+    # With the comb's left child as a record, the comb is the one record
+    # whose children are both records, and it composes exactly.
+    data = comb_dataset(("left", comb_value(LEAVES - 1),
+                         parse_derivation(left_comb(LEAVES - 1))))
+    assert homomorphism_residuals(data, AdditiveComposition(), SQL2) == {"comb": 0.0}
+
+
 def check_cli_fit(tmp_path):
     data, out = tmp_path / "comb.jsonl", tmp_path / "report.json"
     write_dataset(data, comb_dataset())
@@ -126,6 +137,7 @@ def check_cli_editdist(tmp_path):
 @pytest.mark.parametrize("check", [
     check_parse, check_equality, check_format_round_trip, check_eval,
     check_fit_additive, check_fit_linear, check_closed_form_fit, check_cli_fit,
+    check_homomorphism_residuals,
 ], ids=lambda f: f.__name__[len("check_"):])
 def test_5000_leaf_left_comb(check, tmp_path):
     check(tmp_path)

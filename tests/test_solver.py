@@ -30,12 +30,14 @@ from treerec import (
     DivergenceError,
     FitConfig,
     GenSpec,
+    Leaf,
     LinearComposition,
     MissingPrimitiveError,
     PrimitiveTable,
     Record,
     Symbol,
     VectorShape,
+    all_derivations,
     closed_form_fit,
     eval_compositional,
     fit,
@@ -89,6 +91,23 @@ class TestEvalCompositional:
                                 Symbol("c"): np.array([2.0, 0.0])})
         got = eval_compositional(table, ADD, parse_derivation("((a b) c)"))
         assert got == approx(np.array([3.0, 1.0]))
+
+    def test_linear_code_rows_match_recursive_reference(self):
+        rng = np.random.default_rng(9)
+        symbols = [Symbol(name) for name in "abc"]
+        table = PrimitiveTable({sym: rng.normal(size=(3, 4)) for sym in symbols})
+        comp = LinearComposition(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
+
+        def reference(d):
+            if isinstance(d, Leaf):
+                return table.entries[d.symbol]
+            return (comp.left_weights @ reference(d.left)
+                    + comp.right_weights @ reference(d.right))
+
+        trees = all_derivations(symbols, 5)
+        values = eval_compositional(table, comp, trees)
+        for tree, value in zip(trees, values):
+            assert np.array_equal(value, reference(tree))
 
     def test_missing_primitive_names_symbol(self):
         table = PrimitiveTable({Symbol("a"): np.zeros(2)})

@@ -5,7 +5,8 @@ Core claims:
     - identity, symmetry, l1 triangle inequality, exact l1 translation
       invariance (on dyadic inputs where float addition is exact)
     - cosine with a zero operand raises instead of returning NaN
-    - ``distance`` is the one-row case of the batched ``distances``
+    - ``distance`` is the one-row case of the batched ``distances``, and
+      ``compose`` the one-row case of the batched ``composes``
     - analytic gradients of every distance and composition match central
       finite differences (the oracle lives in this file, not the library);
       they come from the solver's kernels: the batched distance gradient and
@@ -34,7 +35,7 @@ from treerec import (
     is_hard_code,
     parse_derivation,
 )
-from treerec.space import _loss_and_dpred, distances
+from treerec.space import _loss_and_dpred, composes, distances
 
 COSINE = DistanceSpec("cosine")
 L1 = DistanceSpec("l1")
@@ -138,6 +139,40 @@ def test_distance_is_one_row_of_distances(kind, shape):
         with pytest.raises(ZeroNormError) as err:
             distances(kind, a, b)
         assert err.value.rows == (2,)
+
+
+@pytest.mark.parametrize("shape", [VectorShape(3), CodeShape(3, 2)], ids=repr)
+def test_compose_is_one_row_of_composes(shape):
+    rng = np.random.default_rng(6)
+    r = rng.normal(size=(4,) + shape.array_shape())
+    s = rng.normal(size=r.shape)
+    lw, rw = rng.normal(size=(2, 3, 3))
+    table = TableComposition()
+    for a, b in zip(r, s):
+        table.register(a, b, a * b)
+    for spec, formula in [(AdditiveComposition(), lambda a, b: a + b),
+                          (LinearComposition(lw, rw), lambda a, b: lw @ a + rw @ b),
+                          (table, lambda a, b: a * b)]:
+        rows = composes(spec, r, s)
+        assert rows.shape == r.shape
+        for k in range(len(r)):
+            assert np.array_equal(compose(spec, r[k], s[k]), rows[k])
+            assert rows[k] == approx(formula(r[k], s[k]))
+        assert composes(spec, r[:0], s[:0]).shape == (0,) + shape.array_shape()
+    # The same errors, in the same order, for one row and for a batch: no
+    # weights is reported before an operand mismatch.
+    for spec, a, b, error, match in [
+            (LinearComposition(), r, s[:, :2], ValueError, "no weights"),
+            (LinearComposition(np.eye(4), np.eye(4)), r, s, ShapeMismatchError,
+             "operands have leading axis 3"),
+            (AdditiveComposition(), r, s[:, :2], ShapeMismatchError, "differ"),
+            (object(), r, s, TypeError, "unknown composition spec")]:
+        with pytest.raises(error, match=match):
+            compose(spec, a[0], b[0])
+        with pytest.raises(error, match=match):
+            composes(spec, a, b)
+    with pytest.raises(CompositionLookupError):
+        compose(table, s[0], r[0])
 
 
 class TestDistanceProperties:
