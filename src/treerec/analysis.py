@@ -18,7 +18,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .derivation import pairwise_tree_edit_distances
 from .solver import Dataset, FitConfig, PrimitiveTable, tre_datum
@@ -56,8 +55,8 @@ class BoundCheckReport:
 
 def _as_float_array(xs) -> np.ndarray:
     arr = np.asarray(xs, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-d sequence of numbers")
+    if arr.ndim != 1 or not np.isfinite(arr).all():
+        raise ValueError("expected a 1-d sequence of finite numbers")
     return arr
 
 
@@ -65,6 +64,10 @@ def _t_approx_p_value(r: float, n: int) -> float:
     if abs(r) >= 1.0:
         return 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
+    # Imported here, not at the top: scipy.stats takes about a second to
+    # import, and only p-values need it.
+    from scipy import stats
+
     return float(2.0 * stats.t.sf(abs(t), df=n - 2))
 
 
@@ -109,7 +112,10 @@ def pearson(xs, ys, exact: bool = False) -> CorrelationResult:
 
 
 def _average_ranks(xs: np.ndarray) -> np.ndarray:
-    return stats.rankdata(xs, method="average")
+    """1-based ranks; each group of tied values gets the mean of its ranks."""
+    _, group, count = np.unique(xs, return_inverse=True, return_counts=True)
+    end = np.cumsum(count)  # a group's ranks run from end - count + 1 to end
+    return ((2 * end - count + 1) / 2.0)[group]
 
 
 def spearman(xs, ys, exact: bool = False) -> CorrelationResult:

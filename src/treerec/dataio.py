@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .derivation import DerivationSyntaxError, format_derivation, parse_derivation
+from .derivation import DerivationSyntaxError, Symbol, format_derivation, parse_derivation
 from .solver import Dataset, FitConfig, PrimitiveTable, Record, TreReport
 from .space import (
     CodeShape,
@@ -183,19 +183,24 @@ def _parse_record(line_no: int, line: str, shape: Shape, alphabet: str | None,
             fail(str(e))
         return Record(rid, matrix, deriv)
 
-    values = row["repr"]
+    return Record(rid, _parse_values(line_no, row["repr"], shape, "'repr'"), deriv)
+
+
+def _parse_values(line_no: int, values, shape: Shape, what: str) -> np.ndarray:
+    """A flat JSON list of finite numbers as an array of ``shape``; ``what``
+    names the list in the DatasetFormatError it raises otherwise."""
     expected = int(np.prod(shape.array_shape()))
     if (not isinstance(values, list)
             or not all(type(v) in (int, float) for v in values)):
-        fail("'repr' must be a flat list of numbers")
+        raise DatasetFormatError(line_no, f"{what} must be a flat list of numbers")
     if len(values) != expected:
-        fail(f"'repr' has {len(values)} values, expected {expected}")
+        raise DatasetFormatError(
+            line_no, f"{what} has {len(values)} values, expected {expected}")
     try:
-        arr = as_representation(
+        return as_representation(
             np.asarray(values, dtype=np.float64).reshape(shape.array_shape()))
     except (ValueError, OverflowError) as e:  # OverflowError: an int past float range
-        fail(str(e))
-    return Record(rid, arr, deriv)
+        raise DatasetFormatError(line_no, str(e)) from None
 
 
 # -- fit reports ---------------------------------------------------------------
@@ -253,19 +258,34 @@ def write_report(path: str | Path, report_dict: dict) -> None:
     Path(path).write_text(render_report(report_dict), encoding="utf-8")
 
 
+def _key_line(text: str, key: str, depth: int, start: int = 0) -> tuple[int, int]:
+    """Line number and offset of the line where ``render_report`` writes
+    ``key`` at nesting ``depth``, searching from ``start``; (1, 0) if absent."""
+    at = text.find("\n" + "  " * depth + json.dumps(key) + ":", start) + 1
+    return text.count("\n", 0, at) + 1, at
+
+
 def load_report(path: str | Path) -> tuple[dict, PrimitiveTable, Shape]:
     """Re-ingest a report: parsed JSON plus the learned table, ready for
-    re-evaluation against the original dataset."""
-    from .derivation import Symbol
-
+    re-evaluation against the original dataset.  A malformed shape or
+    primitive raises DatasetFormatError with the line of its key."""
     text = Path(path).read_text(encoding="utf-8")
     data = json.loads(text)
-    shape_line = text.count("\n", 0, max(text.find('"shape":'), 0)) + 1
-    shape, _ = _parse_header(shape_line, data.get("shape"))
-    entries = {
-        Symbol(name): np.asarray(values, dtype=np.float64).reshape(shape.array_shape())
-        for name, values in data["primitives"].items()
-    }
+    shape, _ = _parse_header(_key_line(text, "shape", 1)[0], data.get("shape"))
+    # Primitive names are searched after the "primitives" key, as a record
+    # id in "per_datum_tre" may have the same name.
+    line, start = _key_line(text, "primitives", 1)
+    primitives = data.get("primitives")
+    if not isinstance(primitives, dict):
+        raise DatasetFormatError(line, "report needs a 'primitives' object")
+    entries = {}
+    for name, values in primitives.items():
+        line = _key_line(text, name, 2, start)[0]
+        try:
+            symbol = Symbol(name)
+        except ValueError as e:
+            raise DatasetFormatError(line, str(e)) from None
+        entries[symbol] = _parse_values(line, values, shape, f"primitive {name!r}")
     params = None
     if "composition_params" in data:
         cp = data["composition_params"]

@@ -8,10 +8,16 @@ smaller derivations.  The text format is a minimal s-expression::
 
 with arbitrary whitespace between tokens.  Symbols are opaque, case-sensitive
 tokens that may not contain whitespace or parentheses.
+
+Derivations are interned (hash-consed): building a derivation equal to a
+live one returns that object, so ``==`` is ``is`` and hashing is by
+identity.  They are immutable, and the intern tables hold them weakly.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, Union
@@ -27,10 +33,6 @@ class DerivationSyntaxError(ValueError):
         self.offset = offset
 
 
-def _is_valid_symbol_name(name: str) -> bool:
-    return bool(name) and not any(c.isspace() or c in "()" for c in name)
-
-
 @dataclass(frozen=True)
 class Symbol:
     """A primitive token.  Equality and hashing are exact string equality."""
@@ -38,7 +40,7 @@ class Symbol:
     name: str
 
     def __post_init__(self):
-        if not _is_valid_symbol_name(self.name):
+        if not self.name or any(c.isspace() or c in "()" for c in self.name):
             raise ValueError(
                 f"symbol name must be a non-empty token without whitespace "
                 f"or parentheses: {self.name!r}"
@@ -48,62 +50,59 @@ class Symbol:
         return self.name
 
 
-@dataclass(frozen=True, eq=False)
-class Leaf:
-    symbol: Symbol
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("leaf", self.symbol)))
-        object.__setattr__(self, "_size", 1)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Leaf) and self.symbol == other.symbol
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return format_derivation(self)
+_intern_lock = threading.Lock()
 
 
-@dataclass(frozen=True, eq=False)
-class Node:
-    left: "Derivation"
-    right: "Derivation"
+class _Interned:
+    """Base of ``Leaf`` and ``Node``: immutable, with leaf count and height
+    cached at construction, compared and hashed by identity."""
 
-    def __post_init__(self):
-        # Hash and size cached at construction: the hash lets ``__eq__``
-        # return early on a mismatch and keeps dict keys O(1) per node.
-        object.__setattr__(self, "_hash", hash(("node", self.left, self.right)))
-        object.__setattr__(self, "_size", self.left._size + self.right._size)
+    __slots__ = ("_size", "_height", "__weakref__")
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not Node or self._hash != other._hash:
-            return False
-        # Iterative, so arbitrarily deep trees compare without recursion.
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            for x, y in ((a.left, b.left), (a.right, b.right)):
-                if x is y:
-                    continue
-                if type(x) is not type(y) or x._hash != y._hash:
-                    return False
-                if type(x) is Node:
-                    stack.append((x, y))
-                elif x.symbol.name != y.symbol.name:
-                    return False
-        return True
+    @classmethod
+    def _intern(cls, key, **fields):
+        # Each class keeps a weak table from its key, a symbol or the two
+        # child objects, to its one instance; the lock makes check-then-store
+        # atomic across threads.
+        with _intern_lock:
+            self = cls._table.get(key)
+            if self is None:
+                self = cls._table[key] = object.__new__(cls)
+                for name, value in fields.items():
+                    object.__setattr__(self, name, value)
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # re-interns on unpickling and copying
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __str__(self) -> str:
         return format_derivation(self)
+
+    def __repr__(self) -> str:
+        return f"parse_derivation({format_derivation(self)!r})"
+
+
+class Leaf(_Interned):
+    __slots__ = ("symbol",)
+    _table = weakref.WeakValueDictionary()
+
+    def __new__(cls, symbol: Symbol):
+        return cls._intern(symbol, symbol=symbol, _size=1, _height=0)
+
+
+class Node(_Interned):
+    __slots__ = ("left", "right")
+    _table = weakref.WeakValueDictionary()
+
+    def __new__(cls, left: "Derivation", right: "Derivation"):
+        return cls._intern((left, right), left=left, right=right,
+                           _size=left._size + right._size,
+                           _height=1 + max(left._height, right._height))
 
 
 Derivation = Union[Leaf, Node]
@@ -187,7 +186,7 @@ def parse_derivation(text: str) -> Derivation:
 def format_derivation(d: Derivation) -> str:
     """Canonical text form: single spaces, '(' and ')' delimiters.
 
-    ``parse_derivation(format_derivation(d)) == d`` for every derivation.
+    ``parse_derivation(format_derivation(d)) is d`` for every derivation.
     """
     parts: list[str] = []
     stack: list[Derivation | str] = [d]
@@ -212,10 +211,10 @@ def primitives_of(d: Derivation) -> tuple[Symbol, ...]:
 class _Dag:
     """The distinct subtrees of some derivations, numbered in evaluation order.
 
-    A leaf is keyed by its symbol and a node by its children's ids, so equal
-    subtrees get one id however often they occur.  Ids ``0 .. len(symbols)-1``
-    are the leaves, id ``i`` for ``symbols[i]`` (lexicographic order); then
-    come the nodes by height, in discovery order within a height.  Node
+    Derivations are interned, so a distinct subtree is a distinct object and
+    gets one id however often it occurs.  Ids ``0 .. len(symbols)-1`` are the
+    leaves, id ``i`` for ``symbols[i]`` (lexicographic order); then come the
+    nodes by height, in postorder discovery order within a height.  Node
     ``i`` has children ``left[i]`` and ``right[i]``, which are -1 for a leaf.
     ``levels[h - 1]`` is the id range ``(lo, hi)`` of the nodes of height
     ``h``; children always have lower ids, so evaluating the ids in order,
@@ -232,51 +231,31 @@ class _Dag:
 
 
 def _compile(derivations: Iterable[Derivation]) -> _Dag:
-    trees = list(derivations)  # keeps every node alive, so ``id`` stays unique
-    ids: dict = {}  # symbol, (left id, right id) or id(node object) -> id
-    heights: list[int] = []  # by discovery id
-    children: list[int] = []  # left and right child by discovery id, flat
-    roots: list[int] = []
-    for d in trees:
-        # Iterative postorder: ``(node,)`` marks a node whose children are
-        # done.  A node object met before is not walked again.
-        stack: list = [d]
-        done: list[int] = []
+    """The ``_Dag`` of ``derivations``.  Subtrees are keyed by object, as
+    derivations are interned: a subtree met before is not walked again."""
+    seen: dict[Derivation, None] = {}  # in postorder discovery order
+    roots: list[Derivation] = []
+    for d in derivations:
+        roots.append(d)
+        stack = [d]
         while stack:
             t = stack.pop()
-            if type(t) is tuple:
-                r, l = done.pop(), done.pop()
-                key = (l, r)
-            elif isinstance(t, Leaf):
-                key, l, r = t.symbol, -1, -1
-            elif id(t) in ids:
-                done.append(ids[id(t)])
+            if t in seen:
                 continue
+            if type(t) is Node and not (t.left in seen and t.right in seen):
+                stack += (t, t.right, t.left)
             else:
-                stack += ((t,), t.right, t.left)
-                continue
-            i = ids.get(key)
-            if i is None:
-                i = ids[key] = len(heights)
-                heights.append(0 if l < 0 else 1 + max(heights[l], heights[r]))
-                children += (l, r)
-            if type(t) is tuple:
-                ids[id(t[0])] = i
-            done.append(i)
-        roots.append(done[0])
-
-    # Renumber: the leaves in symbol order, then the nodes by height.
-    symbols = tuple(sorted((k for k in ids if isinstance(k, Symbol)),
-                           key=lambda s: s.name))
-    height = np.array(heights, dtype=np.intp)
-    order = np.argsort(height, kind="stable")
-    order[:len(symbols)] = [ids[s] for s in symbols]
-    new_id = np.empty(len(order) + 1, dtype=np.intp)
-    new_id[order], new_id[-1] = np.arange(len(order)), -1
-    left, right = new_id[np.array(children, dtype=np.intp).reshape(-1, 2)[order]].T
-    ends = list(accumulate(np.bincount(height).tolist()))
-    return _Dag(len(order), symbols, left, right, tuple(zip(ends, ends[1:])),
-                new_id[np.array(roots, dtype=np.intp)])
+                seen[t] = None
+    # Number the leaves in symbol order, then the nodes by height (a stable sort).
+    order = sorted(seen, key=lambda t: (t._height, t.symbol.name if type(t) is Leaf else ""))
+    ids = {t: i for i, t in enumerate(order)}
+    n_leaves = sum(type(t) is Leaf for t in order)
+    left = np.array([-1] * n_leaves + [ids[t.left] for t in order[n_leaves:]], dtype=np.intp)
+    right = np.array([-1] * n_leaves + [ids[t.right] for t in order[n_leaves:]], dtype=np.intp)
+    ends = list(accumulate(np.bincount(np.array([t._height for t in order],
+                                                dtype=np.intp)).tolist()))
+    return _Dag(len(order), tuple(t.symbol for t in order[:n_leaves]), left, right,
+                tuple(zip(ends, ends[1:])), np.array([ids[d] for d in roots], dtype=np.intp))
 
 
 def tree_edit_distance(d1: Derivation, d2: Derivation) -> int:
@@ -339,21 +318,10 @@ def pairwise_tree_edit_distances(trees: Sequence[Derivation]) -> list[list[int]]
 def all_derivations(symbols: Sequence[Symbol], max_size: int) -> list[Derivation]:
     """Every derivation with at most ``max_size`` leaves over ``symbols``.
 
-    Ordered by size, then by recursive construction order.  Subtrees are
-    shared between results, which keeps exhaustive distance checks cheap.
+    Ordered by size, then by recursive construction order.
     """
-    if max_size < 1:
-        return []
-    by_size: list[list[Derivation]] = [[]]  # index 0 unused
-    by_size.append([Leaf(s) for s in symbols])
+    by_size: list[list[Derivation]] = [[], [Leaf(s) for s in symbols]]  # index 0 unused
     for n in range(2, max_size + 1):
-        trees: list[Derivation] = []
-        for k in range(1, n):
-            for left in by_size[k]:
-                for right in by_size[n - k]:
-                    trees.append(Node(left, right))
-        by_size.append(trees)
-    out: list[Derivation] = []
-    for n in range(1, max_size + 1):
-        out.extend(by_size[n])
-    return out
+        by_size.append([Node(left, right) for k in range(1, n)
+                        for left in by_size[k] for right in by_size[n - k]])
+    return [t for trees in by_size[1:max_size + 1] for t in trees]

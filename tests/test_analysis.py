@@ -2,7 +2,8 @@
 
 Core claims:
     - Pearson/Spearman reproduce the standard hand-checkable values; the
-      exact permutation p-value is available for small n
+      exact permutation p-value is available for small n; Spearman's tied
+      ranks are scipy's, and importing treerec does not import scipy.stats
     - a dataset whose representation distances equal its derivation distances
       scores topographic similarity exactly 1.0; structure-free data scores
       near 0; constant distances raise; the batched computation equals a
@@ -18,10 +19,13 @@ Core claims:
 """
 
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from pytest import approx
+from scipy import stats
 
 from treerec import (
     AdditiveComposition,
@@ -108,6 +112,12 @@ class TestPearsonSpearman:
         with pytest.raises(ValueError):
             pearson([1.0, 2.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("corr", [pearson, spearman])
+    def test_non_finite_raises(self, corr):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                corr([1.0, 2.0, bad, 3.0], [1.0, 2.0, 3.0, 4.0])
+
     def test_p_value_decreases_with_n(self):
         xs = np.linspace(0, 1, 6)
         noisy = xs + np.array([0.01, -0.02, 0.015, -0.01, 0.02, -0.015])
@@ -122,6 +132,24 @@ class TestPearsonSpearman:
         assert result.p_value == approx(2.0 / 24.0)
         with pytest.raises(ValueError):
             pearson(list(range(11)), list(range(11)), exact=True)
+
+    def test_spearman_with_ties_matches_scipy(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            xs = rng.integers(0, 5, 30).astype(float)
+            ys = 0.5 * rng.integers(0, 7, 30)
+            ranked = pearson(stats.rankdata(xs), stats.rankdata(ys))
+            assert spearman(xs, ys) == ranked
+            # np.corrcoef inside spearmanr sums in another order
+            assert spearman(xs, ys).coefficient == approx(
+                stats.spearmanr(xs, ys).statistic, rel=1e-12, abs=1e-15)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, treerec, treerec.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_t_approximation_matches_known_value(self):
         # rank formula: rho = 1 - 6*sum(d^2)/(n(n^2-1)) = 1 - 12/120 = 0.9;

@@ -336,6 +336,42 @@ class TestFitCommand:
             load_report(report_path)
         assert err.value.line == shape_line
 
+    @pytest.mark.parametrize("fault", ["missing", "list", "short", "bool", "nested",
+                                       "bad_name"])
+    def test_malformed_report_primitives_are_format_errors(self, tmp_path, capsys, fault):
+        # Record ids equal the primitive names, so a primitive's key has to
+        # be found after the "primitives" key, not in "per_datum_tre".
+        data_path, report_path = tmp_path / "data.jsonl", tmp_path / "report.json"
+        data_path.write_text('{"dim": 2}\n'
+                             '{"id": "a", "derivation": "a", "repr": [1.0, 0.0]}\n'
+                             '{"id": "b", "derivation": "b", "repr": [0.0, 1.0]}\n'
+                             '{"id": "c", "derivation": "(a b)", "repr": [1.0, 3.0]}\n')
+        run_cli("fit", str(data_path), "--steps", "5", "--out", str(report_path),
+                capsys=capsys)
+        payload = json.loads(report_path.read_text())
+        primitives, key = payload["primitives"], '    "b":'
+        if fault == "missing":
+            del payload["primitives"]
+            key = None
+        elif fault == "list":
+            payload["primitives"] = [[1.0, 0.0]]
+            key = '  "primitives":'
+        elif fault == "bad_name":
+            primitives["b c"] = primitives.pop("b")
+            key = '    "b c":'
+        else:
+            primitives["b"] = {"short": [1.0], "bool": [True, 0.0],
+                               "nested": [[1.0, 0.0]]}[fault]
+        report_path.write_text(render_report(payload))
+        lines = report_path.read_text().splitlines()
+        start = next((no for no, text in enumerate(lines, 1)
+                      if text.startswith('  "primitives":')), 1)
+        want = 1 if key is None else next(no for no, text in enumerate(lines, 1)
+                                          if no >= start and text.startswith(key))
+        with pytest.raises(DatasetFormatError) as err:
+            load_report(report_path)
+        assert err.value.line == want
+
     def test_learned_composition_report_round_trip(self, tmp_path, capsys):
         lang_path = tmp_path / "langs"
         run_cli("gen", "--kind", "fig5", "--out", str(lang_path), capsys=capsys)

@@ -71,8 +71,15 @@ def check_parse(tmp_path):
 def check_equality(tmp_path):
     text = left_comb(LEAVES)
     assert parse_derivation(text) == parse_derivation(text)
+    assert parse_derivation(text) is parse_derivation(text)
     other = text.replace("s0", "s2", 1)  # the deepest leaf changed
     assert parse_derivation(text) != parse_derivation(other)
+    assert parse_derivation(text) is not parse_derivation(other)
+
+
+def check_repr(tmp_path):
+    text = left_comb(LEAVES)
+    assert repr(parse_derivation(text)) == f"parse_derivation({text!r})"
 
 
 def check_format_round_trip(tmp_path):
@@ -135,7 +142,7 @@ def check_cli_editdist(tmp_path):
 
 
 @pytest.mark.parametrize("check", [
-    check_parse, check_equality, check_format_round_trip, check_eval,
+    check_parse, check_equality, check_repr, check_format_round_trip, check_eval,
     check_fit_additive, check_fit_linear, check_closed_form_fit, check_cli_fit,
     check_homomorphism_residuals,
 ], ids=lambda f: f.__name__[len("check_"):])

@@ -10,7 +10,14 @@ Core claims:
       recursion and with an independent bottom-up dynamic program
     - a tree built from shared subtree objects costs its distinct subtrees,
       however many leaves it has
+    - derivations are interned: equal derivations are one object, also when
+      built concurrently, unpickled or copied, and they are immutable
 """
+
+import copy
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -115,6 +122,64 @@ class TestSymbol:
     def test_rejects_invalid_names(self, bad):
         with pytest.raises(ValueError):
             Symbol(bad)
+
+
+class TestInterning:
+    def test_equal_derivations_are_one_object(self):
+        text = "((a b) (c (a b)))"
+        t = parse_derivation(text)
+        assert t is parse_derivation(text)
+        assert Node(Leaf(A), Leaf(B)) is parse_derivation("(a b)") is t.left
+        assert t.right.right is t.left
+        assert Leaf(Symbol("a")) is Leaf(A)
+        assert Node(Leaf(A), Leaf(B)) is not Node(Leaf(B), Leaf(A))
+
+    def test_immutable(self):
+        t = parse_derivation("(a b)")
+        for name in ("left", "right", "_size", "_height", "new"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, Leaf(C))
+        with pytest.raises(AttributeError):
+            Leaf(A).symbol = B
+        with pytest.raises(AttributeError):
+            del t.left
+        assert format_derivation(t) == "(a b)" and size(t) == 2
+
+    def test_pickle_and_deepcopy_return_the_interned_object(self):
+        t = parse_derivation("((a b) (c a))")
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert pickle.loads(pickle.dumps(Leaf(A))) is Leaf(A)
+        assert copy.deepcopy(t) is t
+        assert copy.copy(t) is t
+
+    @pytest.mark.parametrize("race", range(3))
+    def test_threads_parsing_the_same_texts_get_the_same_objects(self, race):
+        # Symbols no other test uses, so every tree is built during the race.
+        rng = np.random.default_rng(race)
+        symbols = [Symbol(f"race{race}_{i}") for i in range(3)]
+        texts = [format_derivation(random_tree(rng, symbols, int(rng.integers(1, 30))))
+                 for _ in range(200)]
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def parse_all(k):
+            start.wait()
+            results[k] = [parse_derivation(text) for text in texts]
+
+        threads = [threading.Thread(target=parse_all, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for trees in results[1:]:
+            assert all(a is b for a, b in zip(trees, results[0], strict=True))
+        assert [format_derivation(t) for t in results[0]] == texts
 
 
 class TestParse:
