@@ -12,6 +12,7 @@ over a 16-token vocabulary, encoded as 4x16 one-hot matrices.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 
@@ -39,8 +40,8 @@ class GenSpec:
             raise ValueError("num_primitives must be positive")
         if self.num_records < 1:
             raise ValueError("num_records must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma < math.inf:  # NaN fails too
+            raise ValueError("noise_sigma must be non-negative and finite")
         lo, hi = self.depth_range
         if lo < 1 or hi < lo:
             raise ValueError("depth_range must satisfy 1 <= lo <= hi")

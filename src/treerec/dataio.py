@@ -267,10 +267,16 @@ def _key_line(text: str, key: str, depth: int, start: int = 0) -> tuple[int, int
 
 def load_report(path: str | Path) -> tuple[dict, PrimitiveTable, Shape]:
     """Re-ingest a report: parsed JSON plus the learned table, ready for
-    re-evaluation against the original dataset.  A malformed shape or
-    primitive raises DatasetFormatError with the line of its key."""
+    re-evaluation against the original dataset.  Malformed JSON, shape,
+    primitives or composition weights raise DatasetFormatError with the line
+    of the key at fault."""
     text = Path(path).read_text(encoding="utf-8")
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DatasetFormatError(e.lineno, f"invalid JSON report: {e}") from None
+    if not isinstance(data, dict):
+        raise DatasetFormatError(1, "report must be a JSON object")
     shape, _ = _parse_header(_key_line(text, "shape", 1)[0], data.get("shape"))
     # Primitive names are searched after the "primitives" key, as a record
     # id in "per_datum_tre" may have the same name.
@@ -288,9 +294,22 @@ def load_report(path: str | Path) -> tuple[dict, PrimitiveTable, Shape]:
         entries[symbol] = _parse_values(line, values, shape, f"primitive {name!r}")
     params = None
     if "composition_params" in data:
+        line, start = _key_line(text, "composition_params", 1)
         cp = data["composition_params"]
-        params = LinearComposition(
-            np.asarray(cp["left_weights"], dtype=np.float64),
-            np.asarray(cp["right_weights"], dtype=np.float64),
-        )
+        keys = ("left_weights", "right_weights")
+        if not isinstance(cp, dict) or not all(key in cp for key in keys):
+            raise DatasetFormatError(
+                line, "'composition_params' must be an object with 'left_weights' "
+                      "and 'right_weights'")
+        # Linear weights act on the leading axis of the representation.
+        side = shape.array_shape()[0]
+        weights = []
+        for key in keys:
+            line, rows = _key_line(text, key, 2, start)[0], cp[key]
+            if not isinstance(rows, list) or len(rows) != side:
+                raise DatasetFormatError(line, f"{key!r} must be a list of {side} rows")
+            weights.append(np.stack([_parse_values(line, row, VectorShape(side),
+                                                   f"row {i} of {key!r}")
+                                     for i, row in enumerate(rows)]))
+        params = LinearComposition(*weights)
     return data, PrimitiveTable(entries, params), shape

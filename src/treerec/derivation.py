@@ -16,11 +16,12 @@ identity.  They are immutable, and the intern tables hold them weakly.
 
 from __future__ import annotations
 
+import re
 import threading
 import weakref
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -77,8 +78,11 @@ class _Interned:
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):  # re-interns on unpickling and copying
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+    def __reduce__(self):
+        # The subtree table, not the nested objects, so that pickling and
+        # copying do not recurse once per level.
+        dag = _compile([self])
+        return _rebuild, ([s.name for s in dag.symbols], dag.left.tolist(), dag.right.tolist())
 
     def __str__(self) -> str:
         return format_derivation(self)
@@ -108,30 +112,23 @@ class Node(_Interned):
 Derivation = Union[Leaf, Node]
 
 
+def _rebuild(names: list[str], left: list[int], right: list[int]) -> Derivation:
+    """Re-intern the subtrees of a ``_Dag`` table bottom-up; the root is the
+    last id, as a single derivation's root is its one highest subtree."""
+    trees = [Leaf(Symbol(name)) for name in names]
+    for i in range(len(names), len(left)):
+        trees.append(Node(trees[left[i]], trees[right[i]]))
+    return trees[-1]
+
+
 def size(d: Derivation) -> int:
     """Number of leaves in the derivation (1 for a bare primitive)."""
     return d._size
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, int]]:
-    """Yield (token, char_offset) pairs; tokens are '(', ')' or symbol names."""
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            yield c, i
-            i += 1
-        else:
-            start = i
-            while i < n and not text[i].isspace() and text[i] not in "()":
-                i += 1
-            yield text[start:i], start
-
-
-def _byte_offset(text: str, char_offset: int) -> int:
-    return len(text[:char_offset].encode("utf-8"))
+# A token is '(', ')' or a symbol name.  ``\s`` matches exactly the
+# characters for which ``str.isspace()`` is true, which ``Symbol`` rejects.
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def parse_derivation(text: str) -> Derivation:
@@ -143,38 +140,35 @@ def parse_derivation(text: str) -> Derivation:
     """
 
     def fail(message: str, char_offset: int):
-        raise DerivationSyntaxError(message, _byte_offset(text, char_offset))
+        raise DerivationSyntaxError(message, len(text[:char_offset].encode("utf-8")))
 
     result: Derivation | None = None
     # Each open frame: (children so far, offset of its '(').
     stack: list[tuple[list[Derivation], int]] = []
-
-    def complete(d: Derivation, offset: int):
-        nonlocal result
-        if stack:
-            children = stack[-1][0]
-            if len(children) == 2:
-                fail("node arity must be 2: unexpected third child", offset)
-            children.append(d)
-        elif result is None:
-            result = d
-        else:
-            fail("trailing tokens after complete derivation", offset)
-
-    for token, offset in _tokenize(text):
-        if token == "(":
-            if result is not None:
-                fail("trailing tokens after complete derivation", offset)
-            stack.append(([], offset))
-        elif token == ")":
+    for match in _TOKEN.finditer(text):
+        token, offset = match[0], match.start()
+        if token == ")":
             if not stack:
                 fail("unbalanced ')'", offset)
             children, _ = stack.pop()
             if len(children) != 2:
                 fail(f"node arity must be 2, found {len(children)}", offset)
-            complete(Node(children[0], children[1]), offset)
+            d = Node(children[0], children[1])
+        elif result is not None:
+            fail("trailing tokens after complete derivation", offset)
+        elif token == "(":
+            stack.append(([], offset))
+            continue
         else:
-            complete(Leaf(Symbol(token)), offset)
+            d = Leaf(Symbol(token))
+        # Once ``result`` is set the stack stays empty, as every later '('
+        # fails above.
+        if not stack:
+            result = d
+        elif len(stack[-1][0]) == 2:
+            fail("node arity must be 2: unexpected third child", offset)
+        else:
+            stack[-1][0].append(d)
 
     if stack:
         fail("unbalanced '(': missing ')'", stack[-1][1])

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,6 +43,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EARLY_STOP_WINDOW = 50
+GRADCHECK_STEP = 1e-5
+GRADCHECK_KINK_TOL = 1e-4
 _SEED_MASK = (1 << 64) - 1
 _MAX_COSINE_RESCUES = 10
 
@@ -95,7 +98,7 @@ class Dataset:
         return iter(self.records)
 
     def primitives(self) -> tuple[Symbol, ...]:
-        return _compile_dataset(self).symbols
+        return _compile(rec.derivation for rec in self.records).symbols
 
     @staticmethod
     def build(rows: Iterable[tuple[str, object, Derivation]], shape: Shape) -> "Dataset":
@@ -136,12 +139,13 @@ class FitConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.init_scale <= 0:
-            raise ValueError("init_scale must be positive")
-        if self.convergence_tol < 0:
-            raise ValueError("convergence_tol must be non-negative")
+        # Chained comparisons, so that NaN fails them too.
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0 < self.init_scale < math.inf:
+            raise ValueError("init_scale must be positive and finite")
+        if not 0 <= self.convergence_tol < math.inf:
+            raise ValueError("convergence_tol must be non-negative and finite")
         if self.restarts is not None and self.restarts < 1:
             raise ValueError("restarts must be positive")
         if self.learn_composition and not isinstance(self.composition, LinearComposition):
@@ -198,24 +202,23 @@ def _effective_composition(config: FitConfig, table: PrimitiveTable) -> Composit
     return comp
 
 
-def _record_errors(table: PrimitiveTable, config: FitConfig,
-                   records: Sequence[Record], dag: _Dag) -> list[float]:
-    """Per-record distances, given the DAG compiled from ``records``."""
+def _record_errors(table: PrimitiveTable, config: FitConfig, problem: _Problem) -> list[float]:
+    """Per-record distances of ``problem``'s targets to their predictions."""
     comp = _effective_composition(config, table)
+    dag = problem.dag
     preds = _forward(dag, _table_params(table, dag), comp)[dag.roots]
-    targets = np.stack([rec.representation for rec in records])
-    return distances(config.distance.kind, targets, preds).tolist()
+    return distances(config.distance.kind, problem.targets, preds).tolist()
 
 
 def tre_datum(table: PrimitiveTable, config: FitConfig, record: Record) -> float:
     """Distance between the stored representation and the composed prediction."""
-    return _record_errors(table, config, [record], _compile([record.derivation]))[0]
+    problem = _Problem(_compile([record.derivation]), np.stack([record.representation]))
+    return _record_errors(table, config, problem)[0]
 
 
 def objective(table: PrimitiveTable, config: FitConfig, dataset: Dataset) -> float:
     """Sum (not mean) of per-record errors at the current table."""
-    return math.fsum(_record_errors(table, config, dataset.records,
-                                    _compile_dataset(dataset)))
+    return math.fsum(_record_errors(table, config, _build_problem(dataset)))
 
 
 # -- internal optimization machinery -----------------------------------------
@@ -228,10 +231,6 @@ def _rng(seed: int, *keys: int) -> np.random.Generator:
 def _symbol_key(name: str) -> int:
     digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def _compile_dataset(dataset: Dataset) -> _Dag:
-    return _compile(rec.derivation for rec in dataset.records)
 
 
 def _table_params(table: PrimitiveTable, dag: _Dag) -> np.ndarray:
@@ -302,27 +301,20 @@ class _Adam:
 
 @dataclass
 class _Problem:
-    dataset: Dataset
     dag: _Dag
     targets: np.ndarray                 # (n, *shape)
-    counts: np.ndarray                  # (n, P) leaf counts
 
-    @property
-    def symbols(self) -> tuple[Symbol, ...]:
-        return self.dag.symbols
-
-
-def _leaf_counts(dag: _Dag) -> np.ndarray:
-    """(roots, symbols) leaf-count matrix: the additive evaluation at
-    one-hot parameters."""
-    eye = np.eye(len(dag.symbols))
-    return _forward(dag, eye, AdditiveComposition())[dag.roots]
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """(n, P) leaf-count matrix: the additive evaluation at one-hot
+        parameters.  Dense, so built only when read."""
+        eye = np.eye(len(self.dag.symbols))
+        return _forward(self.dag, eye, AdditiveComposition())[self.dag.roots]
 
 
 def _build_problem(dataset: Dataset) -> _Problem:
-    dag = _compile_dataset(dataset)
-    targets = np.stack([r.representation for r in dataset.records])
-    return _Problem(dataset, dag, targets, _leaf_counts(dag))
+    return _Problem(_compile(rec.derivation for rec in dataset.records),
+                    np.stack([rec.representation for rec in dataset.records]))
 
 
 def _problem_forward(problem: _Problem, params: np.ndarray, comp: CompositionSpec):
@@ -344,16 +336,16 @@ def _problem_backward(problem: _Problem, comp: CompositionSpec, values,
 
 
 def _init_params(problem: _Problem, seed: int, restart: int, scale: float) -> np.ndarray:
-    shape = problem.dataset.shape.array_shape()
-    params = np.empty((len(problem.symbols),) + shape)
-    for i, sym in enumerate(problem.symbols):
+    shape = problem.targets.shape[1:]
+    params = np.empty((len(problem.dag.symbols),) + shape)
+    for i, sym in enumerate(problem.dag.symbols):
         rng = _rng(seed, 0, restart, _symbol_key(sym.name))
         params[i] = rng.normal(0.0, scale, shape)
     return params
 
 
 def _init_weights(problem: _Problem, seed: int, restart: int, scale: float):
-    side = problem.dataset.shape.array_shape()[0]
+    side = problem.targets.shape[1]
     eye = np.eye(side)
     lw = eye + _rng(seed, 1, restart, 0).normal(0.0, scale, (side, side))
     rw = eye + _rng(seed, 1, restart, 1).normal(0.0, scale, (side, side))
@@ -362,7 +354,7 @@ def _init_weights(problem: _Problem, seed: int, restart: int, scale: float):
 
 def _table_from(problem: _Problem, params: np.ndarray, comp: CompositionSpec,
                 learned: bool) -> PrimitiveTable:
-    entries = {sym: params[i].copy() for i, sym in enumerate(problem.symbols)}
+    entries = {sym: params[i].copy() for i, sym in enumerate(problem.dag.symbols)}
     comp_params = None
     if learned:
         comp_params = LinearComposition(comp.left_weights.copy(), comp.right_weights.copy())
@@ -396,26 +388,23 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
             f"cannot optimize through composition kind "
             f"{getattr(config.composition, 'kind', config.composition)!r}"
         )
+    problem = _build_problem(dataset)
     if config.distance.kind == "cosine":
-        for rec in dataset.records:
-            if float(np.linalg.norm(rec.representation)) == 0.0:
-                raise ValueError(f"cosine distance is undefined for zero-norm "
-                                 f"representation in record {rec.id!r}")
+        norms = np.linalg.norm(problem.targets.reshape(len(dataset), -1), axis=1)
+        if not norms.all():
+            rid = dataset.records[int(np.argmin(norms))].id
+            raise ValueError(f"cosine distance is undefined for zero-norm "
+                             f"representation in record {rid!r}")
     if isinstance(config.composition, LinearComposition) and config.composition.has_weights:
-        side = dataset.shape.array_shape()[0]
-        if config.composition.left_weights.shape[0] != side:
+        if config.composition.left_weights.shape[0] != problem.targets.shape[1]:
             raise ValueError("composition weights do not match the dataset shape")
 
-    problem = _build_problem(dataset)
-    best = None
-    for restart in range(config.effective_restarts):
-        outcome = _fit_once(problem, config, restart)
-        if best is None or outcome[0] < best[0]:
-            best = outcome
-
-    _, params, comp, trace, converged, diagnostics = best
+    # ``min`` keeps the first of equally good restarts.
+    _, params, comp, trace, converged, diagnostics = min(
+        (_fit_once(problem, config, restart) for restart in range(config.effective_restarts)),
+        key=lambda outcome: outcome[0])
     table = _table_from(problem, params, comp, config.learn_composition)
-    errors = _record_errors(table, config, dataset.records, problem.dag)
+    errors = _record_errors(table, config, problem)
     per_datum = {rec.id: e for rec, e in zip(dataset.records, errors)}
     return TreReport(
         per_datum=per_datum,
@@ -462,7 +451,7 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int):
                 params[row] = rng.normal(0.0, config.init_scale,
                                          params.shape[1:])
             opt_params.reset_rows(rows)
-            names = ", ".join(problem.symbols[r].name for r in rows)
+            names = ", ".join(problem.dag.symbols[r].name for r in rows)
             diagnostics.append(
                 f"step {step}: zero-norm cosine prediction; re-initialized "
                 f"entries [{names}]")
@@ -507,15 +496,15 @@ def closed_form_fit(dataset: Dataset,
     if not isinstance(composition, AdditiveComposition):
         raise ValueError("closed_form_fit requires additive composition")
 
-    dag = _compile_dataset(dataset)
-    counts = _leaf_counts(dag)
-    flat_targets = np.stack([r.representation.ravel() for r in dataset.records])
-    solution, *_ = np.linalg.lstsq(counts, flat_targets, rcond=None)
+    problem = _build_problem(dataset)
+    flat_targets = problem.targets.reshape(len(dataset), -1)
+    solution, *_ = np.linalg.lstsq(problem.counts, flat_targets, rcond=None)
 
-    errors = distances("squared_l2", counts @ solution, flat_targets).tolist()
+    errors = distances("squared_l2", problem.counts @ solution, flat_targets).tolist()
     per_datum = {rec.id: e for rec, e in zip(dataset.records, errors)}
-    shape = dataset.shape.array_shape()
-    entries = {sym: solution[i].reshape(shape).copy() for i, sym in enumerate(dag.symbols)}
+    shape = problem.targets.shape[1:]
+    entries = {sym: solution[i].reshape(shape).copy()
+               for i, sym in enumerate(problem.dag.symbols)}
     total = math.fsum(per_datum.values())
     return TreReport(
         per_datum=per_datum,
@@ -526,20 +515,20 @@ def closed_form_fit(dataset: Dataset,
     )
 
 
-def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100,
-                   step_size: float = 1e-5, kink_tol: float = 1e-4) -> float:
+def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> float:
     """Worst relative error of analytic objective gradients vs central
     finite differences, over ``trials`` random evaluation points.
 
-    For the l1 objective, points whose residuals sit within ``kink_tol`` of a
-    sign tie are redrawn, since the subgradient is not a derivative there.
-    The numeric side evaluates the objective through the forward pass over
-    the dataset's DAG, compiled once per check; the analytic side goes
-    through the optimizer's gradient (leaf counts for additive composition,
-    the level-batched backward pass for linear).
+    For the l1 objective, points whose residuals sit within
+    ``GRADCHECK_KINK_TOL`` of a sign tie are redrawn, since the subgradient
+    is not a derivative there.  The numeric side evaluates the objective
+    through the forward pass over the dataset's DAG, compiled once per
+    check; the analytic side goes through the optimizer's gradient (leaf
+    counts for additive composition, the level-batched backward pass for
+    linear).
     """
     problem = _build_problem(dataset)
-    shape = dataset.shape.array_shape()
+    shape = problem.targets.shape[1:]
     learn = config.learn_composition
     is_linear = isinstance(config.composition, LinearComposition)
     random_weights = is_linear and (learn or not config.composition.has_weights)
@@ -550,7 +539,7 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100,
         params = None
         for attempt in range(64):
             rng = _rng(config.seed, 3, trial, attempt)
-            params = rng.normal(0.0, 1.0, (len(problem.symbols),) + shape)
+            params = rng.normal(0.0, 1.0, (len(problem.dag.symbols),) + shape)
             if random_weights:
                 side = shape[0]
                 comp = LinearComposition(
@@ -558,17 +547,17 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100,
                     np.eye(side) + 0.5 * rng.normal(0.0, 1.0, (side, side)))
             preds, values = _problem_forward(problem, params, comp)
             if config.distance.kind == "l1":
-                if np.abs(preds - problem.targets).min() <= kink_tol:
+                if np.abs(preds - problem.targets).min() <= GRADCHECK_KINK_TOL:
                     continue
             if config.distance.kind == "cosine":
-                norms = np.linalg.norm(preds.reshape(len(problem.dataset), -1), axis=1)
+                norms = np.linalg.norm(preds.reshape(len(preds), -1), axis=1)
                 if norms.min() <= 1e-3:
                     continue
             break
 
         _, dpred = _loss_and_dpred(config.distance.kind, preds, problem.targets)
         grad_params, grad_weights = _problem_backward(problem, comp, values, dpred, learn)
-        table = PrimitiveTable(dict(zip(problem.symbols, params)),
+        table = PrimitiveTable(dict(zip(problem.dag.symbols, params)),
                                comp if is_linear else None)
 
         blocks = [(params, grad_params)]
@@ -579,12 +568,12 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100,
             flat = block.ravel()
             for k in range(flat.size):
                 orig = flat[k]
-                flat[k] = orig + step_size
-                hi = math.fsum(_record_errors(table, config, dataset.records, problem.dag))
-                flat[k] = orig - step_size
-                lo = math.fsum(_record_errors(table, config, dataset.records, problem.dag))
+                flat[k] = orig + GRADCHECK_STEP
+                hi = math.fsum(_record_errors(table, config, problem))
+                flat[k] = orig - GRADCHECK_STEP
+                lo = math.fsum(_record_errors(table, config, problem))
                 flat[k] = orig
-                numeric = (hi - lo) / (2.0 * step_size)
+                numeric = (hi - lo) / (2.0 * GRADCHECK_STEP)
                 a = analytic.ravel()[k]
                 err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
                 worst = max(worst, err)

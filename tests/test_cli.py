@@ -208,6 +208,13 @@ class TestGenCommand:
         assert code == 2
         assert "either" in err
 
+    def test_non_finite_noise_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        code, _, err = run_cli("gen", "--kind", "compositional", "--noise", "nan",
+                               "--out", str(out), capsys=capsys)
+        assert code == 2
+        assert "noise_sigma" in err and not out.exists()
+
     def test_code_shape_generation_feeds_fit(self, tmp_path, capsys):
         data_path = tmp_path / "code.jsonl"
         code, _, _ = run_cli("gen", "--kind", "compositional", "--primitives", "4",
@@ -286,6 +293,13 @@ class TestFitCommand:
                                capsys=capsys)
         assert code == 2
         assert "learn-composition" in err
+
+    @pytest.mark.parametrize("flags", [("--lr", "nan"), ("--lr", "inf"), ("--tol", "nan")],
+                             ids=" ".join)
+    def test_non_finite_setting_exits_two(self, hand_file, capsys, flags):
+        code, _, err = run_cli("fit", str(hand_file), *flags, "--steps", "5", capsys=capsys)
+        assert code == 2
+        assert "finite" in err
 
     def test_divergence_exits_three(self, hand_file, capsys):
         import warnings
@@ -392,6 +406,47 @@ class TestFitCommand:
         for rec in dataset.records:
             recorded = payload["per_datum_tre"][rec.id]
             assert tre_datum(table, config, rec) == approx(recorded, abs=1e-9)
+
+
+    @pytest.mark.parametrize("fault", ["missing_left", "wrong_side", "ragged", "non_numeric",
+                                       "not_object", "list", "truncated"])
+    def test_malformed_report_weights_are_format_errors(self, tmp_path, capsys, fault):
+        lang_path, report_path = tmp_path / "langs", tmp_path / "report.json"
+        run_cli("gen", "--kind", "fig5", "--out", str(lang_path), capsys=capsys)
+        run_cli("fit", str(lang_path) + "_A.jsonl", "--composition", "linear",
+                "--learn-composition", "--steps", "5", "--restarts", "1",
+                "--out", str(report_path), capsys=capsys)
+        payload = json.loads(report_path.read_text())
+        weights, key = payload["composition_params"], '    "left_weights":'
+        if fault == "missing_left":
+            del weights["left_weights"]
+            key = '  "composition_params":'
+        elif fault == "wrong_side":  # the 4 x 16 codes need 4 x 4 weights
+            weights["left_weights"] = np.eye(5).tolist()
+        elif fault == "ragged":
+            weights["left_weights"][1].pop()
+        elif fault == "non_numeric":
+            weights["right_weights"][2][0] = "0.5"
+            key = '    "right_weights":'
+        elif fault == "not_object":
+            payload["composition_params"] = [weights["left_weights"]]
+            key = '  "composition_params":'
+        text = render_report([payload] if fault == "list" else payload)
+        if fault == "truncated":
+            text = text[:len(text) // 2]
+        report_path.write_text(text)
+        if fault == "list":
+            want = 1
+        elif fault == "truncated":
+            with pytest.raises(json.JSONDecodeError) as decode:
+                json.loads(text)
+            want = decode.value.lineno
+        else:
+            want = next(no for no, line in enumerate(text.splitlines(), 1)
+                        if line.startswith(key))
+        with pytest.raises(DatasetFormatError) as err:
+            load_report(report_path)
+        assert err.value.line == want
 
 
 class TestTopoCommand:

@@ -104,6 +104,11 @@ class TestGenerateCompositional:
         mean_tre = np.mean([tre_datum(truth, config, r) for r in data.records])
         assert mean_tre == approx(dim * sigma**2, rel=0.2)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_noise_must_be_non_negative_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            GenSpec(num_primitives=2, shape=VectorShape(2), noise_sigma=sigma)
+
 
 class TestGenerateRandom:
     def test_reproducible_and_seed_sensitive(self):

@@ -7,8 +7,10 @@ the number of distinct subtrees.
 """
 
 import contextlib
+import copy
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -87,6 +89,12 @@ def check_format_round_trip(tmp_path):
     assert format_derivation(parse_derivation(text)) == text
 
 
+def check_pickle(tmp_path):
+    t = parse_derivation(left_comb(LEAVES))
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert copy.deepcopy(t) is t
+
+
 def check_eval(tmp_path):
     value = eval_compositional(PrimitiveTable(ENTRIES), AdditiveComposition(),
                                parse_derivation(left_comb(LEAVES)))
@@ -142,7 +150,8 @@ def check_cli_editdist(tmp_path):
 
 
 @pytest.mark.parametrize("check", [
-    check_parse, check_equality, check_repr, check_format_round_trip, check_eval,
+    check_parse, check_equality, check_repr, check_format_round_trip, check_pickle,
+    check_eval,
     check_fit_additive, check_fit_linear, check_closed_form_fit, check_cli_fit,
     check_homomorphism_residuals,
 ], ids=lambda f: f.__name__[len("check_"):])

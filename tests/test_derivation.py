@@ -39,6 +39,36 @@ from treerec import (
 
 A, B, C = Symbol("a"), Symbol("b"), Symbol("c")
 
+# Message and byte offset of the syntax error for each malformed text.
+SYNTAX_ERRORS = {
+    "": ("empty input", 0),
+    "   ": ("empty input", 0),
+    "(": ("unbalanced '(': missing ')'", 0),
+    "((a b)": ("unbalanced '(': missing ')'", 0),
+    "(a (b c)": ("unbalanced '(': missing ')'", 0),
+    ")": ("unbalanced ')'", 0),
+    "(a b))": ("unbalanced ')'", 5),
+    "()": ("node arity must be 2, found 0", 1),
+    "(a)": ("node arity must be 2, found 1", 2),
+    "(a b c)": ("node arity must be 2: unexpected third child", 5),
+    "(a (b c) d)": ("node arity must be 2: unexpected third child", 9),
+    "((a b) (c d) (e f))": ("node arity must be 2: unexpected third child", 17),
+    "(é b c)": ("node arity must be 2: unexpected third child", 6),
+    " ( é b c)": ("node arity must be 2: unexpected third child", 8),
+    "a b": ("trailing tokens after complete derivation", 2),
+    "(a b) c": ("trailing tokens after complete derivation", 6),
+    "a (b c)": ("trailing tokens after complete derivation", 2),
+    "(a b)(c d)": ("trailing tokens after complete derivation", 5),
+}
+
+
+def assert_syntax_error(text):
+    message, offset = SYNTAX_ERRORS[text]
+    with pytest.raises(DerivationSyntaxError) as err:
+        parse_derivation(text)
+    assert str(err.value) == f"{message} (byte offset {offset})"
+    assert err.value.offset == offset
+
 
 def naive_edit_distance(a, b):
     """Direct transcription of the distance recursion, no memoization."""
@@ -152,6 +182,16 @@ class TestInterning:
         assert copy.deepcopy(t) is t
         assert copy.copy(t) is t
 
+    def test_pickle_is_linear_in_distinct_subtrees(self):
+        # Node(t, t) nested 40 times has 2^40 leaves but 41 distinct subtrees.
+        t = Leaf(A)
+        for _ in range(40):
+            t = Node(t, t)
+        _, (names, left, right) = t.__reduce__()
+        assert names == ["a"] and len(left) == len(right) == 41
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert copy.deepcopy(t) is t
+
     @pytest.mark.parametrize("race", range(3))
     def test_threads_parsing_the_same_texts_get_the_same_objects(self, race):
         # Symbols no other test uses, so every tree is built during the race.
@@ -199,41 +239,35 @@ class TestParse:
 
     @pytest.mark.parametrize("text", ["(a b c)", "(a)", "()"])
     def test_arity_errors(self, text):
-        with pytest.raises(DerivationSyntaxError, match="arity"):
-            parse_derivation(text)
+        assert_syntax_error(text)
 
     def test_empty_input(self):
-        with pytest.raises(DerivationSyntaxError, match="empty"):
-            parse_derivation("   ")
+        for text in ("", "   "):
+            assert_syntax_error(text)
 
     def test_unbalanced_open(self):
-        with pytest.raises(DerivationSyntaxError, match="unbalanced"):
-            parse_derivation("(a (b c)")
+        # The offset is that of the innermost '(' left open.
+        for text in ("(", "((a b)", "(a (b c)"):
+            assert_syntax_error(text)
 
     def test_unbalanced_close(self):
-        with pytest.raises(DerivationSyntaxError, match="unbalanced"):
-            parse_derivation("(a b))")
+        for text in (")", "(a b))"):
+            assert_syntax_error(text)
 
     def test_trailing_tokens(self):
-        with pytest.raises(DerivationSyntaxError, match="trailing"):
-            parse_derivation("(a b) c")
+        for text in ("a b", "(a b) c", "a (b c)", "(a b)(c d)"):
+            assert_syntax_error(text)
 
     def test_error_reports_byte_offset(self):
-        try:
-            parse_derivation("(a b c)")
-        except DerivationSyntaxError as e:
-            assert e.offset == 5  # position of the third child 'c'
-        else:
-            pytest.fail("expected a syntax error")
+        # A third child is reported where it ends: at a symbol, or at the
+        # ')' that closes a node.
+        for text in ("(a b c)", "(a (b c) d)", "((a b) (c d) (e f))"):
+            assert_syntax_error(text)
 
     def test_offset_is_bytes_not_chars(self):
         # two-byte character before the error position
-        try:
-            parse_derivation("(é b c)")
-        except DerivationSyntaxError as e:
-            assert e.offset == 6
-        else:
-            pytest.fail("expected a syntax error")
+        for text in ("(é b c)", " ( é b c)"):
+            assert_syntax_error(text)
 
 
 class TestFormat:

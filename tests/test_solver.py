@@ -13,8 +13,10 @@ Core claims:
       derivation-closed dataset perfectly
     - fits are deterministic, record-order invariant, and report the mean of
       per-record errors as the aggregate
+    - a learned linear fit builds no dense subtrees x primitives table
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -322,6 +324,28 @@ class TestFit:
             FitConfig(distance=SQL2, learning_rate=-1.0)
         with pytest.raises(ValueError):
             FitConfig(distance=SQL2, learn_composition=True)  # additive weights
+
+    @pytest.mark.parametrize("field", ["learning_rate", "init_scale", "convergence_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FitConfig(distance=SQL2, **{field: value})
+
+    def test_learned_linear_fit_builds_no_leaf_counts(self):
+        # Building dense leaf counts takes 500 floats per distinct subtree,
+        # about 49 MB here; the linear path never reads them.
+        data, _ = generate_compositional(GenSpec(num_primitives=500, shape=VectorShape(4),
+                                                 num_records=2000, seed=0))
+        config = FitConfig(distance=SQL2, composition=LinearComposition(),
+                           learn_composition=True, steps=5, restarts=1)
+        tracemalloc.start()
+        try:
+            report = fit(data, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.steps_run == 5
+        assert peak < 10e6
 
 
 class TestNoiseMonotonicity:
