@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .analysis import topographic_similarity
@@ -129,6 +130,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    # A chained comparison, so that NaN fails it too.
+    if not 0 < args.threshold < math.inf:
+        raise ValueError(f"--threshold must be finite and above 0, got {args.threshold}")
     spec = GenSpec(num_primitives=4, shape=VectorShape(5), depth_range=(1, 3),
                    num_records=6, seed=args.seed)
     dataset = generate_random(spec)

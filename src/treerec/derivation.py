@@ -80,9 +80,10 @@ class _Interned:
 
     def __reduce__(self):
         # The subtree table, not the nested objects, so that pickling and
-        # copying do not recurse once per level.
-        dag = _compile([self])
-        return _rebuild, ([s.name for s in dag.symbols], dag.left.tolist(), dag.right.tolist())
+        # copying do not recurse once per level.  It is ``_compile``'s table,
+        # built in plain Python: one derivation is too small to repay numpy.
+        order, left, right, _ = _numbered([self])
+        return _rebuild, ([t.symbol.name for t in order if type(t) is Leaf], left, right)
 
     def __str__(self) -> str:
         return format_derivation(self)
@@ -224,31 +225,47 @@ class _Dag:
     roots: np.ndarray
 
 
-def _compile(derivations: Iterable[Derivation]) -> _Dag:
-    """The ``_Dag`` of ``derivations``.  Subtrees are keyed by object, as
-    derivations are interned: a subtree met before is not walked again."""
-    seen: dict[Derivation, None] = {}  # in postorder discovery order
-    roots: list[Derivation] = []
+def _numbered(derivations: Iterable[Derivation]
+              ) -> tuple[list[Derivation], list[int], list[int], dict[Derivation, int]]:
+    """The distinct subtrees of ``derivations`` in ``_Dag`` id order, the
+    ids of their left and right children (-1 for a leaf), and a map from
+    each subtree to its id.  Subtrees are keyed by object, as derivations are
+    interned: a subtree met before is not walked again."""
+    seen: set[Derivation] = set()
+    leaves: list[Leaf] = []  # each list in postorder discovery order
+    nodes: list[Node] = []
     for d in derivations:
-        roots.append(d)
         stack = [d]
         while stack:
             t = stack.pop()
             if t in seen:
                 continue
-            if type(t) is Node and not (t.left in seen and t.right in seen):
-                stack += (t, t.right, t.left)
+            if type(t) is Leaf:
+                leaves.append(t)
+            elif t.left in seen and t.right in seen:
+                nodes.append(t)
             else:
-                seen[t] = None
+                stack += (t, t.right, t.left)
+                continue
+            seen.add(t)
     # Number the leaves in symbol order, then the nodes by height (a stable sort).
-    order = sorted(seen, key=lambda t: (t._height, t.symbol.name if type(t) is Leaf else ""))
+    leaves.sort(key=lambda t: t.symbol.name)
+    nodes.sort(key=lambda t: t._height)
+    order = leaves + nodes
     ids = {t: i for i, t in enumerate(order)}
-    n_leaves = sum(type(t) is Leaf for t in order)
-    left = np.array([-1] * n_leaves + [ids[t.left] for t in order[n_leaves:]], dtype=np.intp)
-    right = np.array([-1] * n_leaves + [ids[t.right] for t in order[n_leaves:]], dtype=np.intp)
+    no_children = [-1] * len(leaves)
+    return (order, no_children + [ids[t.left] for t in nodes],
+            no_children + [ids[t.right] for t in nodes], ids)
+
+
+def _compile(derivations: Iterable[Derivation]) -> _Dag:
+    """The ``_Dag`` of ``derivations``."""
+    roots = list(derivations)
+    order, left, right, ids = _numbered(roots)
     ends = list(accumulate(np.bincount(np.array([t._height for t in order],
                                                 dtype=np.intp)).tolist()))
-    return _Dag(len(order), tuple(t.symbol for t in order[:n_leaves]), left, right,
+    return _Dag(len(order), tuple(t.symbol for t in order if type(t) is Leaf),
+                np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
                 tuple(zip(ends, ends[1:])), np.array([ids[d] for d in roots], dtype=np.intp))
 
 

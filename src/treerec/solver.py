@@ -259,20 +259,34 @@ def _backward(dag: _Dag, values: np.ndarray, comp: CompositionSpec,
     Returns the gradient for each parameter row and, when ``learn_weights``,
     for the two weight matrices.  A subtree shared by several parents
     receives the sum of their gradients before passing it on.
+
+    The adds into a subtree's gradient come in one fixed order: the roots in
+    record order, then the levels from the highest down, each level adding
+    its left-child block and then its right-child block, nodes in id order.
+    Floating-point sums depend on their order, so keeping it keeps every
+    gradient, objective trace and report byte-stable.  The scatters run on
+    the flat array with one index per element, which numpy's ``ufunc.at``
+    handles on its fast path; each element still receives its adds in the
+    order of the row ids.
     """
     if not isinstance(comp, LinearComposition):
         raise TypeError(f"composition kind {getattr(comp, 'kind', comp)!r} "
                         f"has no level-batched gradient")
     lw, rw = comp.left_weights, comp.right_weights
     grads = np.zeros_like(values)
-    np.add.at(grads, dag.roots, upstream)
+    flat, offsets = grads.reshape(-1), np.arange(math.prod(values.shape[1:]))
+
+    def scatter(ids: np.ndarray, rows: np.ndarray):
+        np.add.at(flat, (ids[:, None] * len(offsets) + offsets).ravel(), rows.ravel())
+
+    scatter(dag.roots, upstream)
     shape = (dag.size, values.shape[1], -1)
     cols, gcols = values.reshape(shape), grads.reshape(shape)
     grad_lw, grad_rw = np.zeros_like(lw), np.zeros_like(rw)
     for lo, hi in reversed(dag.levels):
         g, left, right = gcols[lo:hi], dag.left[lo:hi], dag.right[lo:hi]
-        np.add.at(gcols, left, np.matmul(lw.T, g))
-        np.add.at(gcols, right, np.matmul(rw.T, g))
+        scatter(left, np.matmul(lw.T, g))
+        scatter(right, np.matmul(rw.T, g))
         if learn_weights:
             grad_lw += np.tensordot(g, cols[left], axes=([0, 2], [0, 2]))
             grad_rw += np.tensordot(g, cols[right], axes=([0, 2], [0, 2]))
@@ -525,8 +539,11 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
     through the forward pass over the dataset's DAG, compiled once per
     check; the analytic side goes through the optimizer's gradient (leaf
     counts for additive composition, the level-batched backward pass for
-    linear).
+    linear).  Raises ValueError unless ``trials`` is at least 1, as a check
+    of no points would report a perfect 0.0.
     """
+    if trials < 1:
+        raise ValueError(f"gradient check needs at least one trial, got {trials}")
     problem = _build_problem(dataset)
     shape = problem.targets.shape[1:]
     learn = config.learn_composition

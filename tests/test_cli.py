@@ -505,6 +505,18 @@ class TestGradcheckCommand:
                                "--threshold", "1e-15", capsys=capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [("--trials", "0"), ("--trials", "-3"),
+                                       ("--threshold", "nan"), ("--threshold", "inf"),
+                                       ("--threshold", "0"), ("--threshold", "-1")],
+                             ids=" ".join)
+    def test_check_of_nothing_exits_two(self, capsys, flags):
+        # No trials would print a perfect 0.000e+00, and a threshold that is
+        # NaN, infinite or not above 0 makes the exit code meaningless.
+        code, out, err = run_cli("gradcheck", *flags, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert ("trial" if flags[0] == "--trials" else "threshold") in err
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -12,6 +12,8 @@ Core claims:
       however many leaves it has
     - derivations are interned: equal derivations are one object, also when
       built concurrently, unpickled or copied, and they are immutable
+    - a derivation pickles as its compiled subtree table, in bytes that stay
+      loadable across versions
 """
 
 import copy
@@ -36,6 +38,7 @@ from treerec import (
     size,
     tree_edit_distance,
 )
+from treerec.derivation import _compile
 
 A, B, C = Symbol("a"), Symbol("b"), Symbol("c")
 
@@ -191,6 +194,20 @@ class TestInterning:
         assert names == ["a"] and len(left) == len(right) == 41
         assert pickle.loads(pickle.dumps(t)) is t
         assert copy.deepcopy(t) is t
+
+    # ((b a) (a (b a))) as pickled since derivations reduce to their table.
+    PICKLED = (b"\x80\x04\x95[\x00\x00\x00\x00\x00\x00\x00\x8c\x12treerec.derivation"
+               b"\x94\x8c\x08_rebuild\x94\x93\x94]\x94(\x8c\x01a\x94\x8c\x01b\x94e]\x94("
+               b"J\xff\xff\xff\xffJ\xff\xff\xff\xffK\x01K\x00K\x02e]\x94(J\xff\xff\xff"
+               b"\xffJ\xff\xff\xff\xffK\x00K\x02K\x03e\x87\x94R\x94.")
+
+    def test_pickle_is_the_compiled_table_in_stable_bytes(self):
+        t = parse_derivation("((b a) (a (b a)))")
+        dag = _compile([t])
+        assert t.__reduce__()[1] == ([s.name for s in dag.symbols],
+                                     dag.left.tolist(), dag.right.tolist())
+        assert pickle.dumps(t, protocol=4) == self.PICKLED
+        assert pickle.loads(self.PICKLED) is t
 
     @pytest.mark.parametrize("race", range(3))
     def test_threads_parsing_the_same_texts_get_the_same_objects(self, race):

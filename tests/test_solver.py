@@ -14,6 +14,10 @@ Core claims:
     - fits are deterministic, record-order invariant, and report the mean of
       per-record errors as the aggregate
     - a learned linear fit builds no dense subtrees x primitives table
+    - the linear backward pass adds into each subtree's gradient in one fixed
+      order (roots, then levels top-down, left block before right block), so
+      its sums are reproducible to the bit; a gradient check of no trials is
+      refused
 """
 
 import tracemalloc
@@ -446,3 +450,58 @@ class TestGradientCheckOperation:
         config = FitConfig(distance=spec, composition=LinearComposition(),
                            learn_composition=True, seed=11)
         assert gradient_check(data, config, trials=10) < 1e-6
+
+    def test_no_trials_is_refused(self, hand_instance):
+        for trials in (0, -3):
+            with pytest.raises(ValueError, match="at least one trial"):
+                gradient_check(hand_instance, FitConfig(distance=SQL2), trials=trials)
+
+
+def reference_backward(dag, values, comp, upstream, learn_weights):
+    """``_backward`` as one Python add per edge, in its documented order:
+    the roots in record order, then the levels from the highest down, each
+    adding its left-child block and then its right-child block."""
+    lw, rw = comp.left_weights, comp.right_weights
+    grads = np.zeros_like(values)
+    for k, root in enumerate(dag.roots):
+        grads[root] += upstream[k]
+    shape = (dag.size, values.shape[1], -1)
+    cols, gcols = values.reshape(shape), grads.reshape(shape)
+    grad_lw, grad_rw = np.zeros_like(lw), np.zeros_like(rw)
+    for lo, hi in reversed(dag.levels):
+        g = gcols[lo:hi]
+        for weights, children in ((lw, dag.left[lo:hi]), (rw, dag.right[lo:hi])):
+            for child, row in zip(children, np.matmul(weights.T, g)):
+                gcols[child] += row
+        if learn_weights:
+            grad_lw += np.tensordot(g, cols[dag.left[lo:hi]], axes=([0, 2], [0, 2]))
+            grad_rw += np.tensordot(g, cols[dag.right[lo:hi]], axes=([0, 2], [0, 2]))
+    return grads[:len(dag.symbols)], (grad_lw, grad_rw)
+
+
+class TestBackwardOrder:
+    # (a b) and ((a b) c) are roots and children too, (a b) of parents at
+    # two heights, and a, b and c are children of parents at several heights.
+    TEXTS = ["(a b)", "((a b) c)", "(c (a b))", "((a b) (b c))", "(((a b) c) a)",
+             "c", "(a (b (c a)))", "((a b) c)", "(((a b) c) (a b))"]
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)], ids=["vector", "code"])
+    @pytest.mark.parametrize("learn_weights", [True, False])
+    def test_bit_identical_to_per_edge_loop(self, shape, learn_weights):
+        rng = np.random.default_rng(7)
+        dag = solver_module._compile([parse_derivation(t) for t in self.TEXTS])
+        side = shape[0]
+        comp = LinearComposition(rng.normal(0, 1, (side, side)),
+                                 rng.normal(0, 1, (side, side)))
+        values = solver_module._forward(dag, rng.normal(0, 1, (len(dag.symbols),) + shape),
+                                        comp)
+        upstream = rng.normal(0, 1, (len(self.TEXTS),) + shape)
+        params, weights = solver_module._backward(dag, values, comp, upstream,
+                                                  learn_weights)
+        ref_params, ref_weights = reference_backward(dag, values, comp, upstream,
+                                                     learn_weights)
+        assert np.array_equal(params, ref_params)
+        if learn_weights:
+            assert all(np.array_equal(w, r) for w, r in zip(weights, ref_weights))
+        else:
+            assert weights is None
