@@ -62,7 +62,7 @@ class _Interned:
 
     @classmethod
     def _intern(cls, key, **fields):
-        # Each class keeps a weak table from its key, a symbol or the two
+        # Each class keeps a weak table from its key, a symbol name or the two
         # child objects, to its one instance; the lock makes check-then-store
         # atomic across threads.
         with _intern_lock:
@@ -97,7 +97,9 @@ class Leaf(_Interned):
     _table = weakref.WeakValueDictionary()
 
     def __new__(cls, symbol: Symbol):
-        return cls._intern(symbol, symbol=symbol, _size=1, _height=0)
+        # Keyed by name, which is what makes two symbols equal, so that
+        # ``_rebuild`` can find a live leaf without building a symbol.
+        return cls._intern(symbol.name, symbol=symbol, _size=1, _height=0)
 
 
 class Node(_Interned):
@@ -115,8 +117,11 @@ Derivation = Union[Leaf, Node]
 
 def _rebuild(names: list[str], left: list[int], right: list[int]) -> Derivation:
     """Re-intern the subtrees of a ``_Dag`` table bottom-up; the root is the
-    last id, as a single derivation's root is its one highest subtree."""
-    trees = [Leaf(Symbol(name)) for name in names]
+    last id, as a single derivation's root is its one highest subtree.  A
+    name with a live leaf reuses it, so only a new name builds and validates
+    a ``Symbol``."""
+    live = Leaf._table
+    trees = [live.get(name) or Leaf(Symbol(name)) for name in names]
     for i in range(len(names), len(left)):
         trees.append(Node(trees[left[i]], trees[right[i]]))
     return trees[-1]

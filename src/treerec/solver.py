@@ -12,6 +12,14 @@ dataset score is the mean.
 ``fit`` minimizes with full-batch Adam; ``closed_form_fit`` solves the
 additive / squared-L2 case exactly through the normal equations and serves as
 an independent oracle for the iterative path.
+
+Under additive composition a prediction depends only on the derivation's
+leaf counts, so records with equal counts share one.  ``fit`` and
+``gradient_check`` then sum squared_l2 and cosine over the distinct count
+rows, each weighted, plus a constant (see ``_Problem.rows``); that sum
+equals the per-record one up to rounding.  l1 has no such form and sums
+over the records.  Per-record errors, ``objective`` and ``tre_datum``
+always evaluate every record.
 """
 
 from __future__ import annotations
@@ -212,13 +220,15 @@ def _record_errors(table: PrimitiveTable, config: FitConfig, problem: _Problem) 
 
 def tre_datum(table: PrimitiveTable, config: FitConfig, record: Record) -> float:
     """Distance between the stored representation and the composed prediction."""
-    problem = _Problem(_compile([record.derivation]), np.stack([record.representation]))
+    problem = _Problem(_compile([record.derivation]), np.stack([record.representation]),
+                       config.distance.kind)
     return _record_errors(table, config, problem)[0]
 
 
 def objective(table: PrimitiveTable, config: FitConfig, dataset: Dataset) -> float:
     """Sum (not mean) of per-record errors at the current table."""
-    return math.fsum(_record_errors(table, config, _build_problem(dataset)))
+    return math.fsum(_record_errors(table, config,
+                                    _build_problem(dataset, config.distance.kind)))
 
 
 # -- internal optimization machinery -----------------------------------------
@@ -313,10 +323,28 @@ class _Adam:
         self.v[list(rows)] = 0.0
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """The weighted rows that additive fitting sums over.
+
+    Row ``g`` predicts ``counts[g] @ params`` and adds ``weights[g]`` times
+    its distance to ``targets[g]`` to the objective, which also adds
+    ``constant``.  ``weights`` is None where every row weighs 1.
+    """
+
+    counts: np.ndarray                  # (rows, P)
+    targets: np.ndarray                 # (rows, *shape)
+    weights: np.ndarray | None          # (rows,)
+    constant: float
+
+
 @dataclass
 class _Problem:
+    """A dataset compiled for fitting and evaluation under distance ``kind``."""
+
     dag: _Dag
     targets: np.ndarray                 # (n, *shape)
+    kind: str
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -325,27 +353,81 @@ class _Problem:
         eye = np.eye(len(self.dag.symbols))
         return _forward(self.dag, eye, AdditiveComposition())[self.dag.roots]
 
+    @cached_property
+    def rows(self) -> _Rows:
+        """The rows of the additive objective, whose sum over records equals
+        a weighted sum over the distinct leaf-count rows ``u`` (the records
+        of a row share one prediction ``p = u @ params``):
 
-def _build_problem(dataset: Dataset) -> _Problem:
+        * squared_l2: over the row's m records,
+          sum_k |p - y_k|^2 = m |p - mean(y)|^2 + sum_k |y_k - mean(y)|^2,
+          so the target is the mean, the weight m, and the scatter goes to
+          the constant;
+        * cosine: sum_k cosdist(p, y_k) = |s| cosdist(p, s) + m - |s| with
+          s = sum_k y_k / |y_k|.  Where s is 0 the row keeps weight 0 and
+          its first record's unit target as a stand-in, so that a zero
+          prediction there still raises ZeroNormError;
+        * l1 has no such reduction: the rows are the records, unweighted.
+        """
+        if self.kind == "l1":
+            return _Rows(self.counts, self.targets, None, 0.0)
+        counts, first, inverse, sizes = np.unique(
+            self.counts, axis=0, return_index=True, return_inverse=True, return_counts=True)
+        inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it 2-D for an axis
+        flat = self.targets.reshape(len(self.targets), -1)
+        sums = np.zeros((len(counts), flat.shape[1]))
+        shape = (len(counts),) + self.targets.shape[1:]
+        if self.kind == "squared_l2":
+            np.add.at(sums, inverse, flat)
+            means = sums / sizes[:, None]
+            scatter = flat - means[inverse]
+            constant = math.fsum((scatter * scatter).sum(axis=1).tolist())
+            return _Rows(counts, means.reshape(shape), sizes, constant)
+        norms = np.linalg.norm(flat, axis=1)
+        if not norms.all():
+            raise ZeroNormError("cosine distance is undefined for a zero-norm "
+                                "operand", np.flatnonzero(norms == 0.0).tolist())
+        units = flat / norms[:, None]
+        np.add.at(sums, inverse, units)
+        weights = np.linalg.norm(sums, axis=1)
+        cancelled = weights == 0.0
+        sums[cancelled] = units[first[cancelled]]
+        constant = math.fsum((sizes - weights).tolist())
+        return _Rows(counts, sums.reshape(shape), weights, constant)
+
+
+def _build_problem(dataset: Dataset, kind: str) -> _Problem:
     return _Problem(_compile(rec.derivation for rec in dataset.records),
-                    np.stack([rec.representation for rec in dataset.records]))
+                    np.stack([rec.representation for rec in dataset.records]), kind)
 
 
 def _problem_forward(problem: _Problem, params: np.ndarray, comp: CompositionSpec):
-    """Predictions (n, *shape) plus the subtree values backward needs.
+    """Predictions of the rows the objective sums over, plus the subtree
+    values backward needs.
 
     Additive composition is linear in the parameters, so it multiplies the
-    leaf counts instead of walking the DAG."""
+    distinct leaf-count rows of ``problem.rows`` instead of walking the DAG;
+    linear composition predicts every record."""
     if isinstance(comp, AdditiveComposition):
-        return np.tensordot(problem.counts, params, axes=1), None
+        return np.tensordot(problem.rows.counts, params, axes=1), None
     values = _forward(problem.dag, params, comp)
     return values[problem.dag.roots], values
+
+
+def _problem_loss(problem: _Problem, comp: CompositionSpec, preds: np.ndarray):
+    """The summed objective at ``_problem_forward``'s predictions and its
+    gradient with respect to them."""
+    if isinstance(comp, AdditiveComposition):
+        rows = problem.rows
+        loss, dpred = _loss_and_dpred(problem.kind, preds, rows.targets, rows.weights)
+        return loss + rows.constant, dpred
+    return _loss_and_dpred(problem.kind, preds, problem.targets)
 
 
 def _problem_backward(problem: _Problem, comp: CompositionSpec, values,
                       dpred: np.ndarray, learn_weights: bool):
     if isinstance(comp, AdditiveComposition):
-        return np.tensordot(problem.counts.T, dpred, axes=1), None
+        return np.tensordot(problem.rows.counts.T, dpred, axes=1), None
     return _backward(problem.dag, values, comp, dpred, learn_weights)
 
 
@@ -391,7 +473,11 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
     objective.  The dataset's derivations are compiled once into a DAG of
     distinct subtrees, and every step evaluates and differentiates that DAG
     in a fixed order, so runs are bit-reproducible given (dataset order,
-    config).
+    config).  Additive composition skips the DAG: each step multiplies the
+    distinct leaf-count rows, and for squared_l2 and cosine the objective is
+    their weighted sum plus a constant (``_Problem.rows``), which equals the
+    sum over records up to rounding.  The per-record errors of the report
+    are evaluated record by record.
     """
     if isinstance(config.composition, LinearComposition):
         if not config.learn_composition and not config.composition.has_weights:
@@ -402,7 +488,7 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
             f"cannot optimize through composition kind "
             f"{getattr(config.composition, 'kind', config.composition)!r}"
         )
-    problem = _build_problem(dataset)
+    problem = _build_problem(dataset, config.distance.kind)
     if config.distance.kind == "cosine":
         norms = np.linalg.norm(problem.targets.reshape(len(dataset), -1), axis=1)
         if not norms.all():
@@ -452,14 +538,17 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int):
     while True:
         try:
             preds, values = _problem_forward(problem, params, comp)
-            obj, dpred = _loss_and_dpred(config.distance.kind, preds, problem.targets)
+            obj, dpred = _problem_loss(problem, comp, preds)
         except ZeroNormError as zero:
             rescues += 1
             if rescues > _MAX_COSINE_RESCUES:
                 raise DivergenceError(
                     step, f"cosine predictions collapsed to zero norm at step {step} "
                           f"and re-initialization did not recover")
-            rows = np.flatnonzero(problem.counts[list(zero.rows)].any(axis=0)).tolist()
+            # The rows of additive composition are distinct leaf-count rows;
+            # those of linear composition are the records.
+            counts = (problem.rows if isinstance(comp, AdditiveComposition) else problem).counts
+            rows = np.flatnonzero(counts[list(zero.rows)].any(axis=0)).tolist()
             for row in rows:
                 rng = _rng(config.seed, 2, restart, rescues, row)
                 params[row] = rng.normal(0.0, config.init_scale,
@@ -510,7 +599,7 @@ def closed_form_fit(dataset: Dataset,
     if not isinstance(composition, AdditiveComposition):
         raise ValueError("closed_form_fit requires additive composition")
 
-    problem = _build_problem(dataset)
+    problem = _build_problem(dataset, distance_spec.kind)
     flat_targets = problem.targets.reshape(len(dataset), -1)
     solution, *_ = np.linalg.lstsq(problem.counts, flat_targets, rcond=None)
 
@@ -535,16 +624,18 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
 
     For the l1 objective, points whose residuals sit within
     ``GRADCHECK_KINK_TOL`` of a sign tie are redrawn, since the subgradient
-    is not a derivative there.  The numeric side evaluates the objective
-    through the forward pass over the dataset's DAG, compiled once per
-    check; the analytic side goes through the optimizer's gradient (leaf
-    counts for additive composition, the level-batched backward pass for
-    linear).  Raises ValueError unless ``trials`` is at least 1, as a check
-    of no points would report a perfect 0.0.
+    is not a derivative there.  The numeric side sums the per-record errors
+    of the forward pass over the dataset's DAG, compiled once per check; the
+    analytic side is the optimizer's own forward, loss and backward (the
+    weighted distinct leaf-count rows for additive composition, the
+    level-batched backward pass for linear), so it also checks that the
+    weighted sum equals the per-record one.  Raises ValueError unless
+    ``trials`` is at least 1, as a check of no points would report a
+    perfect 0.0.
     """
     if trials < 1:
         raise ValueError(f"gradient check needs at least one trial, got {trials}")
-    problem = _build_problem(dataset)
+    problem = _build_problem(dataset, config.distance.kind)
     shape = problem.targets.shape[1:]
     learn = config.learn_composition
     is_linear = isinstance(config.composition, LinearComposition)
@@ -563,6 +654,9 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
                     np.eye(side) + 0.5 * rng.normal(0.0, 1.0, (side, side)),
                     np.eye(side) + 0.5 * rng.normal(0.0, 1.0, (side, side)))
             preds, values = _problem_forward(problem, params, comp)
+            # Under l1 the rows are the records under either composition, so
+            # the kink test is per record; a cosine row's prediction is
+            # that of each of its records.
             if config.distance.kind == "l1":
                 if np.abs(preds - problem.targets).min() <= GRADCHECK_KINK_TOL:
                     continue
@@ -572,7 +666,7 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
                     continue
             break
 
-        _, dpred = _loss_and_dpred(config.distance.kind, preds, problem.targets)
+        _, dpred = _problem_loss(problem, comp, preds)
         grad_params, grad_weights = _problem_backward(problem, comp, values, dpred, learn)
         table = PrimitiveTable(dict(zip(problem.dag.symbols, params)),
                                comp if is_linear else None)

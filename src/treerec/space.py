@@ -275,17 +275,21 @@ def composes(spec: CompositionSpec, r: np.ndarray, s: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown composition spec {spec!r}")
 
 
-def _loss_and_dpred(kind: str, preds: np.ndarray, targets: np.ndarray):
+def _loss_and_dpred(kind: str, preds: np.ndarray, targets: np.ndarray,
+                    weights: np.ndarray | None = None):
     """Summed ``distances`` over a batch and its gradient with respect to
-    ``preds``.
+    ``preds``; with ``weights``, row k's distance counts ``weights[k]`` times.
 
     l1 uses sign(pred - target) with 0 at exact ties, so an optimizer sits
     still on coordinates it has matched exactly.
     """
     rows, terms = _distances_and_terms(kind, preds, targets)
-    loss = float(rows.sum())
     if kind != "cosine":
-        return loss, (np.sign(terms) if kind == "l1" else 2.0 * terms).reshape(preds.shape)
-    pf, tf, pn, tn, dots = terms
-    dpred = (dots / (pn**3 * tn))[:, None] * pf - tf / (pn * tn)[:, None]
-    return loss, dpred.reshape(preds.shape)
+        dpred = np.sign(terms) if kind == "l1" else 2.0 * terms
+    else:
+        pf, tf, pn, tn, dots = terms
+        dpred = (dots / (pn**3 * tn))[:, None] * pf - tf / (pn * tn)[:, None]
+    if weights is not None:
+        rows = weights * rows
+        dpred *= weights[:, None]
+    return float(rows.sum()), dpred.reshape(preds.shape)

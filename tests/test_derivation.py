@@ -209,6 +209,18 @@ class TestInterning:
         assert pickle.dumps(t, protocol=4) == self.PICKLED
         assert pickle.loads(self.PICKLED) is t
 
+    def test_unpickling_rebuilds_symbols_with_no_live_leaf(self):
+        # No leaf of these names is live once the parsed tree is dropped, so
+        # unpickling builds their symbols, and validates them.
+        text = "(unpickle_x (unpickle_y unpickle_x))"
+        blob = pickle.dumps(parse_derivation(text))
+        t = pickle.loads(blob)
+        assert format_derivation(t) == text
+        assert t.left is t.right.right is Leaf(Symbol("unpickle_x"))
+        del t
+        with pytest.raises(ValueError, match="symbol name"):
+            pickle.loads(blob.replace(b"unpickle_y", b"unpickle(y"))
+
     @pytest.mark.parametrize("race", range(3))
     def test_threads_parsing_the_same_texts_get_the_same_objects(self, race):
         # Symbols no other test uses, so every tree is built during the race.

@@ -18,8 +18,12 @@ Core claims:
       order (roots, then levels top-down, left block before right block), so
       its sums are reproducible to the bit; a gradient check of no trials is
       refused
+    - additive squared_l2 and cosine sum over the distinct leaf-count rows,
+      weighted, plus a constant, and that sum equals the per-record one in
+      value, gradient and rescue diagnostics; l1 sums over the records
 """
 
+import math
 import tracemalloc
 import warnings
 
@@ -52,9 +56,11 @@ from treerec import (
     homomorphism_residuals,
     objective,
     parse_derivation,
+    primitives_of,
     tre_datum,
     trivial_composition_table,
 )
+from treerec.space import _loss_and_dpred, distances
 
 SQL2 = DistanceSpec("squared_l2")
 L1 = DistanceSpec("l1")
@@ -455,6 +461,103 @@ class TestGradientCheckOperation:
         for trials in (0, -3):
             with pytest.raises(ValueError, match="at least one trial"):
                 gradient_check(hand_instance, FitConfig(distance=SQL2), trials=trials)
+
+
+# Ten records on six distinct leaf-count rows: "((a b) c)" twice, the
+# commuted "(a b)"/"(b a)", "((a b) c)"/"(c (b a))" and "(a (a c))"/
+# "((a c) a)".  The targets of "(a b)" and "(b a)" are opposite, so their
+# unit targets cancel under cosine.  Sorted, the rows are c, b, a, ab, abc
+# and aac: row 3 is ab, while record 3 is "(c (b a))", on row abc.
+SHARED_TEXTS = ["(a b)", "(b a)", "((a b) c)", "(c (b a))", "((a b) c)", "c", "b", "a",
+                "(a (a c))", "((a c) a)"]
+
+
+def shared_rows_dataset(shape):
+    rng = np.random.default_rng(21)
+    reps = [rng.normal(0, 1, shape) for _ in SHARED_TEXTS]
+    reps[1] = -reps[0]
+    return Dataset.build([(f"r{i}", rep, parse_derivation(text))
+                          for i, (rep, text) in enumerate(zip(reps, SHARED_TEXTS))],
+                         VectorShape(*shape) if len(shape) == 1 else CodeShape(*shape))
+
+
+SHAPES = pytest.mark.parametrize("shape", [(4,), (3, 4)], ids=["vector", "code"])
+
+
+class TestDistinctCountRows:
+    @pytest.mark.parametrize("spec,n_rows", [(SQL2, 6), (COSINE, 6), (L1, 10)],
+                             ids=["squared_l2", "cosine", "l1"])
+    def test_row_count_and_cancelled_cosine_row(self, spec, n_rows):
+        rows = solver_module._build_problem(shared_rows_dataset((4,)), spec.kind).rows
+        assert rows.counts.shape == (n_rows, 3)
+        if spec is L1:
+            assert rows.weights is None and rows.constant == 0.0
+        elif spec is COSINE:
+            # The ab row keeps weight 0 and a unit stand-in target.
+            assert rows.counts[3].tolist() == [1.0, 1.0, 0.0]
+            assert rows.weights[3] == 0.0
+            assert np.linalg.norm(rows.targets[3]) == approx(1.0)
+
+    @SHAPES
+    @pytest.mark.parametrize("spec", [SQL2, COSINE, L1], ids=lambda s: s.kind)
+    def test_loss_and_gradient_equal_per_record_sum(self, shape, spec):
+        data = shared_rows_dataset(shape)
+        problem = solver_module._build_problem(data, spec.kind)
+        params = np.random.default_rng(5).normal(0, 1, (3,) + shape)
+        preds, _ = solver_module._problem_forward(problem, params, ADD)
+        loss, dpred = solver_module._problem_loss(problem, ADD, preds)
+        grad, _ = solver_module._problem_backward(problem, ADD, None, dpred, False)
+
+        record_preds = np.tensordot(problem.counts, params, axes=1)
+        expected = math.fsum(distances(spec.kind, record_preds, problem.targets).tolist())
+        _, record_dpred = _loss_and_dpred(spec.kind, record_preds, problem.targets)
+        assert loss == approx(expected, rel=1e-12)
+        np.testing.assert_allclose(grad, np.tensordot(problem.counts.T, record_dpred, axes=1),
+                                   rtol=1e-12, atol=1e-12)
+
+    @SHAPES
+    @pytest.mark.parametrize("spec", [SQL2, COSINE, L1], ids=lambda s: s.kind)
+    def test_final_objective_is_objective_of_table(self, shape, spec):
+        data = shared_rows_dataset(shape)
+        config = FitConfig(distance=spec, steps=300, seed=3)
+        report = fit(data, config)
+        assert report.final_objective == approx(objective(report.table, config, data),
+                                                rel=1e-12)
+
+    @SHAPES
+    @pytest.mark.parametrize("spec", [SQL2, COSINE], ids=lambda s: s.kind)
+    def test_gradient_check(self, shape, spec):
+        config = FitConfig(distance=spec, seed=11)
+        assert gradient_check(shared_rows_dataset(shape), config, trials=10) < 1e-6
+
+    @pytest.mark.parametrize("zeroed", ["abc", "ab"])
+    def test_cosine_rescue_names_primitives_of_zero_records(self, monkeypatch, zeroed):
+        # Entries named in ``zeroed`` start at 0.  The records whose
+        # predictions are then 0, found record by record, must be the ones
+        # whose primitives the fit re-initializes: with "ab", the rows of
+        # "(a b)" and "(b a)", including the cancelled cosine row.
+        real_init = solver_module._init_params
+        start = {}
+
+        def init(problem, seed, restart, scale):
+            params = real_init(problem, seed, restart, scale)
+            for i, sym in enumerate(problem.dag.symbols):
+                if sym.name in zeroed:
+                    params[i] = 0.0
+            start.update(zip(problem.dag.symbols, params.copy()))
+            return params
+
+        monkeypatch.setattr(solver_module, "_init_params", init)
+        data = shared_rows_dataset((4,))
+        report = fit(data, FitConfig(distance=COSINE, steps=20, seed=0))
+        values = eval_compositional(PrimitiveTable(start), ADD,
+                                    [rec.derivation for rec in data])
+        names = sorted({sym.name for rec, value in zip(data, values) if not value.any()
+                        for sym in primitives_of(rec.derivation)})
+        assert names == sorted(zeroed)
+        assert report.diagnostics[0] == (f"step 0: zero-norm cosine prediction; "
+                                         f"re-initialized entries [{', '.join(names)}]")
+        assert np.isfinite(report.aggregate)
 
 
 def reference_backward(dag, values, comp, upstream, learn_weights):

@@ -54,7 +54,9 @@ def composition_gradients(spec, r, s, upstream):
     Returns (grad_r, grad_s), plus the two weight gradients for linear."""
     shape = VectorShape(r.size) if r.ndim == 1 else CodeShape(*r.shape)
     data = Dataset.build([("x", np.zeros_like(r), parse_derivation("(a b)"))], shape)
-    problem = solver._build_problem(data)
+    # Under l1 the additive rows are the records, so ``upstream`` is the one
+    # record's.
+    problem = solver._build_problem(data, "l1")
     params = np.stack([r, s])
     values = solver._forward(problem.dag, params, spec) if isinstance(
         spec, LinearComposition) else None
