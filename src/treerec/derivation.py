@@ -64,13 +64,15 @@ class _Interned:
     def _intern(cls, key, **fields):
         # Each class keeps a weak table from its key, a symbol name or the two
         # child objects, to its one instance; the lock makes check-then-store
-        # atomic across threads.
+        # atomic across threads.  The instance is stored only once its fields
+        # are set, as ``_leaf`` reads the table without the lock.
         with _intern_lock:
             self = cls._table.get(key)
             if self is None:
-                self = cls._table[key] = object.__new__(cls)
+                self = object.__new__(cls)
                 for name, value in fields.items():
                     object.__setattr__(self, name, value)
+                cls._table[key] = self
         return self
 
     def __setattr__(self, name, value=None):
@@ -115,13 +117,16 @@ class Node(_Interned):
 Derivation = Union[Leaf, Node]
 
 
+def _leaf(name: str) -> Leaf:
+    """The leaf of symbol ``name``.  A live one is reused, so only a new
+    name builds and validates a ``Symbol``."""
+    return Leaf._table.get(name) or Leaf(Symbol(name))
+
+
 def _rebuild(names: list[str], left: list[int], right: list[int]) -> Derivation:
     """Re-intern the subtrees of a ``_Dag`` table bottom-up; the root is the
-    last id, as a single derivation's root is its one highest subtree.  A
-    name with a live leaf reuses it, so only a new name builds and validates
-    a ``Symbol``."""
-    live = Leaf._table
-    trees = [live.get(name) or Leaf(Symbol(name)) for name in names]
+    last id, as a single derivation's root is its one highest subtree."""
+    trees = [_leaf(name) for name in names]
     for i in range(len(names), len(left)):
         trees.append(Node(trees[left[i]], trees[right[i]]))
     return trees[-1]
@@ -166,7 +171,7 @@ def parse_derivation(text: str) -> Derivation:
             stack.append(([], offset))
             continue
         else:
-            d = Leaf(Symbol(token))
+            d = _leaf(token)
         # Once ``result`` is set the stack stays empty, as every later '('
         # fails above.
         if not stack:

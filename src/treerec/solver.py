@@ -13,13 +13,10 @@ dataset score is the mean.
 additive / squared-L2 case exactly through the normal equations and serves as
 an independent oracle for the iterative path.
 
-Under additive composition a prediction depends only on the derivation's
-leaf counts, so records with equal counts share one.  ``fit`` and
-``gradient_check`` then sum squared_l2 and cosine over the distinct count
-rows, each weighted, plus a constant (see ``_Problem.rows``); that sum
-equals the per-record one up to rounding.  l1 has no such form and sums
-over the records.  Per-record errors, ``objective`` and ``tre_datum``
-always evaluate every record.
+``fit`` and ``gradient_check`` evaluate the objective through
+``_loss_and_grads``, which sums additive composition over weighted distinct
+leaf-count rows (``_Problem.rows``).  Per-record errors, ``objective`` and
+``tre_datum`` always evaluate every record.
 """
 
 from __future__ import annotations
@@ -325,12 +322,9 @@ class _Adam:
 
 @dataclass(frozen=True)
 class _Rows:
-    """The weighted rows that additive fitting sums over.
-
-    Row ``g`` predicts ``counts[g] @ params`` and adds ``weights[g]`` times
-    its distance to ``targets[g]`` to the objective, which also adds
-    ``constant``.  ``weights`` is None where every row weighs 1.
-    """
+    """The rows that additive fitting sums over (see ``_Problem.rows``): row
+    ``g`` predicts ``counts[g] @ params`` and adds ``weights[g]`` (1 where
+    None) times its distance to ``targets[g]``; ``constant`` is added once."""
 
     counts: np.ndarray                  # (rows, P)
     targets: np.ndarray                 # (rows, *shape)
@@ -355,9 +349,9 @@ class _Problem:
 
     @cached_property
     def rows(self) -> _Rows:
-        """The rows of the additive objective, whose sum over records equals
-        a weighted sum over the distinct leaf-count rows ``u`` (the records
-        of a row share one prediction ``p = u @ params``):
+        """The rows of the additive objective, whose sum over records equals,
+        up to rounding, a weighted sum over the distinct leaf-count rows ``u``
+        (the records of a row share one prediction ``p = u @ params``):
 
         * squared_l2: over the row's m records,
           sum_k |p - y_k|^2 = m |p - mean(y)|^2 + sum_k |y_k - mean(y)|^2,
@@ -371,9 +365,7 @@ class _Problem:
         """
         if self.kind == "l1":
             return _Rows(self.counts, self.targets, None, 0.0)
-        counts, first, inverse, sizes = np.unique(
-            self.counts, axis=0, return_index=True, return_inverse=True, return_counts=True)
-        inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it 2-D for an axis
+        counts, first, inverse, sizes = _distinct_rows(self.counts)
         flat = self.targets.reshape(len(self.targets), -1)
         sums = np.zeros((len(counts), flat.shape[1]))
         shape = (len(counts),) + self.targets.shape[1:]
@@ -383,11 +375,7 @@ class _Problem:
             scatter = flat - means[inverse]
             constant = math.fsum((scatter * scatter).sum(axis=1).tolist())
             return _Rows(counts, means.reshape(shape), sizes, constant)
-        norms = np.linalg.norm(flat, axis=1)
-        if not norms.all():
-            raise ZeroNormError("cosine distance is undefined for a zero-norm "
-                                "operand", np.flatnonzero(norms == 0.0).tolist())
-        units = flat / norms[:, None]
+        units = flat / np.linalg.norm(flat, axis=1)[:, None]
         np.add.at(sums, inverse, units)
         weights = np.linalg.norm(sums, axis=1)
         cancelled = weights == 0.0
@@ -396,39 +384,47 @@ class _Problem:
         return _Rows(counts, sums.reshape(shape), weights, constant)
 
 
+def _distinct_rows(matrix: np.ndarray):
+    """``np.unique(matrix, axis=0, return_index=True, return_inverse=True,
+    return_counts=True)``, computed with one stable lexicographic sort
+    instead of the void-dtype sort ``np.unique`` makes for an axis."""
+    order = np.lexsort(matrix.T[::-1])
+    ordered = matrix[order]
+    new = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]
+    starts = np.flatnonzero(new)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[starts], order[starts], inverse, np.diff(starts, append=len(order))
+
+
 def _build_problem(dataset: Dataset, kind: str) -> _Problem:
-    return _Problem(_compile(rec.derivation for rec in dataset.records),
-                    np.stack([rec.representation for rec in dataset.records]), kind)
+    """Under cosine, raises ZeroNormError naming the first record whose
+    representation has norm 0."""
+    targets = np.stack([rec.representation for rec in dataset.records])
+    if kind == "cosine":
+        zero = np.flatnonzero(np.linalg.norm(targets.reshape(len(targets), -1), axis=1) == 0.0)
+        if zero.size:
+            raise ZeroNormError(f"cosine distance is undefined for zero-norm representation "
+                                f"in record {dataset.records[zero[0]].id!r}", zero.tolist())
+    return _Problem(_compile(rec.derivation for rec in dataset.records), targets, kind)
 
 
-def _problem_forward(problem: _Problem, params: np.ndarray, comp: CompositionSpec):
-    """Predictions of the rows the objective sums over, plus the subtree
-    values backward needs.
-
-    Additive composition is linear in the parameters, so it multiplies the
-    distinct leaf-count rows of ``problem.rows`` instead of walking the DAG;
-    linear composition predicts every record."""
-    if isinstance(comp, AdditiveComposition):
-        return np.tensordot(problem.rows.counts, params, axes=1), None
-    values = _forward(problem.dag, params, comp)
-    return values[problem.dag.roots], values
-
-
-def _problem_loss(problem: _Problem, comp: CompositionSpec, preds: np.ndarray):
-    """The summed objective at ``_problem_forward``'s predictions and its
-    gradient with respect to them."""
+def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec,
+                    learn_weights: bool):
+    """The objective at ``params`` and its gradients for the parameter rows
+    and, when ``learn_weights``, the two weight matrices (else None).  The one
+    place the objective depends on the composition: additive, linear in the
+    parameters, multiplies the weighted distinct leaf-count rows of
+    ``problem.rows`` and their transpose; linear runs ``_forward`` and
+    ``_backward`` over the DAG and sums over the records."""
     if isinstance(comp, AdditiveComposition):
         rows = problem.rows
-        loss, dpred = _loss_and_dpred(problem.kind, preds, rows.targets, rows.weights)
-        return loss + rows.constant, dpred
-    return _loss_and_dpred(problem.kind, preds, problem.targets)
-
-
-def _problem_backward(problem: _Problem, comp: CompositionSpec, values,
-                      dpred: np.ndarray, learn_weights: bool):
-    if isinstance(comp, AdditiveComposition):
-        return np.tensordot(problem.rows.counts.T, dpred, axes=1), None
-    return _backward(problem.dag, values, comp, dpred, learn_weights)
+        loss, dpred = _loss_and_dpred(problem.kind, np.tensordot(rows.counts, params, axes=1),
+                                      rows.targets, rows.weights)
+        return loss + rows.constant, np.tensordot(rows.counts.T, dpred, axes=1), None
+    values = _forward(problem.dag, params, comp)
+    loss, dpred = _loss_and_dpred(problem.kind, values[problem.dag.roots], problem.targets)
+    return (loss, *_backward(problem.dag, values, comp, dpred, learn_weights))
 
 
 def _init_params(problem: _Problem, seed: int, restart: int, scale: float) -> np.ndarray:
@@ -473,11 +469,10 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
     objective.  The dataset's derivations are compiled once into a DAG of
     distinct subtrees, and every step evaluates and differentiates that DAG
     in a fixed order, so runs are bit-reproducible given (dataset order,
-    config).  Additive composition skips the DAG: each step multiplies the
-    distinct leaf-count rows, and for squared_l2 and cosine the objective is
-    their weighted sum plus a constant (``_Problem.rows``), which equals the
-    sum over records up to rounding.  The per-record errors of the report
-    are evaluated record by record.
+    config).  Each step is one ``_loss_and_grads`` call, which under additive
+    composition uses weighted distinct leaf-count rows instead of the DAG.
+    Per-record errors are evaluated record by record.  Under cosine, a
+    zero-norm representation raises ZeroNormError naming its record.
     """
     if isinstance(config.composition, LinearComposition):
         if not config.learn_composition and not config.composition.has_weights:
@@ -489,12 +484,6 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
             f"{getattr(config.composition, 'kind', config.composition)!r}"
         )
     problem = _build_problem(dataset, config.distance.kind)
-    if config.distance.kind == "cosine":
-        norms = np.linalg.norm(problem.targets.reshape(len(dataset), -1), axis=1)
-        if not norms.all():
-            rid = dataset.records[int(np.argmin(norms))].id
-            raise ValueError(f"cosine distance is undefined for zero-norm "
-                             f"representation in record {rid!r}")
     if isinstance(config.composition, LinearComposition) and config.composition.has_weights:
         if config.composition.left_weights.shape[0] != problem.targets.shape[1]:
             raise ValueError("composition weights do not match the dataset shape")
@@ -537,22 +526,19 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int):
     step = 0
     while True:
         try:
-            preds, values = _problem_forward(problem, params, comp)
-            obj, dpred = _problem_loss(problem, comp, preds)
+            obj, grad_params, grad_weights = _loss_and_grads(problem, params, comp, learn)
         except ZeroNormError as zero:
             rescues += 1
             if rescues > _MAX_COSINE_RESCUES:
                 raise DivergenceError(
                     step, f"cosine predictions collapsed to zero norm at step {step} "
                           f"and re-initialization did not recover")
-            # The rows of additive composition are distinct leaf-count rows;
-            # those of linear composition are the records.
+            # Additive rows are distinct leaf-count rows, linear rows the records.
             counts = (problem.rows if isinstance(comp, AdditiveComposition) else problem).counts
             rows = np.flatnonzero(counts[list(zero.rows)].any(axis=0)).tolist()
             for row in rows:
                 rng = _rng(config.seed, 2, restart, rescues, row)
-                params[row] = rng.normal(0.0, config.init_scale,
-                                         params.shape[1:])
+                params[row] = rng.normal(0.0, config.init_scale, params.shape[1:])
             opt_params.reset_rows(rows)
             names = ", ".join(problem.dag.symbols[r].name for r in rows)
             diagnostics.append(
@@ -574,7 +560,6 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int):
                 converged = True
                 break
 
-        grad_params, grad_weights = _problem_backward(problem, comp, values, dpred, learn)
         opt_params.step(params, grad_params)
         if learn:
             opt_weights[0].step(comp.left_weights, grad_weights[0])
@@ -622,21 +607,20 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
     """Worst relative error of analytic objective gradients vs central
     finite differences, over ``trials`` random evaluation points.
 
-    For the l1 objective, points whose residuals sit within
+    For the l1 objective, points with a per-record residual within
     ``GRADCHECK_KINK_TOL`` of a sign tie are redrawn, since the subgradient
-    is not a derivative there.  The numeric side sums the per-record errors
-    of the forward pass over the dataset's DAG, compiled once per check; the
-    analytic side is the optimizer's own forward, loss and backward (the
-    weighted distinct leaf-count rows for additive composition, the
-    level-batched backward pass for linear), so it also checks that the
-    weighted sum equals the per-record one.  Raises ValueError unless
-    ``trials`` is at least 1, as a check of no points would report a
-    perfect 0.0.
+    is not a derivative there; for cosine, points with a prediction of norm
+    at most 1e-3.  A trial with no usable point in 64 draws raises
+    ValueError, as does ``trials`` below 1: a check of no points would
+    report a perfect 0.0.  The numeric side sums the per-record errors of
+    the forward pass over the dataset's DAG, compiled once per check; the
+    analytic side is the optimizer's own ``_loss_and_grads``, so it also
+    checks that the sum over its rows equals the per-record one.
     """
     if trials < 1:
         raise ValueError(f"gradient check needs at least one trial, got {trials}")
     problem = _build_problem(dataset, config.distance.kind)
-    shape = problem.targets.shape[1:]
+    dag, shape = problem.dag, problem.targets.shape[1:]
     learn = config.learn_composition
     is_linear = isinstance(config.composition, LinearComposition)
     random_weights = is_linear and (learn or not config.composition.has_weights)
@@ -644,37 +628,32 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
     worst = 0.0
 
     for trial in range(trials):
-        params = None
         for attempt in range(64):
             rng = _rng(config.seed, 3, trial, attempt)
-            params = rng.normal(0.0, 1.0, (len(problem.dag.symbols),) + shape)
+            params = rng.normal(0.0, 1.0, (len(dag.symbols),) + shape)
             if random_weights:
                 side = shape[0]
                 comp = LinearComposition(
                     np.eye(side) + 0.5 * rng.normal(0.0, 1.0, (side, side)),
                     np.eye(side) + 0.5 * rng.normal(0.0, 1.0, (side, side)))
-            preds, values = _problem_forward(problem, params, comp)
-            # Under l1 the rows are the records under either composition, so
-            # the kink test is per record; a cosine row's prediction is
-            # that of each of its records.
+            preds = _forward(dag, params, comp)[dag.roots]
             if config.distance.kind == "l1":
                 if np.abs(preds - problem.targets).min() <= GRADCHECK_KINK_TOL:
                     continue
             if config.distance.kind == "cosine":
-                norms = np.linalg.norm(preds.reshape(len(preds), -1), axis=1)
-                if norms.min() <= 1e-3:
+                if np.linalg.norm(preds.reshape(len(preds), -1), axis=1).min() <= 1e-3:
                     continue
             break
+        else:
+            raise ValueError(f"gradient check trial {trial}: no point in 64 draws is away from "
+                             f"where the {config.distance.kind} objective has no derivative")
 
-        _, dpred = _problem_loss(problem, comp, preds)
-        grad_params, grad_weights = _problem_backward(problem, comp, values, dpred, learn)
-        table = PrimitiveTable(dict(zip(problem.dag.symbols, params)),
-                               comp if is_linear else None)
+        _, grad_params, grad_weights = _loss_and_grads(problem, params, comp, learn)
+        table = PrimitiveTable(dict(zip(dag.symbols, params)), comp if is_linear else None)
 
         blocks = [(params, grad_params)]
         if learn:
-            blocks.append((comp.left_weights, grad_weights[0]))
-            blocks.append((comp.right_weights, grad_weights[1]))
+            blocks += zip((comp.left_weights, comp.right_weights), grad_weights)
         for block, analytic in blocks:
             flat = block.ravel()
             for k in range(flat.size):
@@ -686,8 +665,7 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
                 flat[k] = orig
                 numeric = (hi - lo) / (2.0 * GRADCHECK_STEP)
                 a = analytic.ravel()[k]
-                err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
-                worst = max(worst, err)
+                worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1.0))
     return worst
 
 

@@ -12,11 +12,14 @@ Core claims:
       shape is a format error
     - a JSON boolean, or an integer beyond float range, is not a number
       anywhere in a dataset file
+    - every line of the README's command-line example exits 0
 """
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,3 +528,21 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1"
+
+
+def readme_commands() -> list[str]:
+    """The lines of the ``sh`` block under README.md's ``## Command line``,
+    with backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 7
+    for line in commands:
+        program, *args = shlex.split(line, comments=True)
+        assert program == "treerec"
+        assert run_cli(*args, capsys=capsys)[0] == 0, line

@@ -20,6 +20,7 @@ import copy
 import pickle
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -249,6 +250,20 @@ class TestInterning:
         for trees in results[1:]:
             assert all(a is b for a, b in zip(trees, results[0], strict=True))
         assert [format_derivation(t) for t in results[0]] == texts
+
+    def test_a_leaf_is_complete_before_its_table_holds_it(self, monkeypatch):
+        # Parsing looks a leaf up without the intern lock, so another thread
+        # can find a leaf as soon as the table holds it.
+        stored = []
+
+        class CheckingTable(weakref.WeakValueDictionary):
+            def __setitem__(self, key, leaf):
+                stored.append((key, leaf.symbol.name, leaf._size, leaf._height))
+                super().__setitem__(key, leaf)
+
+        monkeypatch.setattr(Leaf, "_table", CheckingTable())
+        parse_derivation("(complete_a (complete_b complete_a))")
+        assert stored == [("complete_a", "complete_a", 1, 0), ("complete_b", "complete_b", 1, 0)]
 
 
 class TestParse:

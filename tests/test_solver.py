@@ -47,6 +47,7 @@ from treerec import (
     Record,
     Symbol,
     VectorShape,
+    ZeroNormError,
     all_derivations,
     closed_form_fit,
     eval_compositional,
@@ -304,6 +305,20 @@ class TestFit:
         with pytest.raises(ValueError, match="zero-norm"):
             fit(ds, FitConfig(distance=COSINE))
 
+    @pytest.mark.parametrize("config", [
+        FitConfig(distance=COSINE),
+        FitConfig(distance=COSINE, composition=LinearComposition(), learn_composition=True)],
+        ids=["additive", "linear"])
+    def test_cosine_zero_norm_error_names_first_zero_record(self, config):
+        ds = vec_dataset([("x", [1.0, 0.0], "a"), ("y", [0.0, 0.0], "b"),
+                          ("z", [0.0, 0.0], "(a b)")], dim=2)
+        for call in (lambda: fit(ds, config), lambda: gradient_check(ds, config, trials=1)):
+            with pytest.raises(ZeroNormError) as err:
+                call()
+            assert str(err.value) == ("cosine distance is undefined for zero-norm "
+                                      "representation in record 'y'")
+            assert err.value.rows == (1, 2)
+
     def test_cosine_zero_prediction_rescue(self, monkeypatch):
         # Force the degenerate start: all-zero parameters make every cosine
         # prediction undefined, so the fit must re-initialize and recover.
@@ -462,6 +477,16 @@ class TestGradientCheckOperation:
             with pytest.raises(ValueError, match="at least one trial"):
                 gradient_check(hand_instance, FitConfig(distance=SQL2), trials=trials)
 
+    @pytest.mark.parametrize("composition", [ADD, LinearComposition()], ids=["additive", "linear"])
+    def test_no_point_clear_of_kinks_is_an_error(self, hand_instance, monkeypatch, composition):
+        # Every residual is within an infinite tolerance of a tie, so every
+        # draw is refused; evaluating at the last one would misreport.
+        monkeypatch.setattr(solver_module, "GRADCHECK_KINK_TOL", math.inf)
+        config = FitConfig(distance=L1, composition=composition,
+                           learn_composition=composition is not ADD)
+        with pytest.raises(ValueError, match="trial 0: no point in 64 draws"):
+            gradient_check(hand_instance, config, trials=3)
+
 
 # Ten records on six distinct leaf-count rows: "((a b) c)" twice, the
 # commuted "(a b)"/"(b a)", "((a b) c)"/"(c (b a))" and "(a (a c))"/
@@ -498,15 +523,23 @@ class TestDistinctCountRows:
             assert rows.weights[3] == 0.0
             assert np.linalg.norm(rows.targets[3]) == approx(1.0)
 
+    def test_distinct_rows_match_numpy_unique(self):
+        rng = np.random.default_rng(8)
+        shared = solver_module._build_problem(shared_rows_dataset((4,)), "l1").counts
+        for counts in (shared, rng.integers(0, 3, (500, 4)).astype(float)):
+            got = solver_module._distinct_rows(counts)
+            expected = np.unique(counts, axis=0, return_index=True, return_inverse=True,
+                                 return_counts=True)
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a, b.reshape(a.shape))
+
     @SHAPES
     @pytest.mark.parametrize("spec", [SQL2, COSINE, L1], ids=lambda s: s.kind)
     def test_loss_and_gradient_equal_per_record_sum(self, shape, spec):
         data = shared_rows_dataset(shape)
         problem = solver_module._build_problem(data, spec.kind)
         params = np.random.default_rng(5).normal(0, 1, (3,) + shape)
-        preds, _ = solver_module._problem_forward(problem, params, ADD)
-        loss, dpred = solver_module._problem_loss(problem, ADD, preds)
-        grad, _ = solver_module._problem_backward(problem, ADD, None, dpred, False)
+        loss, grad, _ = solver_module._loss_and_grads(problem, params, ADD, False)
 
         record_preds = np.tensordot(problem.counts, params, axes=1)
         expected = math.fsum(distances(spec.kind, record_preds, problem.targets).tolist())

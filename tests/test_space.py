@@ -54,14 +54,16 @@ def composition_gradients(spec, r, s, upstream):
     Returns (grad_r, grad_s), plus the two weight gradients for linear."""
     shape = VectorShape(r.size) if r.ndim == 1 else CodeShape(*r.shape)
     data = Dataset.build([("x", np.zeros_like(r), parse_derivation("(a b)"))], shape)
-    # Under l1 the additive rows are the records, so ``upstream`` is the one
-    # record's.
     problem = solver._build_problem(data, "l1")
-    params = np.stack([r, s])
-    values = solver._forward(problem.dag, params, spec) if isinstance(
+    if isinstance(spec, AdditiveComposition):
+        # The additive backward pass of ``_loss_and_grads``: the transpose of
+        # the rows, which under l1 are the records, so ``upstream`` is the
+        # one record's.
+        return tuple(np.tensordot(problem.rows.counts.T, upstream[None], axes=1))
+    values = solver._forward(problem.dag, np.stack([r, s]), spec) if isinstance(
         spec, LinearComposition) else None
-    grads, weights = solver._problem_backward(problem, spec, values, upstream[None], True)
-    return (grads[0], grads[1]) + (weights or ())
+    grads, weights = solver._backward(problem.dag, values, spec, upstream[None], True)
+    return (grads[0], grads[1]) + weights
 
 
 def central_difference(f, x, h=1e-5):
