@@ -82,11 +82,23 @@ def dataset_to_lines(dataset: Dataset, alphabet: str | None = None) -> list[str]
     return lines
 
 
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``, newlines translated as ``Path.read_text``
+    does; bytes that are not UTF-8 raise DatasetFormatError with their line.
+    (UTF-8 multi-byte sequences never contain the bytes of CR or LF.)"""
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DatasetFormatError(data.count(b"\n", 0, e.start) + 1,
+                                 f"not UTF-8: byte 0x{data[e.start]:02x}") from None
+
+
 def read_dataset(path: str | Path) -> tuple[Dataset, str | None]:
     """Parse a dataset file; returns the dataset and the declared alphabet
     (None for vector-shaped data).  Raises DatasetFormatError with the
     offending 1-based line number."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     raw_lines = [ln for ln in text.splitlines()]
     numbered = [(i + 1, ln) for i, ln in enumerate(raw_lines) if ln.strip()]
     if not numbered:
@@ -270,7 +282,7 @@ def load_report(path: str | Path) -> tuple[dict, PrimitiveTable, Shape]:
     re-evaluation against the original dataset.  Malformed JSON, shape,
     primitives or composition weights raise DatasetFormatError with the line
     of the key at fault."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

@@ -15,8 +15,8 @@ an independent oracle for the iterative path.
 
 ``fit`` and ``gradient_check`` evaluate the objective through
 ``_loss_and_grads``, which sums additive composition over weighted distinct
-leaf-count rows (``_Problem.rows``).  Per-record errors, ``objective`` and
-``tre_datum`` always evaluate every record.
+leaf-count rows (``_Problem.rows``).  Every per-record error is one
+``_record_errors`` pass over the records' DAG at the parameters in use.
 """
 
 from __future__ import annotations
@@ -128,7 +128,8 @@ class FitConfig:
     The optimizer itself is inherent to nothing in the data: defaults here
     (Adam, lr 0.01, 1000 steps) are chosen for robustness across the cosine /
     l1 / squared-L2 objectives without per-dataset tuning.  ``restarts``
-    defaults to 1, or 5 when the composition weights are learned.
+    defaults to 1, or 5 when the composition weights are learned.  Learned
+    weights start near the identity (see ``fit``), so none may be given.
     """
 
     distance: DistanceSpec
@@ -155,6 +156,8 @@ class FitConfig:
             raise ValueError("restarts must be positive")
         if self.learn_composition and not isinstance(self.composition, LinearComposition):
             raise ValueError("only linear composition weights can be learned")
+        if self.learn_composition and self.composition.has_weights:
+            raise ValueError("learned weights start from the identity; give no matrices")
 
     @property
     def effective_restarts(self) -> int:
@@ -197,35 +200,36 @@ def eval_compositional(table: PrimitiveTable, comp: CompositionSpec,
     return values[0] if single else values
 
 
-def _effective_composition(config: FitConfig, table: PrimitiveTable) -> CompositionSpec:
+def _record_errors(problem: _Problem, params: np.ndarray, comp: CompositionSpec) -> list[float]:
+    """Per-record distances of ``problem``'s targets to their predictions at
+    ``params`` under ``comp``: the one evaluation behind every reported error."""
+    dag = problem.dag
+    return distances(problem.kind, problem.targets,
+                     _forward(dag, params, comp)[dag.roots]).tolist()
+
+
+def _table_errors(table: PrimitiveTable, config: FitConfig,
+                  records: Iterable[Record]) -> list[float]:
+    """Per-record errors of ``records`` at ``table``, compiled together.  A
+    linear composition without matrices takes the table's."""
+    problem = _build_problem(records, config.distance.kind)
     comp = config.composition
     if isinstance(comp, LinearComposition) and not comp.has_weights:
         if table.composition_params is None:
             raise ValueError("linear composition weights are neither in the "
                              "config nor in the table")
-        return table.composition_params
-    return comp
-
-
-def _record_errors(table: PrimitiveTable, config: FitConfig, problem: _Problem) -> list[float]:
-    """Per-record distances of ``problem``'s targets to their predictions."""
-    comp = _effective_composition(config, table)
-    dag = problem.dag
-    preds = _forward(dag, _table_params(table, dag), comp)[dag.roots]
-    return distances(config.distance.kind, problem.targets, preds).tolist()
+        comp = table.composition_params
+    return _record_errors(problem, _table_params(table, problem.dag), comp)
 
 
 def tre_datum(table: PrimitiveTable, config: FitConfig, record: Record) -> float:
     """Distance between the stored representation and the composed prediction."""
-    problem = _Problem(_compile([record.derivation]), np.stack([record.representation]),
-                       config.distance.kind)
-    return _record_errors(table, config, problem)[0]
+    return _table_errors(table, config, [record])[0]
 
 
 def objective(table: PrimitiveTable, config: FitConfig, dataset: Dataset) -> float:
     """Sum (not mean) of per-record errors at the current table."""
-    return math.fsum(_record_errors(table, config,
-                                    _build_problem(dataset, config.distance.kind)))
+    return math.fsum(_table_errors(table, config, dataset))
 
 
 # -- internal optimization machinery -----------------------------------------
@@ -397,16 +401,17 @@ def _distinct_rows(matrix: np.ndarray):
     return ordered[starts], order[starts], inverse, np.diff(starts, append=len(order))
 
 
-def _build_problem(dataset: Dataset, kind: str) -> _Problem:
+def _build_problem(records: Iterable[Record], kind: str) -> _Problem:
     """Under cosine, raises ZeroNormError naming the first record whose
     representation has norm 0."""
-    targets = np.stack([rec.representation for rec in dataset.records])
+    records = tuple(records)
+    targets = np.stack([rec.representation for rec in records])
     if kind == "cosine":
         zero = np.flatnonzero(np.linalg.norm(targets.reshape(len(targets), -1), axis=1) == 0.0)
         if zero.size:
             raise ZeroNormError(f"cosine distance is undefined for zero-norm representation "
-                                f"in record {dataset.records[zero[0]].id!r}", zero.tolist())
-    return _Problem(_compile(rec.derivation for rec in dataset.records), targets, kind)
+                                f"in record {records[zero[0]].id!r}", zero.tolist())
+    return _Problem(_compile(rec.derivation for rec in records), targets, kind)
 
 
 def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec,
@@ -444,13 +449,12 @@ def _init_weights(problem: _Problem, seed: int, restart: int, scale: float):
     return lw, rw
 
 
-def _table_from(problem: _Problem, params: np.ndarray, comp: CompositionSpec,
-                learned: bool) -> PrimitiveTable:
+def _table_from(problem: _Problem, params: np.ndarray,
+                comp: LinearComposition | None = None) -> PrimitiveTable:
     entries = {sym: params[i].copy() for i, sym in enumerate(problem.dag.symbols)}
-    comp_params = None
-    if learned:
-        comp_params = LinearComposition(comp.left_weights.copy(), comp.right_weights.copy())
-    return PrimitiveTable(entries, comp_params)
+    if comp is not None:
+        comp = LinearComposition(comp.left_weights.copy(), comp.right_weights.copy())
+    return PrimitiveTable(entries, comp)
 
 
 def _aggregate(per_datum: dict[str, float]) -> float:
@@ -471,8 +475,8 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
     in a fixed order, so runs are bit-reproducible given (dataset order,
     config).  Each step is one ``_loss_and_grads`` call, which under additive
     composition uses weighted distinct leaf-count rows instead of the DAG.
-    Per-record errors are evaluated record by record.  Under cosine, a
-    zero-norm representation raises ZeroNormError naming its record.
+    Per-record errors come from the winning restart's parameters.  Under
+    cosine, a zero-norm representation raises ZeroNormError naming its record.
     """
     if isinstance(config.composition, LinearComposition):
         if not config.learn_composition and not config.composition.has_weights:
@@ -492,13 +496,12 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
     _, params, comp, trace, converged, diagnostics = min(
         (_fit_once(problem, config, restart) for restart in range(config.effective_restarts)),
         key=lambda outcome: outcome[0])
-    table = _table_from(problem, params, comp, config.learn_composition)
-    errors = _record_errors(table, config, problem)
+    errors = _record_errors(problem, params, comp)
     per_datum = {rec.id: e for rec, e in zip(dataset.records, errors)}
     return TreReport(
         per_datum=per_datum,
         aggregate=_aggregate(per_datum),
-        table=table,
+        table=_table_from(problem, params, comp if config.learn_composition else None),
         objective_trace=tuple(trace),
         converged=converged,
         diagnostics=tuple(diagnostics),
@@ -590,14 +593,11 @@ def closed_form_fit(dataset: Dataset,
 
     errors = distances("squared_l2", problem.counts @ solution, flat_targets).tolist()
     per_datum = {rec.id: e for rec, e in zip(dataset.records, errors)}
-    shape = problem.targets.shape[1:]
-    entries = {sym: solution[i].reshape(shape).copy()
-               for i, sym in enumerate(problem.dag.symbols)}
     total = math.fsum(per_datum.values())
     return TreReport(
         per_datum=per_datum,
         aggregate=_aggregate(per_datum),
-        table=PrimitiveTable(entries),
+        table=_table_from(problem, solution.reshape((-1,) + problem.targets.shape[1:])),
         objective_trace=((0, total),),
         converged=True,
     )
@@ -612,9 +612,9 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
     is not a derivative there; for cosine, points with a prediction of norm
     at most 1e-3.  A trial with no usable point in 64 draws raises
     ValueError, as does ``trials`` below 1: a check of no points would
-    report a perfect 0.0.  The numeric side sums the per-record errors of
-    the forward pass over the dataset's DAG, compiled once per check; the
-    analytic side is the optimizer's own ``_loss_and_grads``, so it also
+    report a perfect 0.0.  The numeric side sums ``_record_errors`` over the
+    DAG compiled once per check; the analytic side is the optimizer's own
+    ``_loss_and_grads`` at the same parameters and weights, so it also
     checks that the sum over its rows equals the per-record one.
     """
     if trials < 1:
@@ -622,9 +622,8 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
     problem = _build_problem(dataset, config.distance.kind)
     dag, shape = problem.dag, problem.targets.shape[1:]
     learn = config.learn_composition
-    is_linear = isinstance(config.composition, LinearComposition)
-    random_weights = is_linear and (learn or not config.composition.has_weights)
     comp = config.composition
+    random_weights = isinstance(comp, LinearComposition) and not comp.has_weights
     worst = 0.0
 
     for trial in range(trials):
@@ -649,7 +648,6 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
                              f"where the {config.distance.kind} objective has no derivative")
 
         _, grad_params, grad_weights = _loss_and_grads(problem, params, comp, learn)
-        table = PrimitiveTable(dict(zip(dag.symbols, params)), comp if is_linear else None)
 
         blocks = [(params, grad_params)]
         if learn:
@@ -659,9 +657,9 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
             for k in range(flat.size):
                 orig = flat[k]
                 flat[k] = orig + GRADCHECK_STEP
-                hi = math.fsum(_record_errors(table, config, problem))
+                hi = math.fsum(_record_errors(problem, params, comp))
                 flat[k] = orig - GRADCHECK_STEP
-                lo = math.fsum(_record_errors(table, config, problem))
+                lo = math.fsum(_record_errors(problem, params, comp))
                 flat[k] = orig
                 numeric = (hi - lo) / (2.0 * GRADCHECK_STEP)
                 a = analytic.ravel()[k]

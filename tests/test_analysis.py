@@ -53,6 +53,7 @@ from treerec import (
     size,
     spearman,
     topographic_similarity,
+    tre_datum,
 )
 
 L1 = DistanceSpec("l1")
@@ -272,6 +273,21 @@ class TestBoundCheck:
                                ds.records[j].representation)
                 assert lhs <= tree_d[i][j] + 1e-9
 
+    def test_epsilon_is_worst_tre_datum(self):
+        # One evaluation of the whole dataset gives each record the error,
+        # to the bit, that evaluating it alone gives.
+        rng = np.random.default_rng(8)
+        table = PrimitiveTable(unit_ball_entries([Symbol(s) for s in "abcd"], 5, rng))
+        texts = ["a", "(a b)", "((a b) c)", "(d (c a))", "(b b)", "(((a d) c) b)", "(a b)"]
+        rows = [(f"r{i}", eval_compositional(table, ADD, parse_derivation(text))
+                 + rng.normal(0, 0.05, 5), parse_derivation(text))
+                for i, text in enumerate(texts)]
+        ds = Dataset.build(rows, VectorShape(5))
+        report = bound_check(ds, table, ADD, L1)
+        assert report.epsilon > 0
+        assert report.epsilon == max(tre_datum(table, FitConfig(distance=L1), rec)
+                                     for rec in ds)
+
     def test_fitted_noisy_dataset_rescaled(self):
         data, _ = generate_compositional(
             GenSpec(num_primitives=5, shape=VectorShape(6), depth_range=(1, 3),
@@ -378,9 +394,17 @@ class TestMutualInformation:
         got = mutual_information_binned(["a", "b", "c"], reps, bins=4)
         assert got == approx(np.log2(3))
 
+    def test_array_labels_equal_list_labels(self):
+        labels = [0, 1, 0, 1]
+        reps = [np.array([0.0]), np.array([1.0]), np.array([0.0]), np.array([1.0])]
+        got = mutual_information_binned(np.array(labels), reps, bins=2)
+        assert got == mutual_information_binned(labels, reps, bins=2) == approx(1.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mutual_information_binned([], [])
+        with pytest.raises(ValueError, match="^empty input$"):
+            mutual_information_binned(np.array([]), np.zeros((0, 2)))
         with pytest.raises(ValueError):
             mutual_information_binned(["a"], [np.zeros(2)], bins=1)
         with pytest.raises(ValueError):

@@ -161,6 +161,24 @@ class TestDatasetFiles:
             read_dataset(path)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("reader", [read_dataset, load_report],
+                             ids=["dataset", "report"])
+    def test_non_utf8_byte_carries_line_number(self, hand_file, tmp_path, capsys, reader):
+        path = tmp_path / "latin1.jsonl"
+        if reader is load_report:
+            run_cli("fit", str(hand_file), "--steps", "5", "--out", str(path), capsys=capsys)
+            lines = path.read_bytes().splitlines(keepends=True)
+        else:
+            lines = hand_file.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"', b'"\xff', 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DatasetFormatError, match="^line 3: not UTF-8: byte 0xff$"):
+            reader(path)
+        if reader is read_dataset:
+            code, _, err = run_cli("fit", str(path), capsys=capsys)
+            assert code == 1
+            assert err == "error: line 3: not UTF-8: byte 0xff\n"
+
     def test_token_outside_alphabet(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"length": 2, "vocab": 2, "alphabet": "ab"}\n'

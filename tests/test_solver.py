@@ -312,12 +312,18 @@ class TestFit:
     def test_cosine_zero_norm_error_names_first_zero_record(self, config):
         ds = vec_dataset([("x", [1.0, 0.0], "a"), ("y", [0.0, 0.0], "b"),
                           ("z", [0.0, 0.0], "(a b)")], dim=2)
-        for call in (lambda: fit(ds, config), lambda: gradient_check(ds, config, trials=1)):
+        table = PrimitiveTable({Symbol("a"): np.ones(2), Symbol("b"): np.ones(2)},
+                               LinearComposition(np.eye(2), np.eye(2)))
+        calls = [(lambda: fit(ds, config), (1, 2)),
+                 (lambda: gradient_check(ds, config, trials=1), (1, 2)),
+                 (lambda: objective(table, config, ds), (1, 2)),
+                 (lambda: tre_datum(table, config, ds.records[1]), (0,))]
+        for call, rows in calls:
             with pytest.raises(ZeroNormError) as err:
                 call()
             assert str(err.value) == ("cosine distance is undefined for zero-norm "
                                       "representation in record 'y'")
-            assert err.value.rows == (1, 2)
+            assert err.value.rows == rows
 
     def test_cosine_zero_prediction_rescue(self, monkeypatch):
         # Force the degenerate start: all-zero parameters make every cosine
@@ -349,6 +355,13 @@ class TestFit:
             FitConfig(distance=SQL2, learning_rate=-1.0)
         with pytest.raises(ValueError):
             FitConfig(distance=SQL2, learn_composition=True)  # additive weights
+
+    def test_learned_weights_take_no_matrices(self):
+        # Learned weights start near the identity, so a fit would ignore
+        # the given matrices and its report would evaluate with them.
+        with pytest.raises(ValueError, match="identity"):
+            FitConfig(distance=SQL2, composition=LinearComposition(np.eye(2), np.eye(2)),
+                      learn_composition=True)
 
     @pytest.mark.parametrize("field", ["learning_rate", "init_scale", "convergence_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -549,11 +562,19 @@ class TestDistinctCountRows:
                                    rtol=1e-12, atol=1e-12)
 
     @SHAPES
-    @pytest.mark.parametrize("spec", [SQL2, COSINE, L1], ids=lambda s: s.kind)
-    def test_final_objective_is_objective_of_table(self, shape, spec):
+    @pytest.mark.parametrize("spec,learned", [(s, learned) for learned in (False, True)
+                                              for s in (SQL2, COSINE, L1)],
+                             ids=["squared_l2", "cosine", "l1", "learned_linear-squared_l2",
+                                  "learned_linear-cosine", "learned_linear-l1"])
+    def test_final_objective_is_objective_of_table(self, shape, spec, learned):
         data = shared_rows_dataset(shape)
         config = FitConfig(distance=spec, steps=300, seed=3)
+        if learned:
+            config = FitConfig(distance=spec, composition=LinearComposition(),
+                               learn_composition=True, steps=300, seed=3, restarts=2)
         report = fit(data, config)
+        assert math.fsum(report.per_datum.values()) == approx(report.final_objective,
+                                                              rel=1e-12)
         assert report.final_objective == approx(objective(report.table, config, data),
                                                 rel=1e-12)
 
