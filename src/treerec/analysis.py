@@ -188,9 +188,15 @@ def bound_check(dataset: Dataset, table: PrimitiveTable, comp: CompositionSpec,
             raise ConditionsUnmetError(
                 f"conditions unmet: entry {sym.name!r} lies outside the unit "
                 f"ball (distance to origin {d0:.6g})")
-    for (sym_a, va), (sym_b, vb) in itertools.combinations(entries, 2):
-        dab = distance(distance_spec, va, vb)
-        if dab > 1.0 + _FLOAT_SLACK:
+    # Pairs in ``itertools.combinations`` order, one batched call per entry
+    # against the entries after it.
+    values = np.stack([value for _, value in entries])
+    for i, (sym_a, va) in enumerate(entries[:-1]):
+        rest = values[i + 1:]
+        d = distances(distance_spec.kind, np.broadcast_to(va, rest.shape), rest)
+        far = np.flatnonzero(d > 1.0 + _FLOAT_SLACK)
+        if far.size:
+            sym_b, dab = entries[i + 1 + far[0]][0], float(d[far[0]])
             raise ConditionsUnmetError(
                 f"conditions unmet: entries {sym_a.name!r} and {sym_b.name!r} "
                 f"are more than unit distance apart ({dab:.6g})")

@@ -84,11 +84,11 @@ def generate_compositional(spec: GenSpec) -> tuple[Dataset, PrimitiveTable]:
 
     derivations = _sample_derivations(spec, tree_rng)
     values = eval_compositional(truth, spec.composition, derivations)
-    records = []
-    for i, (deriv, value) in enumerate(zip(derivations, values)):
-        if spec.noise_sigma > 0:
-            value += noise_rng.normal(0.0, spec.noise_sigma, shape)
-        records.append(Record(f"r{i:04d}", value, deriv))
+    if spec.noise_sigma > 0:
+        # One block draws the same stream as one draw per record, in order.
+        values += noise_rng.normal(0.0, spec.noise_sigma, values.shape)
+    records = (Record(f"r{i:04d}", value, deriv)
+               for i, (deriv, value) in enumerate(zip(derivations, values)))
     return Dataset(tuple(records), spec.shape), truth
 
 

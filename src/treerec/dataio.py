@@ -12,24 +12,29 @@ with exactly one of ``repr`` (row-major flattened values) or ``tokens`` (a
 hard code, one character per position).  Floats are serialized with Python's
 shortest round-trip representation, so re-reading a file reproduces values
 bit-exactly.
+
+``read_dataset`` parses each distinct derivation text of a file once and
+checks the values of all its records for finiteness in one call; an error
+names the first faulty line all the same.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import string
 from pathlib import Path
 
 import numpy as np
 
-from .derivation import DerivationSyntaxError, Symbol, format_derivation, parse_derivation
+from .derivation import (Derivation, DerivationSyntaxError, Symbol, format_derivation,
+                         parse_derivation)
 from .solver import Dataset, FitConfig, PrimitiveTable, Record, TreReport
 from .space import (
     CodeShape,
     LinearComposition,
     Shape,
     VectorShape,
-    as_representation,
     decode_message,
     encode_message,
     is_hard_code,
@@ -97,10 +102,9 @@ def _read_text(path: str | Path) -> str:
 def read_dataset(path: str | Path) -> tuple[Dataset, str | None]:
     """Parse a dataset file; returns the dataset and the declared alphabet
     (None for vector-shaped data).  Raises DatasetFormatError with the
-    offending 1-based line number."""
+    first offending 1-based line number."""
     text = _read_text(path)
-    raw_lines = [ln for ln in text.splitlines()]
-    numbered = [(i + 1, ln) for i, ln in enumerate(raw_lines) if ln.strip()]
+    numbered = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     if not numbered:
         raise DatasetFormatError(1, "empty dataset file")
 
@@ -110,14 +114,32 @@ def read_dataset(path: str | Path) -> tuple[Dataset, str | None]:
     except json.JSONDecodeError as e:
         raise DatasetFormatError(header_no, f"invalid JSON header: {e}") from None
     shape, alphabet = _parse_header(header_no, header)
-
-    records: list[Record] = []
-    seen_ids: set[str] = set()
-    for line_no, line in numbered[1:]:
-        records.append(_parse_record(line_no, line, shape, alphabet, seen_ids))
-    if not records:
+    rows = numbered[1:]
+    if not rows:
         raise DatasetFormatError(header_no, "dataset file has a header but no records")
-    return Dataset(tuple(records), shape), alphabet
+
+    # Row k holds record k's flat values; its representation is a view of it.
+    values = np.empty((len(rows), math.prod(shape.array_shape())))
+    ids: dict[str, None] = {}  # the ids read so far, in file order
+    derivations: list[Derivation] = []
+    parsed: dict[str, Derivation] = {}
+    fault = None
+    try:
+        for (line_no, line), out in zip(rows, values):
+            rid, deriv = _parse_record(line_no, line, shape, alphabet, ids, parsed, out)
+            ids[rid] = None
+            derivations.append(deriv)
+    except DatasetFormatError as e:
+        fault = e
+    # One finiteness check over the records read.  A non-finite value lies
+    # on a line before the fault that stopped the loop, so it is reported.
+    finite = np.isfinite(values[:len(ids)]).all(axis=1)
+    if not finite.all():
+        raise DatasetFormatError(rows[int(finite.argmin())][0], _NON_FINITE)
+    if fault is not None:
+        raise fault
+    reps = values.reshape(len(rows), *shape.array_shape())
+    return Dataset(tuple(map(Record, ids, reps, derivations)), shape), alphabet
 
 
 def _shape_header(shape: Shape, alphabet: str | None) -> dict:
@@ -156,7 +178,12 @@ def _parse_header(line_no: int, header) -> tuple[Shape, str | None]:
 
 
 def _parse_record(line_no: int, line: str, shape: Shape, alphabet: str | None,
-                  seen_ids: set[str]) -> Record:
+                  ids: dict[str, None], parsed: dict[str, Derivation],
+                  out: np.ndarray) -> tuple[str, Derivation]:
+    """Check one record line and write its flat values, not yet checked for
+    finiteness, to ``out``; returns its id and derivation.  ``ids`` holds
+    the ids of the lines before it, and ``parsed`` maps the derivation texts
+    met so far to their derivations, so that each text is parsed once."""
     def fail(message: str):
         raise DatasetFormatError(line_no, message)
 
@@ -169,15 +196,17 @@ def _parse_record(line_no: int, line: str, shape: Shape, alphabet: str | None,
     if not isinstance(row.get("id"), str) or not row["id"]:
         fail("record needs a non-empty string 'id'")
     rid = row["id"]
-    if rid in seen_ids:
+    if rid in ids:
         fail(f"duplicate record id {rid!r}")
-    seen_ids.add(rid)
-    if not isinstance(row.get("derivation"), str):
+    text = row.get("derivation")
+    if not isinstance(text, str):
         fail("record needs a 'derivation' string")
-    try:
-        deriv = parse_derivation(row["derivation"])
-    except DerivationSyntaxError as e:
-        fail(f"bad derivation: {e}")
+    deriv = parsed.get(text)
+    if deriv is None:
+        try:
+            deriv = parsed[text] = parse_derivation(text)
+        except DerivationSyntaxError as e:
+            fail(f"bad derivation: {e}")
 
     has_repr = "repr" in row
     has_tokens = "tokens" in row
@@ -193,26 +222,39 @@ def _parse_record(line_no: int, line: str, shape: Shape, alphabet: str | None,
             matrix = encode_message(tokens, alphabet)
         except ValueError as e:
             fail(str(e))
-        return Record(rid, matrix, deriv)
+        out[:] = matrix.ravel()
+    else:
+        _fill_values(line_no, row["repr"], out, "'repr'")
+    return rid, deriv
 
-    return Record(rid, _parse_values(line_no, row["repr"], shape, "'repr'"), deriv)
+
+_NUMBER_TYPES = frozenset((int, float))  # not bool: JSON true/false load as bools
+_NON_FINITE = "representation values must be finite"
+
+
+def _fill_values(line_no: int, values, out: np.ndarray, what: str) -> None:
+    """Write a flat JSON list of numbers to the 1-d ``out``, whatever their
+    finiteness; ``what`` names the list in the DatasetFormatError raised for
+    anything else."""
+    if not isinstance(values, list) or not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise DatasetFormatError(line_no, f"{what} must be a flat list of numbers")
+    if len(values) != len(out):
+        raise DatasetFormatError(
+            line_no, f"{what} has {len(values)} values, expected {len(out)}")
+    try:
+        out[:] = values
+    except OverflowError as e:  # an int past float range
+        raise DatasetFormatError(line_no, str(e)) from None
 
 
 def _parse_values(line_no: int, values, shape: Shape, what: str) -> np.ndarray:
     """A flat JSON list of finite numbers as an array of ``shape``; ``what``
     names the list in the DatasetFormatError it raises otherwise."""
-    expected = int(np.prod(shape.array_shape()))
-    if (not isinstance(values, list)
-            or not all(type(v) in (int, float) for v in values)):
-        raise DatasetFormatError(line_no, f"{what} must be a flat list of numbers")
-    if len(values) != expected:
-        raise DatasetFormatError(
-            line_no, f"{what} has {len(values)} values, expected {expected}")
-    try:
-        return as_representation(
-            np.asarray(values, dtype=np.float64).reshape(shape.array_shape()))
-    except (ValueError, OverflowError) as e:  # OverflowError: an int past float range
-        raise DatasetFormatError(line_no, str(e)) from None
+    out = np.empty(math.prod(shape.array_shape()))
+    _fill_values(line_no, values, out, what)
+    if not np.isfinite(out).all():
+        raise DatasetFormatError(line_no, _NON_FINITE)
+    return out.reshape(shape.array_shape())
 
 
 # -- fit reports ---------------------------------------------------------------

@@ -20,7 +20,7 @@ import re
 import threading
 import weakref
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -123,12 +123,17 @@ def _leaf(name: str) -> Leaf:
     return Leaf._table.get(name) or Leaf(Symbol(name))
 
 
+def _node(left: Derivation, right: Derivation) -> Node:
+    """The node of ``left`` and ``right``, reused without the lock if live."""
+    return Node._table.get((left, right)) or Node(left, right)
+
+
 def _rebuild(names: list[str], left: list[int], right: list[int]) -> Derivation:
     """Re-intern the subtrees of a ``_Dag`` table bottom-up; the root is the
     last id, as a single derivation's root is its one highest subtree."""
     trees = [_leaf(name) for name in names]
     for i in range(len(names), len(left)):
-        trees.append(Node(trees[left[i]], trees[right[i]]))
+        trees.append(_node(trees[left[i]], trees[right[i]]))
     return trees[-1]
 
 
@@ -150,25 +155,26 @@ def parse_derivation(text: str) -> Derivation:
     tokens after a complete derivation.
     """
 
-    def fail(message: str, char_offset: int):
-        raise DerivationSyntaxError(message, len(text[:char_offset].encode("utf-8")))
+    def fail(message: str, at: int):
+        # Token ``at``'s offset is found again here, not kept for every token.
+        offset = next(islice(_TOKEN.finditer(text), at, None)).start()
+        raise DerivationSyntaxError(message, len(text[:offset].encode("utf-8")))
 
     result: Derivation | None = None
-    # Each open frame: (children so far, offset of its '(').
+    # Each open frame: (children so far, token index of its '(').
     stack: list[tuple[list[Derivation], int]] = []
-    for match in _TOKEN.finditer(text):
-        token, offset = match[0], match.start()
+    for at, token in enumerate(_TOKEN.findall(text)):
         if token == ")":
             if not stack:
-                fail("unbalanced ')'", offset)
+                fail("unbalanced ')'", at)
             children, _ = stack.pop()
             if len(children) != 2:
-                fail(f"node arity must be 2, found {len(children)}", offset)
-            d = Node(children[0], children[1])
+                fail(f"node arity must be 2, found {len(children)}", at)
+            d = _node(children[0], children[1])
         elif result is not None:
-            fail("trailing tokens after complete derivation", offset)
+            fail("trailing tokens after complete derivation", at)
         elif token == "(":
-            stack.append(([], offset))
+            stack.append(([], at))
             continue
         else:
             d = _leaf(token)
@@ -177,7 +183,7 @@ def parse_derivation(text: str) -> Derivation:
         if not stack:
             result = d
         elif len(stack[-1][0]) == 2:
-            fail("node arity must be 2: unexpected third child", offset)
+            fail("node arity must be 2: unexpected third child", at)
         else:
             stack[-1][0].append(d)
 

@@ -36,10 +36,10 @@ from .space import (
     DistanceSpec,
     LinearComposition,
     Shape,
+    ShapeMismatchError,
     TableComposition,
     ZeroNormError,
     _loss_and_dpred,
-    as_representation,
     composes,
     distances,
 )
@@ -89,12 +89,29 @@ class Dataset:
         object.__setattr__(self, "records", records)
         if not records:
             raise ValueError("dataset must contain at least one record")
+        # Ids and shapes record by record, then finiteness in one call over
+        # the records before the first fault, which a non-finite value there
+        # precedes.
+        expected = self.shape.array_shape()
         seen: set[str] = set()
-        for rec in records:
+        fault, checked = None, len(records)
+        for k, rec in enumerate(records):
             if rec.id in seen:
-                raise ValueError(f"duplicate record id {rec.id!r}")
+                fault = ValueError(f"duplicate record id {rec.id!r}")
+            elif (got := np.shape(rec.representation)) != expected:
+                fault = ShapeMismatchError(
+                    f"record {rec.id!r}: expected array of shape {expected}, got {got}")
+            if fault is not None:
+                checked = k
+                break
             seen.add(rec.id)
-            as_representation(rec.representation, self.shape)
+        values = np.array([rec.representation for rec in records[:checked]], dtype=np.float64)
+        finite = np.isfinite(values.reshape(checked, math.prod(expected))).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"record {records[finite.argmin()].id!r}: "
+                             "representation values must be finite")
+        if fault is not None:
+            raise fault
 
     def __len__(self) -> int:
         return len(self.records)
@@ -108,7 +125,7 @@ class Dataset:
     @staticmethod
     def build(rows: Iterable[tuple[str, object, Derivation]], shape: Shape) -> "Dataset":
         records = tuple(
-            Record(rid, as_representation(rep, shape), deriv) for rid, rep, deriv in rows
+            Record(rid, np.asarray(rep, dtype=np.float64), deriv) for rid, rep, deriv in rows
         )
         return Dataset(records, shape)
 

@@ -310,6 +310,24 @@ class TestBoundCheck:
         with pytest.raises(ConditionsUnmetError, match="unit"):
             bound_check(ds, table, ADD, L1)
 
+    def test_first_far_pair_in_combinations_order_is_named(self):
+        # 400 entries in the unit ball; only p3 and p250 are more than unit
+        # distance apart, and then also p7 and p9, which come later in
+        # ``itertools.combinations`` order although 9 < 250.
+        rng = np.random.default_rng(9)
+        entries = {Symbol(f"p{i}"): v for i, v in enumerate(rng.uniform(-1, 1, (400, 4)) / 200)}
+        entries[Symbol("p3")] = np.array([0.0, 0.4, 0.0, 0.0])
+        entries[Symbol("p250")] = np.array([0.0, -0.65, 0.0, 0.0])
+        ds = Dataset.build([("x", [0.0] * 4, parse_derivation("p0"))], VectorShape(4))
+        message = ("^conditions unmet: entries 'p3' and 'p250' are more than unit "
+                   r"distance apart \(1\.05\)$")
+        with pytest.raises(ConditionsUnmetError, match=message):
+            bound_check(ds, PrimitiveTable(entries), ADD, L1)
+        entries[Symbol("p7")] = np.array([0.5, 0.05, 0.0, 0.0])
+        entries[Symbol("p9")] = np.array([-0.5, -0.05, 0.0, 0.0])
+        with pytest.raises(ConditionsUnmetError, match=message):
+            bound_check(ds, PrimitiveTable(entries), ADD, L1)
+
     def test_wrong_distance_or_composition_refused(self):
         table = PrimitiveTable({Symbol("a"): np.array([0.1, 0.0])})
         ds = Dataset.build([("x", [1.0, 0.0], parse_derivation("a"))], VectorShape(2))

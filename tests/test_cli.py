@@ -11,11 +11,15 @@ Core claims:
       re-evaluated to the recorded per-record errors; a malformed report
       shape is a format error
     - a JSON boolean, or an integer beyond float range, is not a number
-      anywhere in a dataset file
+      anywhere in a dataset file, and JSON's NaN and Infinity literals are
+      not finite values in a dataset file or a report
+    - a dataset error names the first faulty line in file order, and a read
+      parses each distinct derivation text once
     - every line of the README's command-line example exits 0
 """
 
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -39,6 +43,7 @@ from treerec import (
     tre_datum,
     write_dataset,
 )
+import treerec.dataio as dataio
 from treerec.cli import main
 from treerec.dataio import render_report
 
@@ -54,6 +59,16 @@ NON_NUMBERS = {
     "repr": ('{"dim": 2}\n{"id": "x", "derivation": "a", "repr": [true, 0.0]}\n', 2),
     "repr_beyond_float": ('{"dim": 1}\n{"id": "x", "derivation": "a", "repr": [1%s]}\n'
                           % ("0" * 400), 2),
+}
+# Faulty records for a vector file of dim 2 whose line 2 has id "x", with
+# what their errors say.
+RECORD_FAULTS = {
+    "bad derivation": ('{"id": "f", "derivation": "(a b", "repr": [1.0, 0.0]}',
+                       "bad derivation"),
+    "duplicate id": ('{"id": "x", "derivation": "a", "repr": [1.0, 0.0]}',
+                     "duplicate record id 'x'"),
+    "short repr": ('{"id": "f", "derivation": "a", "repr": [1.0]}', "expected 2"),
+    "invalid JSON": ('{"id": "f",', "invalid JSON"),
 }
 
 
@@ -160,6 +175,55 @@ class TestDatasetFiles:
         with pytest.raises(DatasetFormatError) as err:
             read_dataset(path)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literals_carry_line_numbers(self, tmp_path, capsys, literal):
+        path = tmp_path / "nan.jsonl"
+        path.write_text('{"dim": 2}\n'
+                        '{"id": "x", "derivation": "a", "repr": [1.0, 0.0]}\n'
+                        f'{{"id": "y", "derivation": "b", "repr": [0.0, {literal}]}}\n'
+                        '{"id": "z", "derivation": "(a b)", "repr": [1.0, 1.0]}\n')
+        message = "line 3: representation values must be finite"
+        with pytest.raises(DatasetFormatError, match=f"^{message}$"):
+            read_dataset(path)
+        code, _, err = run_cli("fit", str(path), "--steps", "5", capsys=capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fault", RECORD_FAULTS)
+    @pytest.mark.parametrize("nan_first", [True, False], ids=["nan_first", "nan_last"])
+    def test_first_faulty_line_is_reported(self, tmp_path, fault, nan_first):
+        # One fault on line 3 and the other on line 5: line 3's is reported.
+        record, match = RECORD_FAULTS[fault]
+        nan = '{"id": "n", "derivation": "b", "repr": [NaN, 0.0]}'
+        lines = ['{"dim": 2}', '{"id": "x", "derivation": "a", "repr": [1.0, 0.0]}',
+                 nan, '{"id": "y", "derivation": "(a b)", "repr": [1.0, 1.0]}', record]
+        if not nan_first:
+            lines[2], lines[4] = lines[4], lines[2]
+        path = tmp_path / "faults.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match="finite" if nan_first else match) as err:
+            read_dataset(path)
+        assert err.value.line == 3
+
+    def test_each_derivation_text_is_parsed_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "same.jsonl"
+        path.write_text('{"dim": 1}\n' + "".join(
+            f'{{"id": "r{i}", "derivation": "((a b) c)", "repr": [{i}]}}\n'
+            for i in range(1000)))
+        texts = []
+
+        def counting_parse(text):
+            texts.append(text)
+            return parse_derivation(text)
+
+        monkeypatch.setattr(dataio, "parse_derivation", counting_parse)
+        dataset, _ = read_dataset(path)
+        assert texts == ["((a b) c)"]
+        deriv = parse_derivation("((a b) c)")
+        assert len(dataset) == 1000
+        assert all(rec.derivation is deriv for rec in dataset)
+        assert [rec.representation[0] for rec in dataset] == list(range(1000))
 
     @pytest.mark.parametrize("reader", [read_dataset, load_report],
                              ids=["dataset", "report"])
@@ -372,7 +436,7 @@ class TestFitCommand:
         assert err.value.line == shape_line
 
     @pytest.mark.parametrize("fault", ["missing", "list", "short", "bool", "nested",
-                                       "bad_name"])
+                                       "bad_name", "nan", "infinity"])
     def test_malformed_report_primitives_are_format_errors(self, tmp_path, capsys, fault):
         # Record ids equal the primitive names, so a primitive's key has to
         # be found after the "primitives" key, not in "per_datum_tre".
@@ -395,8 +459,10 @@ class TestFitCommand:
             primitives["b c"] = primitives.pop("b")
             key = '    "b c":'
         else:
+            # render_report writes NaN and Infinity literals for non-finite floats.
             primitives["b"] = {"short": [1.0], "bool": [True, 0.0],
-                               "nested": [[1.0, 0.0]]}[fault]
+                               "nested": [[1.0, 0.0]], "nan": [math.nan, 0.0],
+                               "infinity": [0.0, math.inf]}[fault]
         report_path.write_text(render_report(payload))
         lines = report_path.read_text().splitlines()
         start = next((no for no, text in enumerate(lines, 1)
@@ -430,7 +496,7 @@ class TestFitCommand:
 
 
     @pytest.mark.parametrize("fault", ["missing_left", "wrong_side", "ragged", "non_numeric",
-                                       "not_object", "list", "truncated"])
+                                       "nan", "infinity", "not_object", "list", "truncated"])
     def test_malformed_report_weights_are_format_errors(self, tmp_path, capsys, fault):
         lang_path, report_path = tmp_path / "langs", tmp_path / "report.json"
         run_cli("gen", "--kind", "fig5", "--out", str(lang_path), capsys=capsys)
@@ -446,8 +512,9 @@ class TestFitCommand:
             weights["left_weights"] = np.eye(5).tolist()
         elif fault == "ragged":
             weights["left_weights"][1].pop()
-        elif fault == "non_numeric":
-            weights["right_weights"][2][0] = "0.5"
+        elif fault in ("non_numeric", "nan", "infinity"):
+            weights["right_weights"][2][0] = {"non_numeric": "0.5", "nan": math.nan,
+                                              "infinity": -math.inf}[fault]
             key = '    "right_weights":'
         elif fault == "not_object":
             payload["composition_params"] = [weights["left_weights"]]

@@ -1,6 +1,8 @@
 """Compositional evaluation, the reconstruction-error objective, and fitting.
 
 Core claims:
+    - a dataset rejects a duplicate id, a wrongly shaped or a non-finite
+      representation, naming the first faulty record in record order
     - bottom-up evaluation and per-record error match hand arithmetic
     - the closed-form least-squares oracle reproduces the hand-solved
       3-record instance exactly (aggregate 4/9, known entries)
@@ -45,6 +47,7 @@ from treerec import (
     MissingPrimitiveError,
     PrimitiveTable,
     Record,
+    ShapeMismatchError,
     Symbol,
     VectorShape,
     ZeroNormError,
@@ -84,6 +87,27 @@ def hand_instance():
         [("x1", [1.0, 0.0], "a"), ("x2", [0.0, 1.0], "b"), ("x3", [1.0, 3.0], "(a b)")],
         dim=2,
     )
+
+
+class TestDataset:
+    @pytest.mark.parametrize("reps,error,message", [
+        ([("a", [0.0, 1.0]), ("b", [np.nan, 0.0]), ("c", [np.inf, 0.0])], ValueError,
+         "record 'b': representation values must be finite"),
+        ([("a", [0.0, 1.0]), ("b", [1.0]), ("c", [np.nan, 0.0])], ShapeMismatchError,
+         r"record 'b': expected array of shape \(2,\), got \(1,\)"),
+        ([("a", [np.nan, 1.0]), ("b", [1.0, 0.0, 0.0])], ValueError, "record 'a': .* finite"),
+        ([("a", [[0.0, 1.0]])], ShapeMismatchError, r"record 'a': .* got \(1, 2\)"),
+        ([("a", [0.0, 1.0]), ("b", [np.nan, 0.0]), ("a", [1.0, 0.0])], ValueError,
+         "record 'b': .* finite"),
+        ([("a", [0.0, 1.0]), ("a", [1.0, 0.0]), ("c", [np.nan, 0.0])], ValueError,
+         "duplicate record id 'a'"),
+    ], ids=["non_finite", "shape", "non_finite_before_shape", "first_shape",
+            "non_finite_before_duplicate", "duplicate_before_non_finite"])
+    def test_first_faulty_record_is_named(self, reps, error, message):
+        rows = [(rid, rep, parse_derivation("a")) for rid, rep in reps]
+        with pytest.raises(error, match=f"^{message}$") as err:
+            Dataset.build(rows, VectorShape(2))
+        assert type(err.value) is error
 
 
 class TestEvalCompositional:
