@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivation import Derivation, Leaf, Node, Symbol, parse_derivation
+from .derivation import Derivation, Symbol, _leaf, _node, parse_derivation
 from .solver import Dataset, PrimitiveTable, Record, _rng, eval_compositional
 from .space import AdditiveComposition, CodeShape, CompositionSpec, Shape, encode_message
 
@@ -53,24 +53,24 @@ def _streams(seed: int):
     return tuple(_rng(seed, k) for k in range(3))
 
 
-def _random_tree(rng: np.random.Generator, symbols: list[Symbol],
-                 depth: int) -> Derivation:
+def _random_tree(rng: np.random.Generator, names: list[str], depth: int) -> Derivation:
+    # ``_leaf`` and ``_node`` reuse a live subtree without taking the intern lock.
     if depth == 1:
-        return Leaf(symbols[int(rng.integers(len(symbols)))])
+        return _leaf(names[int(rng.integers(len(names)))])
     shallow = int(rng.integers(1, depth)) if depth > 2 else 1
     deep_on_left = bool(rng.integers(2))
-    deep = _random_tree(rng, symbols, depth - 1)
-    other = _random_tree(rng, symbols, shallow)
-    return Node(deep, other) if deep_on_left else Node(other, deep)
+    deep = _random_tree(rng, names, depth - 1)
+    other = _random_tree(rng, names, shallow)
+    return _node(deep, other) if deep_on_left else _node(other, deep)
 
 
 def _sample_derivations(spec: GenSpec, rng: np.random.Generator) -> list[Derivation]:
-    symbols = [Symbol(f"p{i}") for i in range(spec.num_primitives)]
+    names = [f"p{i}" for i in range(spec.num_primitives)]
     lo, hi = spec.depth_range
     out = []
     for _ in range(spec.num_records):
         depth = int(rng.integers(lo, hi + 1))
-        out.append(_random_tree(rng, symbols, depth))
+        out.append(_random_tree(rng, names, depth))
     return out
 
 

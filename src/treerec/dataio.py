@@ -109,11 +109,7 @@ def read_dataset(path: str | Path) -> tuple[Dataset, str | None]:
         raise DatasetFormatError(1, "empty dataset file")
 
     header_no, header_line = numbered[0]
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as e:
-        raise DatasetFormatError(header_no, f"invalid JSON header: {e}") from None
-    shape, alphabet = _parse_header(header_no, header)
+    shape, alphabet = _parse_header(header_no, _loads(header_line, header_no, "header"))
     rows = numbered[1:]
     if not rows:
         raise DatasetFormatError(header_no, "dataset file has a header but no records")
@@ -140,6 +136,18 @@ def read_dataset(path: str | Path) -> tuple[Dataset, str | None]:
         raise fault
     reps = values.reshape(len(rows), *shape.array_shape())
     return Dataset(tuple(map(Record, ids, reps, derivations)), shape), alphabet
+
+
+def _loads(text: str, line_no: int, what: str):
+    """``text``, which starts on line ``line_no``, parsed as JSON.  Malformed
+    JSON raises DatasetFormatError naming the line of the fault, and JSON
+    nested too deeply for the parser's recursion naming ``line_no``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DatasetFormatError(line_no + e.lineno - 1, f"invalid JSON {what}: {e}") from None
+    except RecursionError:
+        raise DatasetFormatError(line_no, f"invalid JSON {what}: nested too deeply") from None
 
 
 def _shape_header(shape: Shape, alphabet: str | None) -> dict:
@@ -187,10 +195,7 @@ def _parse_record(line_no: int, line: str, shape: Shape, alphabet: str | None,
     def fail(message: str):
         raise DatasetFormatError(line_no, message)
 
-    try:
-        row = json.loads(line)
-    except json.JSONDecodeError as e:
-        fail(f"invalid JSON record: {e}")
+    row = _loads(line, line_no, "record")
     if not isinstance(row, dict):
         fail("record must be a JSON object")
     if not isinstance(row.get("id"), str) or not row["id"]:
@@ -323,12 +328,9 @@ def load_report(path: str | Path) -> tuple[dict, PrimitiveTable, Shape]:
     """Re-ingest a report: parsed JSON plus the learned table, ready for
     re-evaluation against the original dataset.  Malformed JSON, shape,
     primitives or composition weights raise DatasetFormatError with the line
-    of the key at fault."""
+    of the key at fault; JSON nested too deeply to parse names line 1."""
     text = _read_text(path)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DatasetFormatError(e.lineno, f"invalid JSON report: {e}") from None
+    data = _loads(text, 1, "report")
     if not isinstance(data, dict):
         raise DatasetFormatError(1, "report must be a JSON object")
     shape, _ = _parse_header(_key_line(text, "shape", 1)[0], data.get("shape"))

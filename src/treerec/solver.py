@@ -15,7 +15,9 @@ an independent oracle for the iterative path.
 
 ``fit`` and ``gradient_check`` evaluate the objective through
 ``_loss_and_grads``, which sums additive composition over weighted distinct
-leaf-count rows (``_Problem.rows``).  Every per-record error is one
+leaf-count rows (``_Problem.rows``).  Under l1 and squared_l2 that objective
+is one flat sum over all coordinates, so it may differ in the last bits from
+the sum of the per-record errors.  Every per-record error is one
 ``_record_errors`` pass over the records' DAG at the parameters in use.
 """
 
@@ -345,12 +347,14 @@ class _Adam:
 class _Rows:
     """The rows that additive fitting sums over (see ``_Problem.rows``): row
     ``g`` predicts ``counts[g] @ params`` and adds ``weights[g]`` (1 where
-    None) times its distance to ``targets[g]``; ``constant`` is added once."""
+    None) times its distance to the flat ``targets[g]``, whose norm under
+    cosine is ``norms[g]``; ``constant`` is added once."""
 
     counts: np.ndarray                  # (rows, P)
-    targets: np.ndarray                 # (rows, *shape)
+    targets: np.ndarray                 # (rows, prod(shape))
     weights: np.ndarray | None          # (rows,)
     constant: float
+    norms: np.ndarray | None = None     # (rows,), under cosine
 
 
 @dataclass
@@ -360,6 +364,7 @@ class _Problem:
     dag: _Dag
     targets: np.ndarray                 # (n, *shape)
     kind: str
+    target_norms: np.ndarray | None     # (n,) norms of the flat targets, under cosine
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -384,25 +389,24 @@ class _Problem:
           prediction there still raises ZeroNormError;
         * l1 has no such reduction: the rows are the records, unweighted.
         """
-        if self.kind == "l1":
-            return _Rows(self.counts, self.targets, None, 0.0)
-        counts, first, inverse, sizes = _distinct_rows(self.counts)
         flat = self.targets.reshape(len(self.targets), -1)
+        if self.kind == "l1":
+            return _Rows(self.counts, flat, None, 0.0)
+        counts, first, inverse, sizes = _distinct_rows(self.counts)
         sums = np.zeros((len(counts), flat.shape[1]))
-        shape = (len(counts),) + self.targets.shape[1:]
         if self.kind == "squared_l2":
             np.add.at(sums, inverse, flat)
             means = sums / sizes[:, None]
             scatter = flat - means[inverse]
             constant = math.fsum((scatter * scatter).sum(axis=1).tolist())
-            return _Rows(counts, means.reshape(shape), sizes, constant)
-        units = flat / np.linalg.norm(flat, axis=1)[:, None]
+            return _Rows(counts, means, sizes, constant)
+        units = flat / self.target_norms[:, None]
         np.add.at(sums, inverse, units)
         weights = np.linalg.norm(sums, axis=1)
         cancelled = weights == 0.0
         sums[cancelled] = units[first[cancelled]]
         constant = math.fsum((sizes - weights).tolist())
-        return _Rows(counts, sums.reshape(shape), weights, constant)
+        return _Rows(counts, sums, weights, constant, np.linalg.norm(sums, axis=1))
 
 
 def _distinct_rows(matrix: np.ndarray):
@@ -423,12 +427,14 @@ def _build_problem(records: Iterable[Record], kind: str) -> _Problem:
     representation has norm 0."""
     records = tuple(records)
     targets = np.stack([rec.representation for rec in records])
+    norms = None
     if kind == "cosine":
-        zero = np.flatnonzero(np.linalg.norm(targets.reshape(len(targets), -1), axis=1) == 0.0)
+        norms = np.linalg.norm(targets.reshape(len(targets), -1), axis=1)
+        zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise ZeroNormError(f"cosine distance is undefined for zero-norm representation "
                                 f"in record {records[zero[0]].id!r}", zero.tolist())
-    return _Problem(_compile(rec.derivation for rec in records), targets, kind)
+    return _Problem(_compile(rec.derivation for rec in records), targets, kind, norms)
 
 
 def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec,
@@ -436,16 +442,18 @@ def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec
     """The objective at ``params`` and its gradients for the parameter rows
     and, when ``learn_weights``, the two weight matrices (else None).  The one
     place the objective depends on the composition: additive, linear in the
-    parameters, multiplies the weighted distinct leaf-count rows of
-    ``problem.rows`` and their transpose; linear runs ``_forward`` and
-    ``_backward`` over the DAG and sums over the records."""
+    parameters, multiplies the flat parameters by the weighted distinct
+    leaf-count rows of ``problem.rows`` and the gradient by their transpose;
+    linear runs ``_forward`` and ``_backward`` over the DAG and sums over the
+    records.  Cosine reads the target norms computed with the problem."""
     if isinstance(comp, AdditiveComposition):
         rows = problem.rows
-        loss, dpred = _loss_and_dpred(problem.kind, np.tensordot(rows.counts, params, axes=1),
-                                      rows.targets, rows.weights)
-        return loss + rows.constant, np.tensordot(rows.counts.T, dpred, axes=1), None
+        loss, dpred = _loss_and_dpred(problem.kind, rows.counts @ params.reshape(len(params), -1),
+                                      rows.targets, rows.weights, rows.norms)
+        return loss + rows.constant, (rows.counts.T @ dpred).reshape(params.shape), None
     values = _forward(problem.dag, params, comp)
-    loss, dpred = _loss_and_dpred(problem.kind, values[problem.dag.roots], problem.targets)
+    loss, dpred = _loss_and_dpred(problem.kind, values[problem.dag.roots], problem.targets,
+                                  target_norms=problem.target_norms)
     return (loss, *_backward(problem.dag, values, comp, dpred, learn_weights))
 
 

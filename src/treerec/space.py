@@ -12,8 +12,10 @@ Distances: ``cosine`` (1 - dot/(|r||s|), computed on flattened values),
 differences).  Only l1 and squared_l2 separate points (zero distance iff
 equal); cosine is scale-invariant, so colinear representations coincide
 under it, and a zero-norm operand is rejected rather than mapped to NaN.
-``distances`` holds each formula once, over batches of rows; ``distance``
-is its one-row case, and the fit's loss and gradient reuse it.
+``distances`` holds each formula once, over batches of rows, and
+``distance`` is its one-row case.  The fit's loss-and-gradient kernel,
+``_loss_and_dpred``, reuses the cosine terms; for l1 and squared_l2 it sums
+the loss over all coordinates at once, with no per-row distances.
 Compositions: elementwise addition, a learned/fixed linear form
 ``L @ r + R @ s`` that mixes positions but never vocabulary columns, and an
 exact-lookup table keyed on bit-identical operand pairs.  ``composes``
@@ -218,20 +220,24 @@ def distances(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     each row is flattened.  Cosine is 0.0 on exactly equal rows, and raises
     ZeroNormError naming every row with a zero-norm operand.
     """
-    return _distances_and_terms(kind, a, b)[0]
+    af, bf = _flat_rows(a), _flat_rows(b)
+    if kind == "cosine":
+        return _cosine_terms(af, bf)[0]
+    diff = af - bf
+    return (np.abs(diff) if kind == "l1" else diff * diff).sum(axis=1)
 
 
-def _distances_and_terms(kind: str, a: np.ndarray, b: np.ndarray):
-    """``distances`` plus the intermediates its gradient reuses: the
-    flattened ``a - b`` for l1 and squared_l2, and for cosine the flattened
-    rows, their norms and their dot products."""
-    shape = (a.shape[0], math.prod(a.shape[1:]))
-    af, bf = a.reshape(shape), b.reshape(shape)
-    if kind != "cosine":
-        diff = af - bf
-        return (np.abs(diff) if kind == "l1" else diff * diff).sum(axis=1), diff
+def _flat_rows(a: np.ndarray) -> np.ndarray:
+    return a.reshape(a.shape[0], math.prod(a.shape[1:]))
+
+
+def _cosine_terms(af: np.ndarray, bf: np.ndarray, bn: np.ndarray | None = None):
+    """Cosine ``distances`` of the flat rows ``af`` and ``bf`` plus the
+    intermediates its gradient reuses: the rows' norms and dot products.
+    ``bn``, the norms of ``bf``'s rows, is computed when not given."""
     an = np.linalg.norm(af, axis=1)
-    bn = np.linalg.norm(bf, axis=1)
+    if bn is None:
+        bn = np.linalg.norm(bf, axis=1)
     zero = np.flatnonzero((an == 0.0) | (bn == 0.0))
     if zero.size:
         raise ZeroNormError("cosine distance is undefined for a zero-norm "
@@ -239,7 +245,7 @@ def _distances_and_terms(kind: str, a: np.ndarray, b: np.ndarray):
     dots = (af * bf).sum(axis=1)
     out = np.maximum(1.0 - dots / (an * bn), 0.0)
     out[(af == bf).all(axis=1)] = 0.0
-    return out, (af, bf, an, bn, dots)
+    return out, an, bn, dots
 
 
 def compose(spec: CompositionSpec, r: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -276,20 +282,31 @@ def composes(spec: CompositionSpec, r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _loss_and_dpred(kind: str, preds: np.ndarray, targets: np.ndarray,
-                    weights: np.ndarray | None = None):
+                    weights: np.ndarray | None = None,
+                    target_norms: np.ndarray | None = None):
     """Summed ``distances`` over a batch and its gradient with respect to
     ``preds``; with ``weights``, row k's distance counts ``weights[k]`` times.
+    Cosine takes the norms of the flat target rows as ``target_norms``, or
+    computes them when not given.
 
-    l1 uses sign(pred - target) with 0 at exact ties, so an optimizer sits
-    still on coordinates it has matched exactly.
+    l1 and squared_l2 sum their loss as one flat dot product of the gradient
+    with the residuals d = pred - target, with no per-row distances: the
+    terms are w * sign(d) * d = w |d| and w * 2d * d, halved, = w d^2.  The
+    sum runs in another order than the per-row one of ``distances``, so it
+    may differ from it in the last bits.  l1 uses sign(d) with 0 at exact
+    ties, so an optimizer sits still on coordinates it has matched exactly.
     """
-    rows, terms = _distances_and_terms(kind, preds, targets)
-    if kind != "cosine":
-        dpred = np.sign(terms) if kind == "l1" else 2.0 * terms
-    else:
-        pf, tf, pn, tn, dots = terms
+    pf, tf = _flat_rows(preds), _flat_rows(targets)
+    if kind == "cosine":
+        rows, pn, tn, dots = _cosine_terms(pf, tf, target_norms)
         dpred = (dots / (pn**3 * tn))[:, None] * pf - tf / (pn * tn)[:, None]
+        if weights is not None:
+            rows = weights * rows
+            dpred *= weights[:, None]
+        return float(rows.sum()), dpred.reshape(preds.shape)
+    diff = pf - tf
+    dpred = np.sign(diff) if kind == "l1" else 2.0 * diff
     if weights is not None:
-        rows = weights * rows
         dpred *= weights[:, None]
-    return float(rows.sum()), dpred.reshape(preds.shape)
+    loss = float(np.vdot(dpred, diff))
+    return (loss if kind == "l1" else 0.5 * loss), dpred.reshape(preds.shape)

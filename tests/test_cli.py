@@ -15,6 +15,8 @@ Core claims:
       not finite values in a dataset file or a report
     - a dataset error names the first faulty line in file order, and a read
       parses each distinct derivation text once
+    - JSON nested too deeply to parse is a format error: a dataset line names
+      itself and a report names line 1
     - every line of the README's command-line example exits 0
 """
 
@@ -242,6 +244,24 @@ class TestDatasetFiles:
             code, _, err = run_cli("fit", str(path), capsys=capsys)
             assert code == 1
             assert err == "error: line 3: not UTF-8: byte 0xff\n"
+
+    @pytest.mark.parametrize("where,line", [("record", 3), ("header", 1), ("report", 1)])
+    def test_deeply_nested_json_names_its_line(self, tmp_path, capsys, where, line):
+        deep = "[" * 10**5 + "]" * 10**5
+        lines = ['{"dim": 1}', '{"id": "a", "derivation": "a", "repr": [1]}',
+                 '{"id": "b", "derivation": "b", "repr": %s}' % deep]
+        if where == "header":
+            lines = [deep] + lines[1:2]
+        path = tmp_path / "deep.json"
+        path.write_text('{"shape": %s}\n' % deep if where == "report"
+                        else "\n".join(lines) + "\n")
+        reader = load_report if where == "report" else read_dataset
+        with pytest.raises(DatasetFormatError, match=f"^line {line}: invalid JSON {where}:"):
+            reader(path)
+        if where != "report":
+            code, _, err = run_cli("fit", str(path), capsys=capsys)
+            assert code == 1
+            assert err.startswith(f"error: line {line}: ")
 
     def test_token_outside_alphabet(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -23,8 +23,12 @@ Core claims:
     - additive squared_l2 and cosine sum over the distinct leaf-count rows,
       weighted, plus a constant, and that sum equals the per-record one in
       value, gradient and rescue diagnostics; l1 sums over the records
+    - the additive l1 gradient is exactly the transposed leaf counts times
+      the residual signs, and fit reports on generated data match pinned
+      digests, with the final objective, a flat sum, pinned to 1e-12
 """
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -64,6 +68,7 @@ from treerec import (
     tre_datum,
     trivial_composition_table,
 )
+from treerec.dataio import render_report, report_to_dict
 from treerec.space import _loss_and_dpred, distances
 
 SQL2 = DistanceSpec("squared_l2")
@@ -636,6 +641,67 @@ class TestDistinctCountRows:
         assert report.diagnostics[0] == (f"step 0: zero-norm cosine prediction; "
                                          f"re-initialized entries [{', '.join(names)}]")
         assert np.isfinite(report.aggregate)
+
+
+PIN_DATA = {
+    "vector": GenSpec(num_primitives=5, shape=VectorShape(6), num_records=200,
+                      noise_sigma=0.1, seed=11),
+    "code": GenSpec(num_primitives=4, shape=CodeShape(3, 4), num_records=150,
+                    noise_sigma=0.1, seed=12),
+}
+# (data, distance, composition, sha256 of the rendered report without
+# diagnostics.final_objective, final_objective).  The figures pin the
+# floating-point results of one numpy and BLAS build: the steps multiply
+# leaf counts by parameters, whose rounding a different matrix kernel may
+# change.
+PINNED_REPORTS = [
+    ("vector", "squared_l2", "additive",
+     "4d079db52d707960f961d46accb7ca4a72270b11e70f0ce9777e0f88d4851adc", 39.20195854971146),
+    ("vector", "l1", "additive",
+     "a396d02d1f179c50fef5f3544288157a57a277a3714fe1dec0751ec6bb1fa18e", 91.19472420633721),
+    ("vector", "cosine", "additive",
+     "8deb0b6cb073d2625ac94d90e851c021775884e59b130e46700aae1a6655c1f0", 0.6810926090158909),
+    ("code", "squared_l2", "additive",
+     "47356bc0bd6adbf2852ed8132035129bcb8344bf506086a715b41a9f754b7ef3", 69.58550009942286),
+    ("code", "l1", "additive",
+     "41152c43d4b914e824baf52bda95f57c7a5a68c4cc7b5b7e4769d1c835468181", 135.64233324180816),
+    ("code", "cosine", "additive",
+     "cffbe7aa08fcbb98717d229cedd73f3ec3565585b642e7c275da6b262a7882e1", 0.3150180733250677),
+    ("code", "squared_l2", "linear",
+     "6934d0dd4a92cbf9075a950aac777ba06da5f8a2386a057b4e3ac40cedf48398", 547.5941567207589),
+    ("code", "l1", "linear",
+     "7bb512f02d1900c1441c15120667056d62e5fd73dcb449c64a62632a2bc94d38", 536.8445641446258),
+    ("code", "cosine", "linear",
+     "f02f3aaf483baa334c10492eae81712d6dc18b3acdfb0bc94e45a005a083784f", 0.3367670214998454),
+]
+
+
+class TestPinnedSteps:
+    @pytest.mark.parametrize("data", PIN_DATA)
+    def test_additive_l1_gradient_is_counts_times_signs(self, data):
+        dataset = generate_compositional(PIN_DATA[data])[0]
+        problem = solver_module._build_problem(dataset, "l1")
+        params = np.random.default_rng(4).normal(0, 1, (len(problem.dag.symbols),)
+                                                 + dataset.shape.array_shape())
+        _, grad, _ = solver_module._loss_and_grads(problem, params, ADD, False)
+        counts, n = problem.counts, len(dataset)
+        signs = np.sign(counts @ params.reshape(len(params), -1)
+                        - problem.targets.reshape(n, -1))
+        assert np.array_equal(grad, (counts.T @ signs).reshape(params.shape))
+
+    @pytest.mark.parametrize("data,kind,composition,digest,final_objective", PINNED_REPORTS,
+                             ids=[f"{d}-{k}-{c}" for d, k, c, *_ in PINNED_REPORTS])
+    def test_report_is_pinned(self, data, kind, composition, digest, final_objective):
+        dataset = generate_compositional(PIN_DATA[data])[0]
+        if composition == "additive":
+            config = FitConfig(distance=DistanceSpec(kind), steps=300, seed=1)
+        else:
+            config = FitConfig(distance=DistanceSpec(kind), composition=LinearComposition(),
+                               learn_composition=True, steps=100, seed=1, restarts=1)
+        rendered = report_to_dict(fit(dataset, config), config, dataset.shape)
+        assert rendered["diagnostics"].pop("final_objective") == approx(final_objective,
+                                                                         rel=1e-12)
+        assert hashlib.sha256(render_report(rendered).encode()).hexdigest() == digest
 
 
 def reference_backward(dag, values, comp, upstream, learn_weights):
