@@ -613,12 +613,19 @@ class TestDistinctCountRows:
         config = FitConfig(distance=spec, seed=11)
         assert gradient_check(shared_rows_dataset(shape), config, trials=10) < 1e-6
 
-    @pytest.mark.parametrize("zeroed", ["abc", "ab"])
-    def test_cosine_rescue_names_primitives_of_zero_records(self, monkeypatch, zeroed):
+    @pytest.mark.parametrize("zeroed,block_rows",
+                             [("abc", None), ("ab", None), ("abc", 2), ("ab", 2)],
+                             ids=["abc", "ab", "abc-2-row-blocks", "ab-2-row-blocks"])
+    def test_cosine_rescue_names_primitives_of_zero_records(self, monkeypatch, zeroed,
+                                                            block_rows):
         # Entries named in ``zeroed`` start at 0.  The records whose
         # predictions are then 0, found record by record, must be the ones
         # whose primitives the fit re-initializes: with "ab", the rows of
-        # "(a b)" and "(b a)", including the cancelled cosine row.
+        # "(a b)" and "(b a)", including the cancelled cosine row.  In
+        # 2-row blocks those rows fall in more than one block, and the
+        # diagnostics must equal the fit's in one block.
+        data = shared_rows_dataset((4,))
+        config = FitConfig(distance=COSINE, steps=20, seed=0)
         real_init = solver_module._init_params
         start = {}
 
@@ -631,8 +638,11 @@ class TestDistinctCountRows:
             return params
 
         monkeypatch.setattr(solver_module, "_init_params", init)
-        data = shared_rows_dataset((4,))
-        report = fit(data, FitConfig(distance=COSINE, steps=20, seed=0))
+        one_block = fit(data, config)
+        if block_rows is not None:
+            monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 4 * block_rows)
+        report = fit(data, config)
+        assert report.diagnostics == one_block.diagnostics
         values = eval_compositional(PrimitiveTable(start), ADD,
                                     [rec.derivation for rec in data])
         names = sorted({sym.name for rec, value in zip(data, values) if not value.any()
@@ -702,6 +712,62 @@ class TestPinnedSteps:
         assert rendered["diagnostics"].pop("final_objective") == approx(final_objective,
                                                                          rel=1e-12)
         assert hashlib.sha256(render_report(rendered).encode()).hexdigest() == digest
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("kind", ["l1", "squared_l2", "cosine"])
+    @pytest.mark.parametrize("data", PIN_DATA)
+    def test_blocked_step_matches_one_block(self, monkeypatch, data, kind):
+        # Blocks of 7 rows: at least 3 of them on every input here.
+        dataset = generate_compositional(PIN_DATA[data])[0]
+        problem = solver_module._build_problem(dataset, kind)
+        params = np.random.default_rng(4).normal(0, 1, (len(problem.dag.symbols),)
+                                                 + dataset.shape.array_shape())
+        width = math.prod(dataset.shape.array_shape())
+        assert len(problem.rows.targets) > 2 * 7
+        monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 1 << 40)
+        one_loss, one_grad, _ = solver_module._loss_and_grads(problem, params, ADD, False)
+        monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 7 * width)
+        loss, grad, _ = solver_module._loss_and_grads(problem, params, ADD, False)
+        if kind == "l1":
+            counts, n = problem.counts, len(dataset)
+            signs = np.sign(counts @ params.reshape(len(params), -1)
+                            - problem.targets.reshape(n, -1))
+            assert np.array_equal(grad, (counts.T @ signs).reshape(params.shape))
+        assert loss == approx(one_loss, rel=1e-12)
+        np.testing.assert_allclose(grad, one_grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(one_grad).max())
+
+    def test_zero_norm_error_names_global_rows(self, monkeypatch):
+        # In 2-row blocks, the only zero prediction (row "a") lies past the
+        # first block, so a block-local index would differ from its row.
+        problem = solver_module._build_problem(shared_rows_dataset((4,)), "cosine")
+        params = np.random.default_rng(6).normal(0, 1, (3, 4))
+        params[[sym.name for sym in problem.dag.symbols].index("a")] = 0.0
+        zero = np.flatnonzero(~(problem.rows.counts @ params).any(axis=1)).tolist()
+        assert zero and min(zero) >= 2
+        monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 4 * 2)
+        with pytest.raises(ZeroNormError) as err:
+            solver_module._loss_and_grads(problem, params, ADD, False)
+        assert list(err.value.rows) == zero
+
+    def test_l1_report_does_not_depend_on_block_count(self, monkeypatch):
+        # 5000 dim-16 records: 3 blocks at the default size.
+        dataset = generate_compositional(GenSpec(
+            num_primitives=8, shape=VectorShape(16), num_records=5000, noise_sigma=0.1,
+            seed=13))[0]
+        assert 5000 * 16 > 2 * solver_module._BLOCK_VALUES
+        config = FitConfig(distance=L1, steps=100, seed=1)
+
+        def rendered():
+            out = report_to_dict(fit(dataset, config), config, dataset.shape)
+            return out["diagnostics"].pop("final_objective"), render_report(out)
+
+        blocked = rendered()
+        monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 1 << 40)
+        one_block = rendered()
+        assert blocked[1] == one_block[1]
+        assert blocked[0] == approx(one_block[0], rel=1e-12)
 
 
 def reference_backward(dag, values, comp, upstream, learn_weights):
