@@ -236,6 +236,8 @@ def mutual_information_binned(inputs, representations, bins: int = 30) -> float:
         raise ValueError("bins must be at least 2")
 
     flat = np.stack([np.asarray(r, dtype=np.float64).ravel() for r in representations])
+    if not np.isfinite(flat).all():
+        raise ValueError("representation values must be finite")
     lo = flat.min(axis=0)
     hi = flat.max(axis=0)
     span = hi - lo

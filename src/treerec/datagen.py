@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivation import Derivation, Symbol, _leaf, _node, parse_derivation
+from .derivation import Derivation, Node, Symbol, _leaf, parse_derivation
 from .solver import Dataset, PrimitiveTable, Record, _rng, eval_compositional
 from .space import AdditiveComposition, CodeShape, CompositionSpec, Shape, encode_message
 
@@ -54,14 +54,13 @@ def _streams(seed: int):
 
 
 def _random_tree(rng: np.random.Generator, names: list[str], depth: int) -> Derivation:
-    # ``_leaf`` and ``_node`` reuse a live subtree without taking the intern lock.
     if depth == 1:
         return _leaf(names[int(rng.integers(len(names)))])
     shallow = int(rng.integers(1, depth)) if depth > 2 else 1
     deep_on_left = bool(rng.integers(2))
     deep = _random_tree(rng, names, depth - 1)
     other = _random_tree(rng, names, shallow)
-    return _node(deep, other) if deep_on_left else _node(other, deep)
+    return Node(deep, other) if deep_on_left else Node(other, deep)
 
 
 def _sample_derivations(spec: GenSpec, rng: np.random.Generator) -> list[Derivation]:
@@ -97,10 +96,10 @@ def generate_random(spec: GenSpec) -> Dataset:
     _, tree_rng, value_rng = _streams(spec.seed)
     shape = spec.shape.array_shape()
     derivations = _sample_derivations(spec, tree_rng)
-    records = [
-        Record(f"r{i:04d}", value_rng.normal(0.0, 1.0, shape), deriv)
-        for i, deriv in enumerate(derivations)
-    ]
+    # One block draws the same stream as one draw per record, in order.
+    values = value_rng.normal(0.0, 1.0, (len(derivations), *shape))
+    records = (Record(f"r{i:04d}", value, deriv)
+               for i, (deriv, value) in enumerate(zip(derivations, values)))
     return Dataset(tuple(records), spec.shape)
 
 

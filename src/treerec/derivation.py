@@ -65,7 +65,7 @@ class _Interned:
         # Each class keeps a weak table from its key, a symbol name or the two
         # child objects, to its one instance; the lock makes check-then-store
         # atomic across threads.  The instance is stored only once its fields
-        # are set, as ``_leaf`` reads the table without the lock.
+        # are set, as the lookups for a live instance read the table unlocked.
         with _intern_lock:
             self = cls._table.get(key)
             if self is None:
@@ -100,8 +100,9 @@ class Leaf(_Interned):
 
     def __new__(cls, symbol: Symbol):
         # Keyed by name, which is what makes two symbols equal, so that
-        # ``_rebuild`` can find a live leaf without building a symbol.
-        return cls._intern(symbol.name, symbol=symbol, _size=1, _height=0)
+        # ``_leaf`` can find a live leaf without building a symbol.
+        return (cls._table.get(symbol.name)
+                or cls._intern(symbol.name, symbol=symbol, _size=1, _height=0))
 
 
 class Node(_Interned):
@@ -109,9 +110,10 @@ class Node(_Interned):
     _table = weakref.WeakValueDictionary()
 
     def __new__(cls, left: "Derivation", right: "Derivation"):
-        return cls._intern((left, right), left=left, right=right,
-                           _size=left._size + right._size,
-                           _height=1 + max(left._height, right._height))
+        return (cls._table.get((left, right))
+                or cls._intern((left, right), left=left, right=right,
+                               _size=left._size + right._size,
+                               _height=1 + max(left._height, right._height)))
 
 
 Derivation = Union[Leaf, Node]
@@ -123,17 +125,12 @@ def _leaf(name: str) -> Leaf:
     return Leaf._table.get(name) or Leaf(Symbol(name))
 
 
-def _node(left: Derivation, right: Derivation) -> Node:
-    """The node of ``left`` and ``right``, reused without the lock if live."""
-    return Node._table.get((left, right)) or Node(left, right)
-
-
 def _rebuild(names: list[str], left: list[int], right: list[int]) -> Derivation:
     """Re-intern the subtrees of a ``_Dag`` table bottom-up; the root is the
     last id, as a single derivation's root is its one highest subtree."""
     trees = [_leaf(name) for name in names]
     for i in range(len(names), len(left)):
-        trees.append(_node(trees[left[i]], trees[right[i]]))
+        trees.append(Node(trees[left[i]], trees[right[i]]))
     return trees[-1]
 
 
@@ -170,7 +167,7 @@ def parse_derivation(text: str) -> Derivation:
             children, _ = stack.pop()
             if len(children) != 2:
                 fail(f"node arity must be 2, found {len(children)}", at)
-            d = _node(children[0], children[1])
+            d = Node(children[0], children[1])
         elif result is not None:
             fail("trailing tokens after complete derivation", at)
         elif token == "(":

@@ -327,23 +327,28 @@ def _backward(dag: _Dag, values: np.ndarray, comp: CompositionSpec,
 
 
 class _Adam:
-    def __init__(self, shape: tuple[int, ...], learning_rate: float):
+    """Adam over a list of arrays, each updated in place; the first is the
+    parameter rows."""
+
+    def __init__(self, arrays: Sequence[np.ndarray], learning_rate: float):
+        self.arrays = arrays
         self.lr = learning_rate
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
         self.t = 0
 
-    def step(self, params: np.ndarray, grad: np.ndarray):
+    def step(self, grads: Sequence[np.ndarray]):
         self.t += 1
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
-        mhat = self.m / (1.0 - ADAM_BETA1**self.t)
-        vhat = self.v / (1.0 - ADAM_BETA2**self.t)
-        params -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        for k, (array, grad) in enumerate(zip(self.arrays, grads)):
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * grad
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * grad * grad
+            mhat = self.m[k] / (1.0 - ADAM_BETA1**self.t)
+            vhat = self.v[k] / (1.0 - ADAM_BETA2**self.t)
+            array -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
     def reset_rows(self, rows: Sequence[int]):
-        self.m[list(rows)] = 0.0
-        self.v[list(rows)] = 0.0
+        self.m[0][list(rows)] = 0.0
+        self.v[0][list(rows)] = 0.0
 
 
 @dataclass(frozen=True)
@@ -563,13 +568,12 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int):
     params = _init_params(problem, config.seed, restart, config.init_scale)
     learn = config.learn_composition
     comp = config.composition
-    opt_params = _Adam(params.shape, config.learning_rate)
     if learn:
         # Fresh arrays that the Adam steps below update in place.
         comp = LinearComposition(*_init_weights(problem, config.seed, restart,
                                                 config.init_scale))
-        opt_weights = (_Adam(comp.left_weights.shape, config.learning_rate),
-                       _Adam(comp.right_weights.shape, config.learning_rate))
+    opt = _Adam([params, comp.left_weights, comp.right_weights] if learn else [params],
+                config.learning_rate)
 
     trace: list[tuple[int, float]] = []
     best_so_far: list[float] = []
@@ -593,7 +597,7 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int):
             for row in rows:
                 rng = _rng(config.seed, 2, restart, rescues, row)
                 params[row] = rng.normal(0.0, config.init_scale, params.shape[1:])
-            opt_params.reset_rows(rows)
+            opt.reset_rows(rows)
             names = ", ".join(problem.dag.symbols[r].name for r in rows)
             diagnostics.append(
                 f"step {step}: zero-norm cosine prediction; re-initialized "
@@ -614,31 +618,21 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int):
                 converged = True
                 break
 
-        opt_params.step(params, grad_params)
-        if learn:
-            opt_weights[0].step(comp.left_weights, grad_weights[0])
-            opt_weights[1].step(comp.right_weights, grad_weights[1])
+        opt.step([grad_params, *(grad_weights or ())])
         step += 1
 
     final_obj = trace[-1][1]
     return final_obj, params, comp, trace, converged, diagnostics
 
 
-def closed_form_fit(dataset: Dataset,
-                    distance_spec: DistanceSpec = DistanceSpec("squared_l2"),
-                    composition: CompositionSpec = AdditiveComposition()) -> TreReport:
+def closed_form_fit(dataset: Dataset) -> TreReport:
     """Exact optimum for additive composition under squared-L2 distance.
 
     Each prediction is the leaf-count-weighted sum of primitive entries, so
     the objective is linear least squares in the entries; the normal equations
     are solved exactly, with the minimum-norm solution on rank deficiency.
     """
-    if distance_spec.kind != "squared_l2":
-        raise ValueError("closed_form_fit requires squared_l2 distance")
-    if not isinstance(composition, AdditiveComposition):
-        raise ValueError("closed_form_fit requires additive composition")
-
-    problem = _build_problem(dataset, distance_spec.kind)
+    problem = _build_problem(dataset, "squared_l2")
     flat_targets = problem.targets.reshape(len(dataset), -1)
     solution, *_ = np.linalg.lstsq(problem.counts, flat_targets, rcond=None)
 

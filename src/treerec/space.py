@@ -79,15 +79,11 @@ class CodeShape:
 Shape = Union[VectorShape, CodeShape]
 
 
-def as_representation(values, shape: Shape | None = None) -> np.ndarray:
-    """Coerce ``values`` to a float64 array, checking finiteness and shape."""
+def as_representation(values) -> np.ndarray:
+    """Coerce ``values`` to a float64 array, checking finiteness."""
     arr = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("representation values must be finite")
-    if shape is not None and arr.shape != shape.array_shape():
-        raise ShapeMismatchError(
-            f"expected array of shape {shape.array_shape()}, got {arr.shape}"
-        )
     return arr
 
 

@@ -412,6 +412,15 @@ class TestMutualInformation:
         got = mutual_information_binned(["a", "b", "c"], reps, bins=4)
         assert got == approx(np.log2(3))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_raises(self, bad):
+        # A NaN coordinate would read as constant and an inf one would bin
+        # values cast from NaN; either way a number would come back.
+        reps = [np.array([1.0, 0.5]), np.array([2.0, bad]), np.array([3.0, 0.5])]
+        with pytest.raises(ValueError, match="^representation values must be finite$"):
+            mutual_information_binned(["a", "b", "c"], reps, bins=4)
+
     def test_array_labels_equal_list_labels(self):
         labels = [0, 1, 0, 1]
         reps = [np.array([0.0]), np.array([1.0]), np.array([0.0]), np.array([1.0])]

@@ -17,7 +17,9 @@ Core claims:
       parses each distinct derivation text once
     - JSON nested too deeply to parse is a format error: a dataset line names
       itself and a report names line 1
-    - every line of the README's command-line example exits 0
+    - every line of the README's command-line example exits 0, and its
+      library quick start runs without a warning and prints what its
+      comments say
 """
 
 import json
@@ -635,12 +637,27 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "1"
 
 
+def readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under README.md's ``## heading``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}\n", 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_commands() -> list[str]:
     """The lines of the ``sh`` block under README.md's ``## Command line``,
     with backslash continuations joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_block("Command line", "sh")
     return [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+@pytest.mark.filterwarnings("error")
+def test_readme_quick_start_runs_and_prints_its_comments(capsys):
+    exec(readme_block("Library quick start", "python"), {})
+    fit_tre, oracle_tre, topo, pairs = map(float, capsys.readouterr().out.split())
+    assert fit_tre == approx(1.0 / 3.0, rel=1e-4)
+    assert oracle_tre == approx(1.0 / 3.0, rel=1e-12)
+    assert topo == approx(0.853, abs=5e-4)
+    assert pairs == 6
 
 
 def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):

@@ -216,12 +216,6 @@ class TestClosedFormFit:
         assert report.table.entries[Symbol("b")] == approx(np.array([1.0, 2.0]))
         assert report.aggregate == approx(0.0, abs=1e-24)
 
-    def test_rejects_other_kinds(self, hand_instance):
-        with pytest.raises(ValueError):
-            closed_form_fit(hand_instance, distance_spec=L1)
-        with pytest.raises(ValueError):
-            closed_form_fit(hand_instance, composition=LinearComposition())
-
 
 class TestFit:
     def test_noiseless_additive_recovery(self):
@@ -683,6 +677,13 @@ PINNED_REPORTS = [
      "7bb512f02d1900c1441c15120667056d62e5fd73dcb449c64a62632a2bc94d38", 536.8445641446258),
     ("code", "cosine", "linear",
      "f02f3aaf483baa334c10492eae81712d6dc18b3acdfb0bc94e45a005a083784f", 0.3367670214998454),
+    # Two restarts at seed 4: the second ends lower (squared_l2 551.69
+    # against 554.73, l1 537.50 against 537.99), so the report comes from
+    # restart 1's parameters and weights.
+    ("code", "squared_l2", "linear-2-restarts",
+     "955ade7a189ad05253d2e0d1f07cd2a0a7ec6bc6463aa45d83bfaf2e58b24c52", 551.6945572499585),
+    ("code", "l1", "linear-2-restarts",
+     "39ca9d6b75df314f3a1c5077880ad8e0ec88a5c8ff9935bfa8287ded9af52d37", 537.4962774530795),
 ]
 
 
@@ -706,8 +707,9 @@ class TestPinnedSteps:
         if composition == "additive":
             config = FitConfig(distance=DistanceSpec(kind), steps=300, seed=1)
         else:
+            seed, restarts = (4, 2) if composition == "linear-2-restarts" else (1, 1)
             config = FitConfig(distance=DistanceSpec(kind), composition=LinearComposition(),
-                               learn_composition=True, steps=100, seed=1, restarts=1)
+                               learn_composition=True, steps=100, seed=seed, restarts=restarts)
         rendered = report_to_dict(fit(dataset, config), config, dataset.shape)
         assert rendered["diagnostics"].pop("final_objective") == approx(final_objective,
                                                                          rel=1e-12)
