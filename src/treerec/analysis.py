@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivation import pairwise_tree_edit_distances
-# Unused ``tre_datum`` stays importable: perfbench's tracer wraps it by name.
+# Unused ``tre_datum`` and ``distance`` stay importable: perfbench's tracer wraps them.
 from .solver import Dataset, FitConfig, PrimitiveTable, _table_errors, tre_datum  # noqa: F401
-from .space import AdditiveComposition, CompositionSpec, DistanceSpec, distance, distances
+from .space import AdditiveComposition, CompositionSpec, DistanceSpec, distances
+from .space import distance  # noqa: F401
 
 # Slack absorbing pure floating-point rounding in inequality checks; the
 # quantities compared are O(1)-scale sums of absolute values.
@@ -126,13 +127,18 @@ def spearman(xs, ys, exact: bool = False) -> CorrelationResult:
                    _average_ranks(_as_float_array(ys)), exact)
 
 
+def _pairs(kind: str, rows: np.ndarray) -> np.ndarray:
+    """``kind`` distances of every pair (i, j), i < j, of ``rows`` in
+    ``np.triu_indices`` order, one batched call per row."""
+    return np.concatenate([distances(kind, np.broadcast_to(row, rows[i + 1:].shape), rows[i + 1:])
+                           for i, row in enumerate(rows)])
+
+
 def _pair_distances(dataset: Dataset, distance_spec: DistanceSpec):
     """Representation and tree edit distances of every record pair (i, j),
     i < j, in row-major upper-triangle order, as two float arrays."""
     reps = np.stack([r.representation for r in dataset.records])
-    rep_d = np.concatenate([
-        distances(distance_spec.kind, np.broadcast_to(rep, reps[i + 1:].shape), reps[i + 1:])
-        for i, rep in enumerate(reps)])
+    rep_d = _pairs(distance_spec.kind, reps)
     tree = np.array(pairwise_tree_edit_distances([r.derivation for r in dataset.records]),
                     dtype=np.float64)
     return rep_d, tree[np.triu_indices(len(reps), 1)]
@@ -181,25 +187,21 @@ def bound_check(dataset: Dataset, table: PrimitiveTable, comp: CompositionSpec,
     entries = list(table.entries.items())
     if not entries:
         raise ConditionsUnmetError("conditions unmet: empty primitive table")
-    zero = np.zeros_like(entries[0][1])
-    for sym, value in entries:
-        d0 = distance(distance_spec, value, zero)
-        if d0 > 1.0 + _FLOAT_SLACK:
+    # Row 0 is the origin, so the entries' distances to it come first, then
+    # the entry pairs in ``itertools.combinations`` order.
+    points = np.stack([np.zeros_like(entries[0][1]), *(value for _, value in entries)])
+    d = _pairs(distance_spec.kind, points)
+    far = np.flatnonzero(d > 1.0 + _FLOAT_SLACK)
+    if far.size:
+        i, j = (int(k[far[0]]) for k in np.triu_indices(len(points), 1))
+        dist, name = float(d[far[0]]), entries[j - 1][0].name
+        if i == 0:
             raise ConditionsUnmetError(
-                f"conditions unmet: entry {sym.name!r} lies outside the unit "
-                f"ball (distance to origin {d0:.6g})")
-    # Pairs in ``itertools.combinations`` order, one batched call per entry
-    # against the entries after it.
-    values = np.stack([value for _, value in entries])
-    for i, (sym_a, va) in enumerate(entries[:-1]):
-        rest = values[i + 1:]
-        d = distances(distance_spec.kind, np.broadcast_to(va, rest.shape), rest)
-        far = np.flatnonzero(d > 1.0 + _FLOAT_SLACK)
-        if far.size:
-            sym_b, dab = entries[i + 1 + far[0]][0], float(d[far[0]])
-            raise ConditionsUnmetError(
-                f"conditions unmet: entries {sym_a.name!r} and {sym_b.name!r} "
-                f"are more than unit distance apart ({dab:.6g})")
+                f"conditions unmet: entry {name!r} lies outside the unit "
+                f"ball (distance to origin {dist:.6g})")
+        raise ConditionsUnmetError(
+            f"conditions unmet: entries {entries[i - 1][0].name!r} and {name!r} "
+            f"are more than unit distance apart ({dist:.6g})")
 
     epsilon = max(_table_errors(table, FitConfig(distance=distance_spec, composition=comp),
                                 dataset))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .derivation import (Derivation, DerivationSyntaxError, Symbol, format_derivation,
                          parse_derivation)
-from .solver import Dataset, FitConfig, PrimitiveTable, Record, TreReport
+from .solver import INIT_SCALE, Dataset, FitConfig, PrimitiveTable, Record, TreReport
 from .space import (
     CodeShape,
     LinearComposition,
@@ -63,11 +63,6 @@ def _dump_line(obj) -> str:
 def write_dataset(path: str | Path, dataset: Dataset,
                   alphabet: str | None = None) -> None:
     """Write a dataset file; hard one-hot code datasets use tokens form."""
-    lines = dataset_to_lines(dataset, alphabet)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def dataset_to_lines(dataset: Dataset, alphabet: str | None = None) -> list[str]:
     shape = dataset.shape
     tokens_form = False
     if isinstance(shape, CodeShape):
@@ -84,7 +79,7 @@ def dataset_to_lines(dataset: Dataset, alphabet: str | None = None) -> list[str]
         else:
             row["repr"] = rec.representation.ravel().tolist()
         lines.append(_dump_line(row))
-    return lines
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _read_text(path: str | Path) -> str:
@@ -265,27 +260,21 @@ def _parse_values(line_no: int, values, shape: Shape, what: str) -> np.ndarray:
 # -- fit reports ---------------------------------------------------------------
 
 
-def config_echo(config: FitConfig, **extra) -> dict:
-    comp = config.composition
-    echo = {
-        "distance": config.distance.kind,
-        "composition": getattr(comp, "kind", "unknown"),
-        "learn_composition": config.learn_composition,
-        "learning_rate": config.learning_rate,
-        "steps": config.steps,
-        "seed": config.seed,
-        "init_scale": config.init_scale,
-        "convergence_tol": config.convergence_tol,
-        "restarts": config.effective_restarts,
-    }
-    echo.update(extra)
-    return echo
-
-
 def report_to_dict(report: TreReport, config: FitConfig, shape: Shape,
                    alphabet: str | None = None, **config_extra) -> dict:
     out = {
-        "config": config_echo(config, **config_extra),
+        "config": {
+            "distance": config.distance.kind,
+            "composition": getattr(config.composition, "kind", "unknown"),
+            "learn_composition": config.learn_composition,
+            "learning_rate": config.learning_rate,
+            "steps": config.steps,
+            "seed": config.seed,
+            "init_scale": INIT_SCALE,
+            "convergence_tol": config.convergence_tol,
+            "restarts": config.effective_restarts,
+            **config_extra,
+        },
         "shape": _shape_header(shape, alphabet),
         "aggregate_tre": report.aggregate,
         "per_datum_tre": dict(report.per_datum),

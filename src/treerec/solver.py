@@ -54,6 +54,7 @@ ADAM_EPS = 1e-8
 EARLY_STOP_WINDOW = 50
 GRADCHECK_STEP = 1e-5
 GRADCHECK_KINK_TOL = 1e-4
+INIT_SCALE = 0.01
 _SEED_MASK = (1 << 64) - 1
 _MAX_COSINE_RESCUES = 10
 _BLOCK_VALUES = 1 << 15
@@ -124,9 +125,6 @@ class Dataset:
     def __iter__(self):
         return iter(self.records)
 
-    def primitives(self) -> tuple[Symbol, ...]:
-        return _compile(rec.derivation for rec in self.records).symbols
-
     @staticmethod
     def build(rows: Iterable[tuple[str, object, Derivation]], shape: Shape) -> "Dataset":
         records = tuple(
@@ -160,7 +158,6 @@ class FitConfig:
     steps: int = 1000
     learning_rate: float = 0.01
     seed: int = 0
-    init_scale: float = 0.01
     convergence_tol: float = 1e-8
     restarts: int | None = None
 
@@ -170,8 +167,6 @@ class FitConfig:
         # Chained comparisons, so that NaN fails them too.
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if not 0 < self.init_scale < math.inf:
-            raise ValueError("init_scale must be positive and finite")
         if not 0 <= self.convergence_tol < math.inf:
             raise ValueError("convergence_tol must be non-negative and finite")
         if self.restarts is not None and self.restarts < 1:
@@ -513,14 +508,37 @@ def _table_from(problem: _Problem, params: np.ndarray,
     return PrimitiveTable(entries, comp)
 
 
-def _aggregate(per_datum: dict[str, float]) -> float:
-    return math.fsum(per_datum.values()) / len(per_datum)
+def _report(dataset: Dataset, errors: list[float], table: PrimitiveTable, trace,
+            converged: bool, diagnostics=()) -> TreReport:
+    """The report of a fit whose per-record errors, in record order, are
+    ``errors``; the aggregate is their mean."""
+    return TreReport({rec.id: e for rec, e in zip(dataset.records, errors)},
+                     math.fsum(errors) / len(errors), table, tuple(trace), converged,
+                     tuple(diagnostics))
+
+
+def _fit_problem(dataset: Dataset, config: FitConfig) -> _Problem:
+    """``dataset`` compiled for ``fit`` and ``gradient_check``, which refuse
+    with ValueError a composition they cannot optimize through: a table, a
+    linear one with neither matrices nor ``learn_composition``, or matrices
+    that do not match the dataset shape."""
+    comp = config.composition
+    if isinstance(comp, LinearComposition):
+        if not config.learn_composition and not comp.has_weights:
+            raise ValueError("linear composition needs weight matrices unless "
+                             "learn_composition=True")
+        if comp.has_weights and len(comp.left_weights) != dataset.shape.array_shape()[0]:
+            raise ValueError("composition weights do not match the dataset shape")
+    elif not isinstance(comp, AdditiveComposition):
+        raise ValueError(
+            f"cannot optimize through composition kind {getattr(comp, 'kind', comp)!r}")
+    return _build_problem(dataset, config.distance.kind)
 
 
 def fit(dataset: Dataset, config: FitConfig) -> TreReport:
     """Minimize the summed reconstruction error with full-batch Adam.
 
-    Parameters are initialized i.i.d. Gaussian(0, init_scale^2) keyed by
+    Parameters are initialized i.i.d. Gaussian(0, INIT_SCALE^2) keyed by
     (seed, restart, symbol name), so results do not depend on record order.
     Learned linear weights start at the identity plus the same-scale noise.
     Runs at most ``config.steps`` updates per restart, stopping early once the
@@ -534,44 +552,23 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
     Per-record errors come from the winning restart's parameters.  Under
     cosine, a zero-norm representation raises ZeroNormError naming its record.
     """
-    if isinstance(config.composition, LinearComposition):
-        if not config.learn_composition and not config.composition.has_weights:
-            raise ValueError("linear composition needs weight matrices unless "
-                             "learn_composition=True")
-    elif not isinstance(config.composition, AdditiveComposition):
-        raise ValueError(
-            f"cannot optimize through composition kind "
-            f"{getattr(config.composition, 'kind', config.composition)!r}"
-        )
-    problem = _build_problem(dataset, config.distance.kind)
-    if isinstance(config.composition, LinearComposition) and config.composition.has_weights:
-        if config.composition.left_weights.shape[0] != problem.targets.shape[1]:
-            raise ValueError("composition weights do not match the dataset shape")
-
+    problem = _fit_problem(dataset, config)
     # ``min`` keeps the first of equally good restarts.
     _, params, comp, trace, converged, diagnostics = min(
         (_fit_once(problem, config, restart) for restart in range(config.effective_restarts)),
         key=lambda outcome: outcome[0])
-    errors = _record_errors(problem, params, comp)
-    per_datum = {rec.id: e for rec, e in zip(dataset.records, errors)}
-    return TreReport(
-        per_datum=per_datum,
-        aggregate=_aggregate(per_datum),
-        table=_table_from(problem, params, comp if config.learn_composition else None),
-        objective_trace=tuple(trace),
-        converged=converged,
-        diagnostics=tuple(diagnostics),
-    )
+    table = _table_from(problem, params, comp if config.learn_composition else None)
+    return _report(dataset, _record_errors(problem, params, comp), table, trace, converged,
+                   diagnostics)
 
 
 def _fit_once(problem: _Problem, config: FitConfig, restart: int):
-    params = _init_params(problem, config.seed, restart, config.init_scale)
+    params = _init_params(problem, config.seed, restart, INIT_SCALE)
     learn = config.learn_composition
     comp = config.composition
     if learn:
         # Fresh arrays that the Adam steps below update in place.
-        comp = LinearComposition(*_init_weights(problem, config.seed, restart,
-                                                config.init_scale))
+        comp = LinearComposition(*_init_weights(problem, config.seed, restart, INIT_SCALE))
     opt = _Adam([params, comp.left_weights, comp.right_weights] if learn else [params],
                 config.learning_rate)
 
@@ -596,7 +593,7 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int):
             rows = np.flatnonzero(counts[list(zero.rows)].any(axis=0)).tolist()
             for row in rows:
                 rng = _rng(config.seed, 2, restart, rescues, row)
-                params[row] = rng.normal(0.0, config.init_scale, params.shape[1:])
+                params[row] = rng.normal(0.0, INIT_SCALE, params.shape[1:])
             opt.reset_rows(rows)
             names = ", ".join(problem.dag.symbols[r].name for r in rows)
             diagnostics.append(
@@ -637,15 +634,8 @@ def closed_form_fit(dataset: Dataset) -> TreReport:
     solution, *_ = np.linalg.lstsq(problem.counts, flat_targets, rcond=None)
 
     errors = distances("squared_l2", problem.counts @ solution, flat_targets).tolist()
-    per_datum = {rec.id: e for rec, e in zip(dataset.records, errors)}
-    total = math.fsum(per_datum.values())
-    return TreReport(
-        per_datum=per_datum,
-        aggregate=_aggregate(per_datum),
-        table=_table_from(problem, solution.reshape((-1,) + problem.targets.shape[1:])),
-        objective_trace=((0, total),),
-        converged=True,
-    )
+    table = _table_from(problem, solution.reshape((-1,) + problem.targets.shape[1:]))
+    return _report(dataset, errors, table, [(0, math.fsum(errors))], True)
 
 
 def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> float:
@@ -657,25 +647,26 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
     is not a derivative there; for cosine, points with a prediction of norm
     at most 1e-3.  A trial with no usable point in 64 draws raises
     ValueError, as does ``trials`` below 1: a check of no points would
-    report a perfect 0.0.  The numeric side sums ``_record_errors`` over the
-    DAG compiled once per check; the analytic side is the optimizer's own
-    ``_loss_and_grads`` at the same parameters and weights, so it also
-    checks that the sum over its rows equals the per-record one.
+    report a perfect 0.0.  A configuration that ``fit`` refuses raises
+    ``fit``'s ValueError; learned linear weights are drawn with each point.
+    The numeric side sums ``_record_errors`` over the DAG compiled once per
+    check; the analytic side is the optimizer's own ``_loss_and_grads`` at
+    the same parameters and weights, so it also checks that the sum over its
+    rows equals the per-record one.
     """
     if trials < 1:
         raise ValueError(f"gradient check needs at least one trial, got {trials}")
-    problem = _build_problem(dataset, config.distance.kind)
+    problem = _fit_problem(dataset, config)
     dag, shape = problem.dag, problem.targets.shape[1:]
     learn = config.learn_composition
     comp = config.composition
-    random_weights = isinstance(comp, LinearComposition) and not comp.has_weights
     worst = 0.0
 
     for trial in range(trials):
         for attempt in range(64):
             rng = _rng(config.seed, 3, trial, attempt)
             params = rng.normal(0.0, 1.0, (len(dag.symbols),) + shape)
-            if random_weights:
+            if learn:
                 side = shape[0]
                 comp = LinearComposition(
                     np.eye(side) + 0.5 * rng.normal(0.0, 1.0, (side, side)),

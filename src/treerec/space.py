@@ -191,9 +191,6 @@ class TableComposition:
                 "operand pair was never registered with this table"
             ) from None
 
-    def __len__(self) -> int:
-        return len(self._memo)
-
 
 CompositionSpec = Union[AdditiveComposition, LinearComposition, TableComposition]
 

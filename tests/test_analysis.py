@@ -328,6 +328,17 @@ class TestBoundCheck:
         with pytest.raises(ConditionsUnmetError, match=message):
             bound_check(ds, PrimitiveTable(entries), ADD, L1)
 
+    def test_entry_outside_unit_ball_is_named_before_a_far_pair(self):
+        # p1 and p2 are 1.1 apart and come before p3 in entry order, but an
+        # entry outside the unit ball is named first.
+        entries = {Symbol(f"p{i}"): np.array(v)
+                   for i, v in enumerate([[0.1, 0.0], [0.5, 0.0], [-0.6, 0.0], [0.0, 1.5]])}
+        ds = Dataset.build([("x", [0.0, 0.0], parse_derivation("p0"))], VectorShape(2))
+        with pytest.raises(ConditionsUnmetError) as err:
+            bound_check(ds, PrimitiveTable(entries), ADD, L1)
+        assert str(err.value) == ("conditions unmet: entry 'p3' lies outside the unit ball "
+                                  "(distance to origin 1.5)")
+
     def test_wrong_distance_or_composition_refused(self):
         table = PrimitiveTable({Symbol("a"): np.array([0.1, 0.0])})
         ds = Dataset.build([("x", [1.0, 0.0], parse_derivation("a"))], VectorShape(2))

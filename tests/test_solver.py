@@ -53,6 +53,7 @@ from treerec import (
     Record,
     ShapeMismatchError,
     Symbol,
+    TableComposition,
     VectorShape,
     ZeroNormError,
     all_derivations,
@@ -386,7 +387,7 @@ class TestFit:
             FitConfig(distance=SQL2, composition=LinearComposition(np.eye(2), np.eye(2)),
                       learn_composition=True)
 
-    @pytest.mark.parametrize("field", ["learning_rate", "init_scale", "convergence_tol"])
+    @pytest.mark.parametrize("field", ["learning_rate", "convergence_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_config_rejects_non_finite_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -512,6 +513,22 @@ class TestGradientCheckOperation:
         for trials in (0, -3):
             with pytest.raises(ValueError, match="at least one trial"):
                 gradient_check(hand_instance, FitConfig(distance=SQL2), trials=trials)
+
+    @pytest.mark.parametrize("composition,message", [
+        (TableComposition(), "cannot optimize through composition kind 'table'"),
+        (LinearComposition(),
+         "linear composition needs weight matrices unless learn_composition=True"),
+        (LinearComposition(np.eye(3), np.eye(3)),
+         "composition weights do not match the dataset shape")],
+        ids=["table", "linear-without-weights", "3x3-weights-on-dim-2"])
+    def test_refuses_what_fit_refuses(self, hand_instance, composition, message):
+        config = FitConfig(distance=SQL2, composition=composition)
+        for call in (lambda: fit(hand_instance, config),
+                     lambda: gradient_check(hand_instance, config, trials=1)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert type(err.value) is ValueError
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("composition", [ADD, LinearComposition()], ids=["additive", "linear"])
     def test_no_point_clear_of_kinks_is_an_error(self, hand_instance, monkeypatch, composition):
