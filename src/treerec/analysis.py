@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivation import pairwise_tree_edit_distances
+from .solver import Dataset, FitConfig, PrimitiveTable, _table_errors, _table_params
 # Unused ``tre_datum`` and ``distance`` stay importable: perfbench's tracer wraps them.
-from .solver import Dataset, FitConfig, PrimitiveTable, _table_errors, tre_datum  # noqa: F401
+from .solver import tre_datum  # noqa: F401
 from .space import AdditiveComposition, CompositionSpec, DistanceSpec, distances
 from .space import distance  # noqa: F401
 
@@ -184,23 +185,23 @@ def bound_check(dataset: Dataset, table: PrimitiveTable, comp: CompositionSpec,
         raise ConditionsUnmetError(
             "conditions unmet: bound check requires additive composition, "
             "whose identity element is the zero representation")
-    entries = list(table.entries.items())
-    if not entries:
+    symbols = list(table.entries)
+    if not symbols:
         raise ConditionsUnmetError("conditions unmet: empty primitive table")
     # Row 0 is the origin, so the entries' distances to it come first, then
     # the entry pairs in ``itertools.combinations`` order.
-    points = np.stack([np.zeros_like(entries[0][1]), *(value for _, value in entries)])
+    points = np.insert(_table_params(table, symbols, dataset.shape.array_shape()), 0, 0.0, axis=0)
     d = _pairs(distance_spec.kind, points)
     far = np.flatnonzero(d > 1.0 + _FLOAT_SLACK)
     if far.size:
         i, j = (int(k[far[0]]) for k in np.triu_indices(len(points), 1))
-        dist, name = float(d[far[0]]), entries[j - 1][0].name
+        dist, name = float(d[far[0]]), symbols[j - 1].name
         if i == 0:
             raise ConditionsUnmetError(
                 f"conditions unmet: entry {name!r} lies outside the unit "
                 f"ball (distance to origin {dist:.6g})")
         raise ConditionsUnmetError(
-            f"conditions unmet: entries {entries[i - 1][0].name!r} and {name!r} "
+            f"conditions unmet: entries {symbols[i - 1].name!r} and {name!r} "
             f"are more than unit distance apart ({dist:.6g})")
 
     epsilon = max(_table_errors(table, FitConfig(distance=distance_spec, composition=comp),

@@ -14,11 +14,12 @@ additive / squared-L2 case exactly through the normal equations and serves as
 an independent oracle for the iterative path.
 
 ``fit`` and ``gradient_check`` evaluate the objective through
-``_loss_and_grads``, which sums additive composition over weighted distinct
-leaf-count rows (``_Problem.rows``) in blocks of at most ``_BLOCK_VALUES``
-values, so one block's temporaries stay in a core's cache.  Under l1 and
-squared_l2 that objective is one flat sum over all coordinates per block, so
-it may differ in the last bits from the sum of the per-record errors.  Every
+``_loss_and_grads``, which sums over ``_Problem.rows``, the weighted groups
+of records that share a prediction: a distinct leaf-count row under additive
+composition, in blocks of at most ``_BLOCK_VALUES`` values so one block's
+temporaries stay in a core's cache, and a distinct DAG root under linear (a
+record under l1).  That sum, under l1 and squared_l2 flat over coordinates,
+may differ in the last bits from the sum of the per-record errors.  Every
 per-record error is one ``_record_errors`` pass over the records' DAG at the
 parameters in use.
 """
@@ -213,7 +214,7 @@ def eval_compositional(table: PrimitiveTable, comp: CompositionSpec,
     """
     single = isinstance(d, (Leaf, Node))
     dag = _compile([d] if single else d)
-    values = _forward(dag, _table_params(table, dag), comp)[dag.roots]
+    values = _forward(dag, _table_params(table, dag.symbols), comp)[dag.roots]
     return values[0] if single else values
 
 
@@ -236,7 +237,8 @@ def _table_errors(table: PrimitiveTable, config: FitConfig,
             raise ValueError("linear composition weights are neither in the "
                              "config nor in the table")
         comp = table.composition_params
-    return _record_errors(problem, _table_params(table, problem.dag), comp)
+    return _record_errors(problem, _table_params(table, problem.dag.symbols,
+                                                 problem.targets.shape[1:]), comp)
 
 
 def tre_datum(table: PrimitiveTable, config: FitConfig, record: Record) -> float:
@@ -261,11 +263,17 @@ def _symbol_key(name: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _table_params(table: PrimitiveTable, dag: _Dag) -> np.ndarray:
+def _table_params(table: PrimitiveTable, symbols: Sequence[Symbol], shape=None) -> np.ndarray:
+    """The entries of ``symbols`` stacked, each of ``shape`` (by default the first's)."""
     try:
-        return np.stack([table.entries[s] for s in dag.symbols])
+        entries = [table.entries[s] for s in symbols]
     except KeyError as e:
         raise MissingPrimitiveError(e.args[0]) from None
+    shape = np.shape(entries[0]) if shape is None else shape
+    for sym, entry in zip(symbols, entries):
+        if (got := np.shape(entry)) != shape:
+            raise ShapeMismatchError(f"primitive {sym.name!r} has shape {got}, expected {shape}")
+    return np.stack(entries)
 
 
 def _forward(dag: _Dag, params: np.ndarray, comp: CompositionSpec) -> np.ndarray:
@@ -279,17 +287,17 @@ def _forward(dag: _Dag, params: np.ndarray, comp: CompositionSpec) -> np.ndarray
     return values
 
 
-def _backward(dag: _Dag, values: np.ndarray, comp: CompositionSpec,
+def _backward(dag: _Dag, values: np.ndarray, comp: CompositionSpec, roots: np.ndarray,
               upstream: np.ndarray, learn_weights: bool):
     """Adjoint of ``_forward`` for linear composition.
 
-    ``upstream[k]`` is the gradient with respect to the value of root k.
-    Returns the gradient for each parameter row and, when ``learn_weights``,
-    for the two weight matrices.  A subtree shared by several parents
-    receives the sum of their gradients before passing it on.
+    ``upstream[k]`` is the gradient with respect to the value of subtree
+    ``roots[k]``.  Returns the gradient for each parameter row and, when
+    ``learn_weights``, for the two weight matrices.  A subtree shared by
+    several parents receives the sum of their gradients before passing it on.
 
     The adds into a subtree's gradient come in one fixed order: the roots in
-    record order, then the levels from the highest down, each level adding
+    ``roots`` order, then the levels from the highest down, each level adding
     its left-child block and then its right-child block, nodes in id order.
     Floating-point sums depend on their order, so keeping it keeps every
     gradient, objective trace and report byte-stable.  The scatters run on
@@ -307,7 +315,7 @@ def _backward(dag: _Dag, values: np.ndarray, comp: CompositionSpec,
     def scatter(ids: np.ndarray, rows: np.ndarray):
         np.add.at(flat, (ids[:, None] * len(offsets) + offsets).ravel(), rows.ravel())
 
-    scatter(dag.roots, upstream)
+    scatter(roots, upstream)
     shape = (dag.size, values.shape[1], -1)
     cols, gcols = values.reshape(shape), grads.reshape(shape)
     grad_lw, grad_rw = np.zeros_like(lw), np.zeros_like(rw)
@@ -348,13 +356,14 @@ class _Adam:
 
 @dataclass(frozen=True)
 class _Rows:
-    """The rows that additive fitting sums over (see ``_Problem.rows``): row
-    ``g`` predicts ``counts[g] @ params`` and adds ``weights[g]`` (1 where
-    None) times its distance to the flat ``targets[g]``, whose norm under
-    cosine is ``norms[g]``; ``constant`` is added once.  ``_loss_and_grads``
-    reads them in blocks of consecutive rows."""
+    """The rows that fitting sums over (see ``_Problem.rows``): row ``g``
+    holds the records of key ``keys[g]``, the first of them ``first[g]``, and
+    adds ``weights[g]`` (1 where None) times the distance of their prediction
+    to the flat ``targets[g]``, whose norm under cosine is ``norms[g]``;
+    ``constant`` is added once."""
 
-    counts: np.ndarray                  # (rows, P)
+    keys: np.ndarray                    # (rows, P) leaf counts or (rows, 1) root ids
+    first: np.ndarray                   # (rows,) record index
     targets: np.ndarray                 # (rows, prod(shape))
     weights: np.ndarray | None          # (rows,)
     constant: float
@@ -368,7 +377,7 @@ class _Problem:
     dag: _Dag
     targets: np.ndarray                 # (n, *shape)
     kind: str
-    target_norms: np.ndarray | None     # (n,) norms of the flat targets, under cosine
+    additive: bool = True               # else the rows are for linear composition
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -379,11 +388,11 @@ class _Problem:
 
     @cached_property
     def rows(self) -> _Rows:
-        """The rows of the additive objective, whose sum over records equals,
-        up to rounding, a weighted sum over the distinct leaf-count rows ``u``
-        (the records of a row share one prediction ``p = u @ params``):
+        """The records grouped by shared prediction ``p``, additive ones by
+        leaf-count row ``u`` (``p = u @ params``) and linear ones by DAG root:
+        the objective's sum over records is, up to rounding, a weighted sum:
 
-        * squared_l2: over the row's m records,
+        * squared_l2: over a group's m records,
           sum_k |p - y_k|^2 = m |p - mean(y)|^2 + sum_k |y_k - mean(y)|^2,
           so the target is the mean, the weight m, and the scatter goes to
           the constant;
@@ -394,23 +403,24 @@ class _Problem:
         * l1 has no such reduction: the rows are the records, unweighted.
         """
         flat = self.targets.reshape(len(self.targets), -1)
+        keys = self.counts if self.additive else self.dag.roots[:, None]
         if self.kind == "l1":
-            return _Rows(self.counts, flat, None, 0.0)
-        counts, first, inverse, sizes = _distinct_rows(self.counts)
-        sums = np.zeros((len(counts), flat.shape[1]))
+            return _Rows(keys, np.arange(len(flat)), flat, None, 0.0)
+        keys, first, inverse, sizes = _distinct_rows(keys)
+        sums = np.zeros((len(keys), flat.shape[1]))
         if self.kind == "squared_l2":
             np.add.at(sums, inverse, flat)
             means = sums / sizes[:, None]
             scatter = flat - means[inverse]
             constant = math.fsum((scatter * scatter).sum(axis=1).tolist())
-            return _Rows(counts, means, sizes, constant)
-        units = flat / self.target_norms[:, None]
+            return _Rows(keys, first, means, sizes, constant)
+        units = flat / np.linalg.norm(flat, axis=1)[:, None]
         np.add.at(sums, inverse, units)
         weights = np.linalg.norm(sums, axis=1)
         cancelled = weights == 0.0
         sums[cancelled] = units[first[cancelled]]
         constant = math.fsum((sizes - weights).tolist())
-        return _Rows(counts, sums, weights, constant, np.linalg.norm(sums, axis=1))
+        return _Rows(keys, first, sums, weights, constant, np.linalg.norm(sums, axis=1))
 
 
 def _distinct_rows(matrix: np.ndarray):
@@ -426,61 +436,59 @@ def _distinct_rows(matrix: np.ndarray):
     return ordered[starts], order[starts], inverse, np.diff(starts, append=len(order))
 
 
-def _build_problem(records: Iterable[Record], kind: str) -> _Problem:
+def _build_problem(records: Iterable[Record], kind: str, additive: bool = True) -> _Problem:
     """Under cosine, raises ZeroNormError naming the first record whose
     representation has norm 0."""
     records = tuple(records)
     targets = np.stack([rec.representation for rec in records])
-    norms = None
     if kind == "cosine":
-        norms = np.linalg.norm(targets.reshape(len(targets), -1), axis=1)
-        zero = np.flatnonzero(norms == 0.0)
+        zero = np.flatnonzero(np.linalg.norm(targets.reshape(len(targets), -1), axis=1) == 0.0)
         if zero.size:
             raise ZeroNormError(f"cosine distance is undefined for zero-norm representation "
                                 f"in record {records[zero[0]].id!r}", zero.tolist())
-    return _Problem(_compile(rec.derivation for rec in records), targets, kind, norms)
+    return _Problem(_compile(rec.derivation for rec in records), targets, kind, additive)
 
 
 def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec,
                     learn_weights: bool):
     """The objective at ``params`` and its gradients for the parameter rows
-    and, when ``learn_weights``, the two weight matrices (else None).  The one
-    place the objective depends on the composition: additive, linear in the
-    parameters, multiplies the flat parameters by the weighted distinct
-    leaf-count rows of ``problem.rows`` and the gradient by their transpose;
-    linear runs ``_forward`` and ``_backward`` over the DAG and sums over the
-    records.  Cosine reads the target norms computed with the problem.
+    and, when ``learn_weights``, the two weight matrices (else None), summed
+    over ``problem.rows``.  The one place the objective depends on the
+    composition: additive, linear in the parameters, multiplies the flat
+    parameters by the rows' leaf counts and the gradient by their transpose;
+    linear runs ``_forward`` over the DAG and ``_backward`` from the rows'
+    roots.
 
     Additive runs in row blocks of at most ``_BLOCK_VALUES`` target values
     and adds their losses and gradients in block order.  The l1 gradient, of
     integer terms, is the same at any block count; squared_l2 and cosine
     results are the same while the rows fit in one block.  A cosine
-    ZeroNormError names every block's zero-norm rows by their index in
-    ``problem.rows``."""
+    ZeroNormError names the zero-norm rows by their index in ``problem.rows``."""
+    rows, flat = problem.rows, params.reshape(len(params), -1)
     if isinstance(comp, AdditiveComposition):
-        rows, flat = problem.rows, params.reshape(len(params), -1)
         size = max(1, _BLOCK_VALUES // rows.targets.shape[1])
         loss, grad, zero = rows.constant, None, []
         for start in range(0, len(rows.targets), size):
             block = slice(start, start + size)
             try:
                 part, dpred = _loss_and_dpred(
-                    problem.kind, rows.counts[block] @ flat, rows.targets[block],
+                    problem.kind, rows.keys[block] @ flat, rows.targets[block],
                     None if rows.weights is None else rows.weights[block],
                     None if rows.norms is None else rows.norms[block])
             except ZeroNormError as err:
                 zero += [start + r for r in err.rows]
                 continue
-            part_grad = rows.counts[block].T @ dpred
+            part_grad = rows.keys[block].T @ dpred
             loss += part
             grad = part_grad if grad is None else grad + part_grad
         if zero:
             raise ZeroNormError("cosine distance is undefined for a zero-norm operand", zero)
         return loss, grad.reshape(params.shape), None
-    values = _forward(problem.dag, params, comp)
-    loss, dpred = _loss_and_dpred(problem.kind, values[problem.dag.roots], problem.targets,
-                                  target_norms=problem.target_norms)
-    return (loss, *_backward(problem.dag, values, comp, dpred, learn_weights))
+    values, roots = _forward(problem.dag, params, comp), problem.dag.roots[rows.first]
+    loss, dpred = _loss_and_dpred(problem.kind, values[roots], rows.targets, rows.weights,
+                                  rows.norms)
+    return (rows.constant + loss, *_backward(problem.dag, values, comp, roots, dpred,
+                                             learn_weights))
 
 
 def _init_params(problem: _Problem, seed: int, restart: int, scale: float) -> np.ndarray:
@@ -532,7 +540,7 @@ def _fit_problem(dataset: Dataset, config: FitConfig) -> _Problem:
     elif not isinstance(comp, AdditiveComposition):
         raise ValueError(
             f"cannot optimize through composition kind {getattr(comp, 'kind', comp)!r}")
-    return _build_problem(dataset, config.distance.kind)
+    return _build_problem(dataset, config.distance.kind, isinstance(comp, AdditiveComposition))
 
 
 def fit(dataset: Dataset, config: FitConfig) -> TreReport:
@@ -588,9 +596,8 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int):
                 raise DivergenceError(
                     step, f"cosine predictions collapsed to zero norm at step {step} "
                           f"and re-initialization did not recover")
-            # Additive rows are distinct leaf-count rows, linear rows the records.
-            counts = (problem.rows if isinstance(comp, AdditiveComposition) else problem).counts
-            rows = np.flatnonzero(counts[list(zero.rows)].any(axis=0)).tolist()
+            first = problem.rows.first[list(zero.rows)]
+            rows = np.flatnonzero(problem.counts[first].any(axis=0)).tolist()
             for row in rows:
                 rng = _rng(config.seed, 2, restart, rescues, row)
                 params[row] = rng.normal(0.0, INIT_SCALE, params.shape[1:])

@@ -37,6 +37,7 @@ from treerec import (
     FitConfig,
     GenSpec,
     PrimitiveTable,
+    ShapeMismatchError,
     Symbol,
     VectorShape,
     all_derivations,
@@ -248,6 +249,18 @@ class TestTopographicSimilarity:
 
 
 class TestBoundCheck:
+    @pytest.mark.parametrize("a_dim,named", [(2, "b"), (3, "a")],
+                             ids=["two-shapes", "both-off-the-data"])
+    def test_entry_of_wrong_shape_names_the_primitive(self, a_dim, named):
+        # Entry b has dim 3 and a has a_dim; the check is against the data's
+        # dim 2, in table order.
+        table = PrimitiveTable({Symbol("a"): np.full(a_dim, 0.1),
+                                Symbol("b"): np.full(3, 0.1)})
+        ds = Dataset.build([("x", [0.1, 0.1], parse_derivation("(a b)"))], VectorShape(2))
+        with pytest.raises(ShapeMismatchError,
+                           match=rf"^primitive '{named}' has shape \(3,\), expected \(2,\)$"):
+            bound_check(ds, table, ADD, L1)
+
     def test_exact_compositional_unit_ball(self):
         # zero reconstruction error: representation distances are bounded by
         # the derivation distances alone

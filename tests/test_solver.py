@@ -23,6 +23,14 @@ Core claims:
     - additive squared_l2 and cosine sum over the distinct leaf-count rows,
       weighted, plus a constant, and that sum equals the per-record one in
       value, gradient and rescue diagnostics; l1 sums over the records
+    - learned-linear squared_l2 and cosine sum over the distinct DAG roots,
+      weighted, plus a constant, within 1e-12 of the per-record sum in value
+      and all three gradients, even where a root's cosine targets cancel;
+      l1 equals the per-record sum to the bit; the learned-linear cosine
+      rescue names the primitives of the records that predict zero
+    - a table entry whose shape differs from the data's, or from the other
+      entries', raises ShapeMismatchError naming its primitive and both
+      shapes
     - the additive l1 gradient is exactly the transposed leaf counts times
       the residual signs, and fit reports on generated data match pinned
       digests, with the final objective, a flat sum, pinned to 1e-12
@@ -157,6 +165,13 @@ class TestEvalCompositional:
         with pytest.raises(MissingPrimitiveError, match="b"):
             eval_compositional(table, ADD, parse_derivation("(a b)"))
 
+    def test_entries_of_two_shapes_name_the_primitive(self):
+        # No dataset gives the shape, so the first symbol's entry does.
+        table = PrimitiveTable({Symbol("a"): np.zeros(2), Symbol("b"): np.zeros(3)})
+        with pytest.raises(ShapeMismatchError,
+                           match=r"^primitive 'b' has shape \(3,\), expected \(2,\)$"):
+            eval_compositional(table, ADD, parse_derivation("(a b)"))
+
 
 class TestTreDatum:
     def test_exact_fit_is_zero(self):
@@ -171,6 +186,13 @@ class TestTreDatum:
         config = FitConfig(distance=SQL2)
         rec = Record("x", np.array([1.0, 0.0]), parse_derivation("a"))
         assert tre_datum(table, config, rec) == approx(4.0 / 9.0)
+
+    def test_entry_of_wrong_shape_names_the_primitive(self):
+        table = PrimitiveTable({Symbol("a"): np.zeros(2), Symbol("b"): np.zeros(3)})
+        rec = Record("x", np.array([1.0, 1.0]), parse_derivation("(a b)"))
+        with pytest.raises(ShapeMismatchError,
+                           match=r"^primitive 'b' has shape \(3,\), expected \(2,\)$"):
+            tre_datum(table, FitConfig(distance=SQL2), rec)
 
     def test_non_negative(self):
         rng = np.random.default_rng(0)
@@ -193,6 +215,12 @@ class TestObjective:
         ds = vec_dataset([("x1", [1.0, 0.0], "a"), ("x2", [1.0, 0.0], "a")], dim=2)
         table = PrimitiveTable({Symbol("a"): np.array([1.0, 0.0])})
         assert objective(table, FitConfig(distance=SQL2), ds) == 0.0
+
+    def test_entry_of_wrong_shape_names_the_primitive(self, hand_instance):
+        table = PrimitiveTable({Symbol("a"): np.zeros(3), Symbol("b"): np.zeros(2)})
+        with pytest.raises(ShapeMismatchError,
+                           match=r"^primitive 'a' has shape \(3,\), expected \(2,\)$"):
+            objective(table, FitConfig(distance=L1), hand_instance)
 
 
 class TestClosedFormFit:
@@ -567,12 +595,12 @@ class TestDistinctCountRows:
                              ids=["squared_l2", "cosine", "l1"])
     def test_row_count_and_cancelled_cosine_row(self, spec, n_rows):
         rows = solver_module._build_problem(shared_rows_dataset((4,)), spec.kind).rows
-        assert rows.counts.shape == (n_rows, 3)
+        assert rows.keys.shape == (n_rows, 3)
         if spec is L1:
             assert rows.weights is None and rows.constant == 0.0
         elif spec is COSINE:
             # The ab row keeps weight 0 and a unit stand-in target.
-            assert rows.counts[3].tolist() == [1.0, 1.0, 0.0]
+            assert rows.keys[3].tolist() == [1.0, 1.0, 0.0]
             assert rows.weights[3] == 0.0
             assert np.linalg.norm(rows.targets[3]) == approx(1.0)
 
@@ -664,6 +692,77 @@ class TestDistinctCountRows:
         assert np.isfinite(report.aggregate)
 
 
+def repeated_roots_dataset(shape):
+    """``shared_rows_dataset`` with record 4 the opposite of record 2, so
+    that under linear composition the two "((a b) c)" records are one root
+    row whose unit targets cancel under cosine."""
+    data = shared_rows_dataset(shape)
+    records = list(data.records)
+    records[4] = Record("r4", -records[2].representation, records[4].derivation)
+    return Dataset(tuple(records), data.shape)
+
+
+class TestDistinctRootRows:
+    @SHAPES
+    @pytest.mark.parametrize("spec", [SQL2, COSINE, L1], ids=lambda s: s.kind)
+    def test_loss_and_gradients_equal_per_record_path(self, shape, spec):
+        problem = solver_module._build_problem(repeated_roots_dataset(shape), spec.kind,
+                                               additive=False)
+        dag, side = problem.dag, shape[0]
+        assert len(problem.rows.targets) == (10 if spec is L1 else 9)
+        rng = np.random.default_rng(5)
+        params = rng.normal(0, 1, (3,) + shape)
+        comp = LinearComposition(np.eye(side) + 0.5 * rng.normal(0, 1, (side, side)),
+                                 np.eye(side) + 0.5 * rng.normal(0, 1, (side, side)))
+        loss, grad, weights = solver_module._loss_and_grads(problem, params, comp, True)
+
+        values = solver_module._forward(dag, params, comp)
+        ref_loss, dpred = _loss_and_dpred(spec.kind, values[dag.roots], problem.targets)
+        ref_grad, ref_weights = solver_module._backward(dag, values, comp, dag.roots, dpred,
+                                                        True)
+        if spec is L1:
+            assert loss == ref_loss
+            assert all(np.array_equal(a, b)
+                       for a, b in zip((grad, *weights), (ref_grad, *ref_weights)))
+            return
+        assert loss == approx(ref_loss, rel=1e-12)
+        for got, expected in zip((grad, *weights), (ref_grad, *ref_weights)):
+            np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("zeroed", ["ab", "ac"])
+    def test_cosine_rescue_names_primitives_of_zero_records(self, monkeypatch, zeroed):
+        # As the additive test of that name, under learned linear
+        # composition: the records that predict 0 at the start, found record
+        # by record, name the primitives the fit re-initializes.
+        data = repeated_roots_dataset((4,))
+        config = FitConfig(distance=COSINE, composition=LinearComposition(),
+                           learn_composition=True, steps=20, seed=0, restarts=1)
+        real_init = solver_module._init_params
+        start = {}
+
+        def init(problem, seed, restart, scale):
+            params = real_init(problem, seed, restart, scale)
+            for i, sym in enumerate(problem.dag.symbols):
+                if sym.name in zeroed:
+                    params[i] = 0.0
+            start.update(zip(problem.dag.symbols, params.copy()))
+            start["weights"] = solver_module._init_weights(problem, seed, restart, scale)
+            return params
+
+        monkeypatch.setattr(solver_module, "_init_params", init)
+        report = fit(data, config)
+        comp = LinearComposition(*start.pop("weights"))
+        values = eval_compositional(PrimitiveTable(start), comp,
+                                    [rec.derivation for rec in data])
+        names = sorted({sym.name for rec, value in zip(data, values) if not value.any()
+                        for sym in primitives_of(rec.derivation)})
+        assert names == sorted(zeroed)
+        assert report.diagnostics[0] == (f"step 0: zero-norm cosine prediction; "
+                                         f"re-initialized entries [{', '.join(names)}]")
+        assert np.isfinite(report.aggregate)
+
+
 PIN_DATA = {
     "vector": GenSpec(num_primitives=5, shape=VectorShape(6), num_records=200,
                       noise_sigma=0.1, seed=11),
@@ -689,16 +788,16 @@ PINNED_REPORTS = [
     ("code", "cosine", "additive",
      "cffbe7aa08fcbb98717d229cedd73f3ec3565585b642e7c275da6b262a7882e1", 0.3150180733250677),
     ("code", "squared_l2", "linear",
-     "6934d0dd4a92cbf9075a950aac777ba06da5f8a2386a057b4e3ac40cedf48398", 547.5941567207589),
+     "e3950d5f1a8c9d9bd073425e92bcddc5f8058283f9dae639b5f4649604294d17", 547.5941567207589),
     ("code", "l1", "linear",
      "7bb512f02d1900c1441c15120667056d62e5fd73dcb449c64a62632a2bc94d38", 536.8445641446258),
     ("code", "cosine", "linear",
-     "f02f3aaf483baa334c10492eae81712d6dc18b3acdfb0bc94e45a005a083784f", 0.3367670214998454),
+     "09c9971ff654da81c90c6477a3f2ac1a11c97e44e0aecb4f5ab3cfe976923b66", 0.3367670214998454),
     # Two restarts at seed 4: the second ends lower (squared_l2 551.69
     # against 554.73, l1 537.50 against 537.99), so the report comes from
     # restart 1's parameters and weights.
     ("code", "squared_l2", "linear-2-restarts",
-     "955ade7a189ad05253d2e0d1f07cd2a0a7ec6bc6463aa45d83bfaf2e58b24c52", 551.6945572499585),
+     "2cdedc8100deb6df7f773041d9a89f96ba88edffff980ab78914a93f29ea8eab", 551.6945572499585),
     ("code", "l1", "linear-2-restarts",
      "39ca9d6b75df314f3a1c5077880ad8e0ec88a5c8ff9935bfa8287ded9af52d37", 537.4962774530795),
 ]
@@ -763,7 +862,7 @@ class TestRowBlocks:
         problem = solver_module._build_problem(shared_rows_dataset((4,)), "cosine")
         params = np.random.default_rng(6).normal(0, 1, (3, 4))
         params[[sym.name for sym in problem.dag.symbols].index("a")] = 0.0
-        zero = np.flatnonzero(~(problem.rows.counts @ params).any(axis=1)).tolist()
+        zero = np.flatnonzero(~(problem.rows.keys @ params).any(axis=1)).tolist()
         assert zero and min(zero) >= 2
         monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 4 * 2)
         with pytest.raises(ZeroNormError) as err:
@@ -828,7 +927,7 @@ class TestBackwardOrder:
         values = solver_module._forward(dag, rng.normal(0, 1, (len(dag.symbols),) + shape),
                                         comp)
         upstream = rng.normal(0, 1, (len(self.TEXTS),) + shape)
-        params, weights = solver_module._backward(dag, values, comp, upstream,
+        params, weights = solver_module._backward(dag, values, comp, dag.roots, upstream,
                                                   learn_weights)
         ref_params, ref_weights = reference_backward(dag, values, comp, upstream,
                                                      learn_weights)

@@ -59,10 +59,11 @@ def composition_gradients(spec, r, s, upstream):
         # The additive backward pass of ``_loss_and_grads``: the transpose of
         # the rows, which under l1 are the records, so ``upstream`` is the
         # one record's.
-        return tuple(np.tensordot(problem.rows.counts.T, upstream[None], axes=1))
+        return tuple(np.tensordot(problem.rows.keys.T, upstream[None], axes=1))
     values = solver._forward(problem.dag, np.stack([r, s]), spec) if isinstance(
         spec, LinearComposition) else None
-    grads, weights = solver._backward(problem.dag, values, spec, upstream[None], True)
+    grads, weights = solver._backward(problem.dag, values, spec, problem.dag.roots,
+                                      upstream[None], True)
     return (grads[0], grads[1]) + weights
 
 
