@@ -226,17 +226,17 @@ def mutual_information_binned(inputs, representations, bins: int = 30) -> float:
     """Plug-in mutual information (bits) between labels and binned
     representations.
 
-    Each representation coordinate is discretized into ``bins`` equal-width
-    bins over its observed range (a constant coordinate collapses to bin 0);
-    the bin-index tuple is the discrete representation variable.  Inputs are
-    weighted uniformly over records.
+    Each representation coordinate is discretized into ``bins`` (an integer
+    of at least 2) equal-width bins over its observed range (a constant
+    coordinate collapses to bin 0); the bin-index tuple is the discrete
+    representation variable.  Inputs are weighted uniformly over records.
     """
     if len(inputs) != len(representations):
         raise ValueError("inputs and representations must have equal length")
     if len(inputs) == 0:
         raise ValueError("empty input")
-    if bins < 2:
-        raise ValueError("bins must be at least 2")
+    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 2:
+        raise ValueError(f"bins must be an integer of at least 2, got {bins!r}")
 
     flat = np.stack([np.asarray(r, dtype=np.float64).ravel() for r in representations])
     if not np.isfinite(flat).all():

@@ -214,6 +214,8 @@ def eval_compositional(table: PrimitiveTable, comp: CompositionSpec,
     """
     single = isinstance(d, (Leaf, Node))
     dag = _compile([d] if single else d)
+    if not dag.size:
+        raise ValueError("no derivations to evaluate")
     values = _forward(dag, _table_params(table, dag.symbols), comp)[dag.roots]
     return values[0] if single else values
 
@@ -230,13 +232,13 @@ def _table_errors(table: PrimitiveTable, config: FitConfig,
                   records: Iterable[Record]) -> list[float]:
     """Per-record errors of ``records`` at ``table``, compiled together.  A
     linear composition without matrices takes the table's."""
-    problem = _build_problem(records, config.distance.kind)
     comp = config.composition
     if isinstance(comp, LinearComposition) and not comp.has_weights:
         if table.composition_params is None:
             raise ValueError("linear composition weights are neither in the "
                              "config nor in the table")
         comp = table.composition_params
+    problem = _build_problem(records, config.distance.kind, comp)
     return _record_errors(problem, _table_params(table, problem.dag.symbols,
                                                  problem.targets.shape[1:]), comp)
 
@@ -287,14 +289,14 @@ def _forward(dag: _Dag, params: np.ndarray, comp: CompositionSpec) -> np.ndarray
     return values
 
 
-def _backward(dag: _Dag, values: np.ndarray, comp: CompositionSpec, roots: np.ndarray,
-              upstream: np.ndarray, learn_weights: bool):
-    """Adjoint of ``_forward`` for linear composition.
+def _backward(problem: _Problem, values: np.ndarray, comp: CompositionSpec,
+              roots: np.ndarray, upstream: np.ndarray) -> list[np.ndarray]:
+    """Adjoint of ``_forward`` over ``problem.dag`` for linear composition.
 
     ``upstream[k]`` is the gradient with respect to the value of subtree
-    ``roots[k]``.  Returns the gradient for each parameter row and, when
-    ``learn_weights``, for the two weight matrices.  A subtree shared by
-    several parents receives the sum of their gradients before passing it on.
+    ``roots[k]``.  Returns the list ``_Adam.step`` takes: the parameter rows'
+    gradient, then, if ``problem.learns_weights``, both weight matrices'.
+    A subtree shared by several parents sums their gradients before passing on.
 
     The adds into a subtree's gradient come in one fixed order: the roots in
     ``roots`` order, then the levels from the highest down, each level adding
@@ -308,7 +310,7 @@ def _backward(dag: _Dag, values: np.ndarray, comp: CompositionSpec, roots: np.nd
     if not isinstance(comp, LinearComposition):
         raise TypeError(f"composition kind {getattr(comp, 'kind', comp)!r} "
                         f"has no level-batched gradient")
-    lw, rw = comp.left_weights, comp.right_weights
+    dag, lw, rw = problem.dag, comp.left_weights, comp.right_weights
     grads = np.zeros_like(values)
     flat, offsets = grads.reshape(-1), np.arange(math.prod(values.shape[1:]))
 
@@ -323,10 +325,10 @@ def _backward(dag: _Dag, values: np.ndarray, comp: CompositionSpec, roots: np.nd
         g, left, right = gcols[lo:hi], dag.left[lo:hi], dag.right[lo:hi]
         scatter(left, np.matmul(lw.T, g))
         scatter(right, np.matmul(rw.T, g))
-        if learn_weights:
+        if problem.learns_weights:
             grad_lw += np.tensordot(g, cols[left], axes=([0, 2], [0, 2]))
             grad_rw += np.tensordot(g, cols[right], axes=([0, 2], [0, 2]))
-    return grads[:len(dag.symbols)], (grad_lw, grad_rw) if learn_weights else None
+    return [grads[:len(dag.symbols)], *((grad_lw, grad_rw) if problem.learns_weights else ())]
 
 
 class _Adam:
@@ -372,12 +374,17 @@ class _Rows:
 
 @dataclass
 class _Problem:
-    """A dataset compiled for fitting and evaluation under distance ``kind``."""
+    """A dataset compiled for fitting and evaluation under distance ``kind``
+    and composition ``comp``; a linear one without matrices learns them."""
 
     dag: _Dag
     targets: np.ndarray                 # (n, *shape)
     kind: str
-    additive: bool = True               # else the rows are for linear composition
+    comp: CompositionSpec
+
+    @property
+    def learns_weights(self) -> bool:
+        return isinstance(self.comp, LinearComposition) and not self.comp.has_weights
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -403,7 +410,7 @@ class _Problem:
         * l1 has no such reduction: the rows are the records, unweighted.
         """
         flat = self.targets.reshape(len(self.targets), -1)
-        keys = self.counts if self.additive else self.dag.roots[:, None]
+        keys = self.counts if isinstance(self.comp, AdditiveComposition) else self.dag.roots[:, None]
         if self.kind == "l1":
             return _Rows(keys, np.arange(len(flat)), flat, None, 0.0)
         keys, first, inverse, sizes = _distinct_rows(keys)
@@ -436,7 +443,7 @@ def _distinct_rows(matrix: np.ndarray):
     return ordered[starts], order[starts], inverse, np.diff(starts, append=len(order))
 
 
-def _build_problem(records: Iterable[Record], kind: str, additive: bool = True) -> _Problem:
+def _build_problem(records: Iterable[Record], kind: str, comp: CompositionSpec) -> _Problem:
     """Under cosine, raises ZeroNormError naming the first record whose
     representation has norm 0."""
     records = tuple(records)
@@ -446,18 +453,17 @@ def _build_problem(records: Iterable[Record], kind: str, additive: bool = True) 
         if zero.size:
             raise ZeroNormError(f"cosine distance is undefined for zero-norm representation "
                                 f"in record {records[zero[0]].id!r}", zero.tolist())
-    return _Problem(_compile(rec.derivation for rec in records), targets, kind, additive)
+    return _Problem(_compile(rec.derivation for rec in records), targets, kind, comp)
 
 
-def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec,
-                    learn_weights: bool):
-    """The objective at ``params`` and its gradients for the parameter rows
-    and, when ``learn_weights``, the two weight matrices (else None), summed
-    over ``problem.rows``.  The one place the objective depends on the
-    composition: additive, linear in the parameters, multiplies the flat
-    parameters by the rows' leaf counts and the gradient by their transpose;
-    linear runs ``_forward`` over the DAG and ``_backward`` from the rows'
-    roots.
+def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec):
+    """The objective at ``params`` and its gradients, the list ``_Adam.step``
+    takes (see ``_backward``), summed over ``problem.rows``; ``comp`` is
+    ``problem.comp`` with the weights in use.  The one place the objective
+    depends on ``problem.comp``: additive, linear in the parameters,
+    multiplies the flat parameters by the rows' leaf counts and the gradient
+    by their transpose; linear runs ``_forward`` over the DAG and
+    ``_backward`` from the rows' roots.
 
     Additive runs in row blocks of at most ``_BLOCK_VALUES`` target values
     and adds their losses and gradients in block order.  The l1 gradient, of
@@ -465,7 +471,7 @@ def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec
     results are the same while the rows fit in one block.  A cosine
     ZeroNormError names the zero-norm rows by their index in ``problem.rows``."""
     rows, flat = problem.rows, params.reshape(len(params), -1)
-    if isinstance(comp, AdditiveComposition):
+    if isinstance(problem.comp, AdditiveComposition):
         size = max(1, _BLOCK_VALUES // rows.targets.shape[1])
         loss, grad, zero = rows.constant, None, []
         for start in range(0, len(rows.targets), size):
@@ -483,12 +489,11 @@ def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec
             grad = part_grad if grad is None else grad + part_grad
         if zero:
             raise ZeroNormError("cosine distance is undefined for a zero-norm operand", zero)
-        return loss, grad.reshape(params.shape), None
+        return loss, [grad.reshape(params.shape)]
     values, roots = _forward(problem.dag, params, comp), problem.dag.roots[rows.first]
     loss, dpred = _loss_and_dpred(problem.kind, values[roots], rows.targets, rows.weights,
                                   rows.norms)
-    return (rows.constant + loss, *_backward(problem.dag, values, comp, roots, dpred,
-                                             learn_weights))
+    return rows.constant + loss, _backward(problem, values, comp, roots, dpred)
 
 
 def _init_params(problem: _Problem, seed: int, restart: int, scale: float) -> np.ndarray:
@@ -540,7 +545,7 @@ def _fit_problem(dataset: Dataset, config: FitConfig) -> _Problem:
     elif not isinstance(comp, AdditiveComposition):
         raise ValueError(
             f"cannot optimize through composition kind {getattr(comp, 'kind', comp)!r}")
-    return _build_problem(dataset, config.distance.kind, isinstance(comp, AdditiveComposition))
+    return _build_problem(dataset, config.distance.kind, comp)
 
 
 def fit(dataset: Dataset, config: FitConfig) -> TreReport:
@@ -565,20 +570,19 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
     _, params, comp, trace, converged, diagnostics = min(
         (_fit_once(problem, config, restart) for restart in range(config.effective_restarts)),
         key=lambda outcome: outcome[0])
-    table = _table_from(problem, params, comp if config.learn_composition else None)
+    table = _table_from(problem, params, comp if problem.learns_weights else None)
     return _report(dataset, _record_errors(problem, params, comp), table, trace, converged,
                    diagnostics)
 
 
 def _fit_once(problem: _Problem, config: FitConfig, restart: int):
     params = _init_params(problem, config.seed, restart, INIT_SCALE)
-    learn = config.learn_composition
-    comp = config.composition
-    if learn:
+    comp, arrays = problem.comp, [params]
+    if problem.learns_weights:
         # Fresh arrays that the Adam steps below update in place.
         comp = LinearComposition(*_init_weights(problem, config.seed, restart, INIT_SCALE))
-    opt = _Adam([params, comp.left_weights, comp.right_weights] if learn else [params],
-                config.learning_rate)
+        arrays += [comp.left_weights, comp.right_weights]
+    opt = _Adam(arrays, config.learning_rate)
 
     trace: list[tuple[int, float]] = []
     best_so_far: list[float] = []
@@ -589,7 +593,7 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int):
     step = 0
     while True:
         try:
-            obj, grad_params, grad_weights = _loss_and_grads(problem, params, comp, learn)
+            obj, grads = _loss_and_grads(problem, params, comp)
         except ZeroNormError as zero:
             rescues += 1
             if rescues > _MAX_COSINE_RESCUES:
@@ -622,7 +626,7 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int):
                 converged = True
                 break
 
-        opt.step([grad_params, *(grad_weights or ())])
+        opt.step(grads)
         step += 1
 
     final_obj = trace[-1][1]
@@ -636,7 +640,7 @@ def closed_form_fit(dataset: Dataset) -> TreReport:
     the objective is linear least squares in the entries; the normal equations
     are solved exactly, with the minimum-norm solution on rank deficiency.
     """
-    problem = _build_problem(dataset, "squared_l2")
+    problem = _build_problem(dataset, "squared_l2", AdditiveComposition())
     flat_targets = problem.targets.reshape(len(dataset), -1)
     solution, *_ = np.linalg.lstsq(problem.counts, flat_targets, rcond=None)
 
@@ -665,19 +669,19 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
         raise ValueError(f"gradient check needs at least one trial, got {trials}")
     problem = _fit_problem(dataset, config)
     dag, shape = problem.dag, problem.targets.shape[1:]
-    learn = config.learn_composition
-    comp = config.composition
     worst = 0.0
 
     for trial in range(trials):
         for attempt in range(64):
             rng = _rng(config.seed, 3, trial, attempt)
             params = rng.normal(0.0, 1.0, (len(dag.symbols),) + shape)
-            if learn:
+            comp, arrays = problem.comp, [params]
+            if problem.learns_weights:
                 side = shape[0]
                 comp = LinearComposition(
                     np.eye(side) + 0.5 * rng.normal(0.0, 1.0, (side, side)),
                     np.eye(side) + 0.5 * rng.normal(0.0, 1.0, (side, side)))
+                arrays += [comp.left_weights, comp.right_weights]
             preds = _forward(dag, params, comp)[dag.roots]
             if config.distance.kind == "l1":
                 if np.abs(preds - problem.targets).min() <= GRADCHECK_KINK_TOL:
@@ -690,12 +694,8 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
             raise ValueError(f"gradient check trial {trial}: no point in 64 draws is away from "
                              f"where the {config.distance.kind} objective has no derivative")
 
-        _, grad_params, grad_weights = _loss_and_grads(problem, params, comp, learn)
-
-        blocks = [(params, grad_params)]
-        if learn:
-            blocks += zip((comp.left_weights, comp.right_weights), grad_weights)
-        for block, analytic in blocks:
+        _, grads = _loss_and_grads(problem, params, comp)
+        for block, analytic in zip(arrays, grads):
             flat = block.ravel()
             for k in range(flat.size):
                 orig = flat[k]

@@ -460,3 +460,10 @@ class TestMutualInformation:
             mutual_information_binned(["a"], [np.zeros(2)], bins=1)
         with pytest.raises(ValueError):
             mutual_information_binned(["a", "b"], [np.zeros(2)])
+        # Four records on which a fractional or non-finite count of bins
+        # would be cast through and a number returned.
+        labels, reps = [0, 1, 0, 1], [np.array([float(v)]) for v in (0, 1, 0, 1)]
+        for bins in (2.5, np.nan, np.inf, True):
+            with pytest.raises(ValueError, match="^bins must be an integer of at least 2"):
+                mutual_information_binned(labels, reps, bins=bins)
+        assert mutual_information_binned(labels, reps, bins=np.int64(2)) == approx(1.0)

@@ -417,6 +417,16 @@ class TestFitCommand:
         assert code == 3
         assert "step" in err
 
+    def test_learned_linear_divergence_exits_three(self, hand_file, capsys):
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, _, err = run_cli("fit", str(hand_file), "--composition", "linear",
+                                   "--learn-composition", "--lr", "1e200", "--steps", "20",
+                                   capsys=capsys)
+        assert code == 3
+        assert "step 1" in err
+
     def test_byte_identical_reports(self, tmp_path, capsys):
         data_path = tmp_path / "data.jsonl"
         run_cli("gen", "--kind", "compositional", "--primitives", "4", "--dim", "6",

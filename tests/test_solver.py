@@ -27,7 +27,11 @@ Core claims:
       weighted, plus a constant, within 1e-12 of the per-record sum in value
       and all three gradients, even where a root's cosine targets cancel;
       l1 equals the per-record sum to the bit; the learned-linear cosine
-      rescue names the primitives of the records that predict zero
+      rescue names the primitives of the records that predict zero; a
+      problem built for fixed linear weights sums over the roots too
+    - a learned-linear fit that diverges, also through weights that turn
+      non-finite, raises DivergenceError naming the step; evaluating no
+      derivations is a ValueError
     - a table entry whose shape differs from the data's, or from the other
       entries', raises ShapeMismatchError naming its primitive and both
       shapes
@@ -171,6 +175,11 @@ class TestEvalCompositional:
         with pytest.raises(ShapeMismatchError,
                            match=r"^primitive 'b' has shape \(3,\), expected \(2,\)$"):
             eval_compositional(table, ADD, parse_derivation("(a b)"))
+
+    def test_no_derivations_is_an_error(self):
+        table = PrimitiveTable({Symbol("a"): np.zeros(2)})
+        with pytest.raises(ValueError, match="^no derivations to evaluate$"):
+            eval_compositional(table, ADD, [])
 
 
 class TestTreDatum:
@@ -351,6 +360,33 @@ class TestFit:
                 fit(hand_instance, FitConfig(distance=SQL2, learning_rate=1e200,
                                              steps=50, seed=0))
         assert err.value.step >= 1
+
+    @pytest.mark.parametrize("spec", [SQL2, L1, COSINE], ids=lambda s: s.kind)
+    def test_learned_linear_divergence_names_the_step(self, hand_instance, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(DivergenceError) as err:
+                fit(hand_instance, FitConfig(distance=spec, composition=LinearComposition(),
+                                             learn_composition=True, learning_rate=1e200,
+                                             steps=50, seed=0, restarts=1))
+        assert err.value.step == 1
+
+    def test_non_finite_learned_weights_end_in_divergence(self, monkeypatch):
+        # Entries of 1e200 and weights of 1e-47 give a finite objective
+        # (about 8e306) whose weight gradient overflows, so the first Adam
+        # step makes the weights NaN.  The fit must stop on the objective at
+        # step 1, not on a finiteness check of the weights.
+        data = vec_dataset([("x", [1.0, 3.0], "(a b)")], dim=2)
+        monkeypatch.setattr(solver_module, "_init_params",
+                            lambda problem, *_: np.full((2, 2), 1e200))
+        monkeypatch.setattr(solver_module, "_init_weights",
+                            lambda problem, *_: (1e-47 * np.eye(2), 1e-47 * np.eye(2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(DivergenceError) as err:
+                fit(data, FitConfig(distance=SQL2, composition=LinearComposition(),
+                                    learn_composition=True, steps=5, restarts=1))
+        assert err.value.step == 1
 
     def test_cosine_rejects_zero_norm_records(self):
         ds = vec_dataset([("x", [0.0, 0.0], "a")], dim=2)
@@ -594,7 +630,7 @@ class TestDistinctCountRows:
     @pytest.mark.parametrize("spec,n_rows", [(SQL2, 6), (COSINE, 6), (L1, 10)],
                              ids=["squared_l2", "cosine", "l1"])
     def test_row_count_and_cancelled_cosine_row(self, spec, n_rows):
-        rows = solver_module._build_problem(shared_rows_dataset((4,)), spec.kind).rows
+        rows = solver_module._build_problem(shared_rows_dataset((4,)), spec.kind, ADD).rows
         assert rows.keys.shape == (n_rows, 3)
         if spec is L1:
             assert rows.weights is None and rows.constant == 0.0
@@ -606,7 +642,7 @@ class TestDistinctCountRows:
 
     def test_distinct_rows_match_numpy_unique(self):
         rng = np.random.default_rng(8)
-        shared = solver_module._build_problem(shared_rows_dataset((4,)), "l1").counts
+        shared = solver_module._build_problem(shared_rows_dataset((4,)), "l1", ADD).counts
         for counts in (shared, rng.integers(0, 3, (500, 4)).astype(float)):
             got = solver_module._distinct_rows(counts)
             expected = np.unique(counts, axis=0, return_index=True, return_inverse=True,
@@ -618,9 +654,9 @@ class TestDistinctCountRows:
     @pytest.mark.parametrize("spec", [SQL2, COSINE, L1], ids=lambda s: s.kind)
     def test_loss_and_gradient_equal_per_record_sum(self, shape, spec):
         data = shared_rows_dataset(shape)
-        problem = solver_module._build_problem(data, spec.kind)
+        problem = solver_module._build_problem(data, spec.kind, ADD)
         params = np.random.default_rng(5).normal(0, 1, (3,) + shape)
-        loss, grad, _ = solver_module._loss_and_grads(problem, params, ADD, False)
+        loss, (grad,) = solver_module._loss_and_grads(problem, params, ADD)
 
         record_preds = np.tensordot(problem.counts, params, axes=1)
         expected = math.fsum(distances(spec.kind, record_preds, problem.targets).tolist())
@@ -707,19 +743,19 @@ class TestDistinctRootRows:
     @pytest.mark.parametrize("spec", [SQL2, COSINE, L1], ids=lambda s: s.kind)
     def test_loss_and_gradients_equal_per_record_path(self, shape, spec):
         problem = solver_module._build_problem(repeated_roots_dataset(shape), spec.kind,
-                                               additive=False)
+                                               LinearComposition())
         dag, side = problem.dag, shape[0]
         assert len(problem.rows.targets) == (10 if spec is L1 else 9)
         rng = np.random.default_rng(5)
         params = rng.normal(0, 1, (3,) + shape)
         comp = LinearComposition(np.eye(side) + 0.5 * rng.normal(0, 1, (side, side)),
                                  np.eye(side) + 0.5 * rng.normal(0, 1, (side, side)))
-        loss, grad, weights = solver_module._loss_and_grads(problem, params, comp, True)
+        loss, (grad, *weights) = solver_module._loss_and_grads(problem, params, comp)
 
         values = solver_module._forward(dag, params, comp)
         ref_loss, dpred = _loss_and_dpred(spec.kind, values[dag.roots], problem.targets)
-        ref_grad, ref_weights = solver_module._backward(dag, values, comp, dag.roots, dpred,
-                                                        True)
+        ref_grad, *ref_weights = solver_module._backward(problem, values, comp, dag.roots,
+                                                         dpred)
         if spec is L1:
             assert loss == ref_loss
             assert all(np.array_equal(a, b)
@@ -729,6 +765,27 @@ class TestDistinctRootRows:
         for got, expected in zip((grad, *weights), (ref_grad, *ref_weights)):
             np.testing.assert_allclose(got, expected, rtol=1e-12,
                                        atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("spec", [SQL2, COSINE, L1], ids=lambda s: s.kind)
+    def test_fixed_weights_sum_over_distinct_roots(self, spec):
+        # A problem built for fixed weights groups records by DAG root, as a
+        # learned one does: "(a b)" and "(b a)" share leaf counts, not a root.
+        data = shared_rows_dataset((4,))
+        rng = np.random.default_rng(5)
+        params = rng.normal(0, 1, (3, 4))
+        comp = LinearComposition(np.eye(4) + 0.5 * rng.normal(0, 1, (4, 4)),
+                                 np.eye(4) + 0.5 * rng.normal(0, 1, (4, 4)))
+        problem = solver_module._build_problem(data, spec.kind, comp)
+        loss, grads = solver_module._loss_and_grads(problem, params, comp)
+        assert loss == approx(math.fsum(solver_module._record_errors(problem, params, comp)),
+                              rel=1e-12)
+        dag = problem.dag
+        values = solver_module._forward(dag, params, comp)
+        _, dpred = _loss_and_dpred(spec.kind, values[dag.roots], problem.targets)
+        expected = solver_module._backward(problem, values, comp, dag.roots, dpred)
+        assert len(grads) == len(expected) == 1
+        np.testing.assert_allclose(grads[0], expected[0], rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected[0]).max())
 
     @pytest.mark.parametrize("zeroed", ["ab", "ac"])
     def test_cosine_rescue_names_primitives_of_zero_records(self, monkeypatch, zeroed):
@@ -807,10 +864,10 @@ class TestPinnedSteps:
     @pytest.mark.parametrize("data", PIN_DATA)
     def test_additive_l1_gradient_is_counts_times_signs(self, data):
         dataset = generate_compositional(PIN_DATA[data])[0]
-        problem = solver_module._build_problem(dataset, "l1")
+        problem = solver_module._build_problem(dataset, "l1", ADD)
         params = np.random.default_rng(4).normal(0, 1, (len(problem.dag.symbols),)
                                                  + dataset.shape.array_shape())
-        _, grad, _ = solver_module._loss_and_grads(problem, params, ADD, False)
+        _, (grad,) = solver_module._loss_and_grads(problem, params, ADD)
         counts, n = problem.counts, len(dataset)
         signs = np.sign(counts @ params.reshape(len(params), -1)
                         - problem.targets.reshape(n, -1))
@@ -838,15 +895,15 @@ class TestRowBlocks:
     def test_blocked_step_matches_one_block(self, monkeypatch, data, kind):
         # Blocks of 7 rows: at least 3 of them on every input here.
         dataset = generate_compositional(PIN_DATA[data])[0]
-        problem = solver_module._build_problem(dataset, kind)
+        problem = solver_module._build_problem(dataset, kind, ADD)
         params = np.random.default_rng(4).normal(0, 1, (len(problem.dag.symbols),)
                                                  + dataset.shape.array_shape())
         width = math.prod(dataset.shape.array_shape())
         assert len(problem.rows.targets) > 2 * 7
         monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 1 << 40)
-        one_loss, one_grad, _ = solver_module._loss_and_grads(problem, params, ADD, False)
+        one_loss, (one_grad,) = solver_module._loss_and_grads(problem, params, ADD)
         monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 7 * width)
-        loss, grad, _ = solver_module._loss_and_grads(problem, params, ADD, False)
+        loss, (grad,) = solver_module._loss_and_grads(problem, params, ADD)
         if kind == "l1":
             counts, n = problem.counts, len(dataset)
             signs = np.sign(counts @ params.reshape(len(params), -1)
@@ -859,14 +916,14 @@ class TestRowBlocks:
     def test_zero_norm_error_names_global_rows(self, monkeypatch):
         # In 2-row blocks, the only zero prediction (row "a") lies past the
         # first block, so a block-local index would differ from its row.
-        problem = solver_module._build_problem(shared_rows_dataset((4,)), "cosine")
+        problem = solver_module._build_problem(shared_rows_dataset((4,)), "cosine", ADD)
         params = np.random.default_rng(6).normal(0, 1, (3, 4))
         params[[sym.name for sym in problem.dag.symbols].index("a")] = 0.0
         zero = np.flatnonzero(~(problem.rows.keys @ params).any(axis=1)).tolist()
         assert zero and min(zero) >= 2
         monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 4 * 2)
         with pytest.raises(ZeroNormError) as err:
-            solver_module._loss_and_grads(problem, params, ADD, False)
+            solver_module._loss_and_grads(problem, params, ADD)
         assert list(err.value.rows) == zero
 
     def test_l1_report_does_not_depend_on_block_count(self, monkeypatch):
@@ -927,12 +984,13 @@ class TestBackwardOrder:
         values = solver_module._forward(dag, rng.normal(0, 1, (len(dag.symbols),) + shape),
                                         comp)
         upstream = rng.normal(0, 1, (len(self.TEXTS),) + shape)
-        params, weights = solver_module._backward(dag, values, comp, dag.roots, upstream,
-                                                  learn_weights)
+        problem = solver_module._Problem(dag, values[dag.roots], "l1",
+                                         LinearComposition() if learn_weights else comp)
+        params, *weights = solver_module._backward(problem, values, comp, dag.roots, upstream)
         ref_params, ref_weights = reference_backward(dag, values, comp, upstream,
                                                      learn_weights)
         assert np.array_equal(params, ref_params)
         if learn_weights:
             assert all(np.array_equal(w, r) for w, r in zip(weights, ref_weights))
         else:
-            assert weights is None
+            assert weights == []

@@ -54,7 +54,9 @@ def composition_gradients(spec, r, s, upstream):
     Returns (grad_r, grad_s), plus the two weight gradients for linear."""
     shape = VectorShape(r.size) if r.ndim == 1 else CodeShape(*r.shape)
     data = Dataset.build([("x", np.zeros_like(r), parse_derivation("(a b)"))], shape)
-    problem = solver._build_problem(data, "l1")
+    # Linear without matrices, so that the weight gradients come back too.
+    problem = solver._build_problem(
+        data, "l1", spec if isinstance(spec, AdditiveComposition) else LinearComposition())
     if isinstance(spec, AdditiveComposition):
         # The additive backward pass of ``_loss_and_grads``: the transpose of
         # the rows, which under l1 are the records, so ``upstream`` is the
@@ -62,9 +64,9 @@ def composition_gradients(spec, r, s, upstream):
         return tuple(np.tensordot(problem.rows.keys.T, upstream[None], axes=1))
     values = solver._forward(problem.dag, np.stack([r, s]), spec) if isinstance(
         spec, LinearComposition) else None
-    grads, weights = solver._backward(problem.dag, values, spec, problem.dag.roots,
-                                      upstream[None], True)
-    return (grads[0], grads[1]) + weights
+    grads, *weights = solver._backward(problem, values, spec, problem.dag.roots,
+                                       upstream[None])
+    return (grads[0], grads[1], *weights)
 
 
 def central_difference(f, x, h=1e-5):
