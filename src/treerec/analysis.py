@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivation import pairwise_tree_edit_distances
-from .solver import Dataset, FitConfig, PrimitiveTable, _table_errors, _table_params
+from .solver import Dataset, FitConfig, PrimitiveTable, _integer, _table_errors, _table_params
 # Unused ``tre_datum`` and ``distance`` stay importable: perfbench's tracer wraps them.
 from .solver import tre_datum  # noqa: F401
 from .space import AdditiveComposition, CompositionSpec, DistanceSpec, distances
@@ -235,8 +235,7 @@ def mutual_information_binned(inputs, representations, bins: int = 30) -> float:
         raise ValueError("inputs and representations must have equal length")
     if len(inputs) == 0:
         raise ValueError("empty input")
-    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 2:
-        raise ValueError(f"bins must be an integer of at least 2, got {bins!r}")
+    bins = _integer("bins", bins, 2)
 
     flat = np.stack([np.asarray(r, dtype=np.float64).ravel() for r in representations])
     if not np.isfinite(flat).all():

@@ -4,6 +4,8 @@ Subcommands: ``fit`` (estimate a compositional approximation and write a
 report), ``editdist`` (tree edit distance between two derivations), ``topo``
 (topographic similarity of a dataset), ``gen`` (synthetic datasets and the
 fixture languages), ``gradcheck`` (analytic vs numeric gradient check).
+``fit`` and ``gradcheck`` share ``--distance``, ``--composition`` and
+``--seed``; under ``--composition linear`` both learn the weights.
 
 Exit codes: 0 success, 1 input parse error (reported with a line number for
 dataset files), 2 configuration error, 3 optimizer divergence.  All commands
@@ -39,27 +41,19 @@ from .space import (
 )
 
 
-def _composition_from_flag(name: str):
-    if name == "additive":
-        return AdditiveComposition()
-    return LinearComposition()
+def _fit_config(args, **settings) -> FitConfig:
+    """The ``FitConfig`` of ``fit`` and ``gradcheck``; linear composition
+    learns its weights."""
+    linear = args.composition == "linear"
+    return FitConfig(distance=DistanceSpec(args.distance),
+                     composition=LinearComposition() if linear else AdditiveComposition(),
+                     learn_composition=linear, seed=args.seed, **settings)
 
 
 def cmd_fit(args) -> int:
     dataset, alphabet = read_dataset(args.dataset)
-    if args.composition == "linear" and not args.learn_composition:
-        raise ValueError("--composition linear requires --learn-composition "
-                         "(fixed weight matrices cannot be passed on the command line)")
-    config = FitConfig(
-        distance=DistanceSpec(args.distance),
-        composition=_composition_from_flag(args.composition),
-        learn_composition=args.learn_composition,
-        steps=args.steps,
-        learning_rate=args.lr,
-        seed=args.seed,
-        convergence_tol=args.tol,
-        restarts=args.restarts,
-    )
+    config = _fit_config(args, steps=args.steps, learning_rate=args.lr,
+                         convergence_tol=args.tol, restarts=args.restarts)
     report = fit(dataset, config)
     payload = report_to_dict(report, config, dataset.shape, alphabet,
                              dataset=str(args.dataset))
@@ -136,13 +130,7 @@ def cmd_gradcheck(args) -> int:
     spec = GenSpec(num_primitives=4, shape=VectorShape(5), depth_range=(1, 3),
                    num_records=6, seed=args.seed)
     dataset = generate_random(spec)
-    config = FitConfig(
-        distance=DistanceSpec(args.distance),
-        composition=_composition_from_flag(args.composition),
-        learn_composition=(args.composition == "linear"),
-        seed=args.seed,
-    )
-    worst = gradient_check(dataset, config, trials=args.trials)
+    worst = gradient_check(dataset, _fit_config(args), trials=args.trials)
     print(f"{worst:.3e}")
     return 0 if worst < args.threshold else 1
 
@@ -155,17 +143,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit a compositional approximation and "
-                                       "report reconstruction errors")
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--distance", choices=DISTANCE_KINDS, default="squared_l2")
+    fitting.add_argument("--composition", choices=("additive", "linear"),
+                         default="additive",
+                         help="linear learns its weights jointly with the primitives")
+    fitting.add_argument("--seed", type=int, default=0)
+
+    p_fit = sub.add_parser("fit", parents=[fitting], help="fit a compositional "
+                           "approximation and report reconstruction errors")
     p_fit.add_argument("dataset")
-    p_fit.add_argument("--distance", choices=DISTANCE_KINDS, default="squared_l2")
-    p_fit.add_argument("--composition", choices=("additive", "linear"),
-                       default="additive")
-    p_fit.add_argument("--learn-composition", action="store_true",
-                       help="estimate linear composition weights jointly")
     p_fit.add_argument("--lr", type=float, default=0.01)
     p_fit.add_argument("--steps", type=int, default=1000)
-    p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--tol", type=float, default=1e-8,
                        help="early-stop threshold on relative objective "
                             "improvement over 50 steps")
@@ -204,14 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_gc = sub.add_parser("gradcheck", help="max relative error of analytic "
-                                            "gradients vs finite differences")
-    p_gc.add_argument("--composition", choices=("additive", "linear"),
-                      default="additive")
-    p_gc.add_argument("--distance", choices=DISTANCE_KINDS, default="squared_l2")
+    p_gc = sub.add_parser("gradcheck", parents=[fitting], help="max relative error of "
+                          "analytic gradients vs finite differences")
     p_gc.add_argument("--trials", type=int, default=100)
     p_gc.add_argument("--threshold", type=float, default=1e-4)
-    p_gc.add_argument("--seed", type=int, default=0)
     p_gc.set_defaults(func=cmd_gradcheck)
 
     return parser

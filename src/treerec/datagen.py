@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivation import Derivation, Node, Symbol, _leaf, parse_derivation
-from .solver import Dataset, PrimitiveTable, Record, _rng, eval_compositional
+from .solver import Dataset, PrimitiveTable, Record, _integer, _rng, eval_compositional
 from .space import AdditiveComposition, CodeShape, CompositionSpec, Shape, encode_message
 
 
@@ -36,15 +36,14 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_primitives < 1:
-            raise ValueError("num_primitives must be positive")
-        if self.num_records < 1:
-            raise ValueError("num_records must be positive")
+        for name, least in (("num_primitives", 1), ("num_records", 1), ("seed", None)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if not 0 <= self.noise_sigma < math.inf:  # NaN fails too
             raise ValueError("noise_sigma must be non-negative and finite")
-        lo, hi = self.depth_range
+        lo, hi = (_integer(f"depth_range[{i}]", v) for i, v in enumerate(self.depth_range))
         if lo < 1 or hi < lo:
             raise ValueError("depth_range must satisfy 1 <= lo <= hi")
+        object.__setattr__(self, "depth_range", (lo, hi))
 
 
 def _streams(seed: int):

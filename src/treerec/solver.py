@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -142,6 +143,20 @@ class PrimitiveTable:
     composition_params: LinearComposition | None = None
 
 
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as a Python int.  A bool, anything without ``__index__``
+    (a float too, even a whole one) and, if ``least`` is given, anything
+    below it raise a ValueError that names the setting."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or (least is not None and number < least):
+        bound = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Optimizer settings for ``fit``.
@@ -163,15 +178,15 @@ class FitConfig:
     restarts: int | None = None
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be positive")
+        object.__setattr__(self, "steps", _integer("steps", self.steps, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        if self.restarts is not None:
+            object.__setattr__(self, "restarts", _integer("restarts", self.restarts, 1))
         # Chained comparisons, so that NaN fails them too.
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
         if not 0 <= self.convergence_tol < math.inf:
             raise ValueError("convergence_tol must be non-negative and finite")
-        if self.restarts is not None and self.restarts < 1:
-            raise ValueError("restarts must be positive")
         if self.learn_composition and not isinstance(self.composition, LinearComposition):
             raise ValueError("only linear composition weights can be learned")
         if self.learn_composition and self.composition.has_weights:
@@ -496,20 +511,20 @@ def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec
     return rows.constant + loss, _backward(problem, values, comp, roots, dpred)
 
 
-def _init_params(problem: _Problem, seed: int, restart: int, scale: float) -> np.ndarray:
+def _init_params(problem: _Problem, seed: int, restart: int) -> np.ndarray:
     shape = problem.targets.shape[1:]
     params = np.empty((len(problem.dag.symbols),) + shape)
     for i, sym in enumerate(problem.dag.symbols):
         rng = _rng(seed, 0, restart, _symbol_key(sym.name))
-        params[i] = rng.normal(0.0, scale, shape)
+        params[i] = rng.normal(0.0, INIT_SCALE, shape)
     return params
 
 
-def _init_weights(problem: _Problem, seed: int, restart: int, scale: float):
+def _init_weights(problem: _Problem, seed: int, restart: int):
     side = problem.targets.shape[1]
     eye = np.eye(side)
-    lw = eye + _rng(seed, 1, restart, 0).normal(0.0, scale, (side, side))
-    rw = eye + _rng(seed, 1, restart, 1).normal(0.0, scale, (side, side))
+    lw = eye + _rng(seed, 1, restart, 0).normal(0.0, INIT_SCALE, (side, side))
+    rw = eye + _rng(seed, 1, restart, 1).normal(0.0, INIT_SCALE, (side, side))
     return lw, rw
 
 
@@ -576,11 +591,11 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
 
 
 def _fit_once(problem: _Problem, config: FitConfig, restart: int):
-    params = _init_params(problem, config.seed, restart, INIT_SCALE)
+    params = _init_params(problem, config.seed, restart)
     comp, arrays = problem.comp, [params]
     if problem.learns_weights:
         # Fresh arrays that the Adam steps below update in place.
-        comp = LinearComposition(*_init_weights(problem, config.seed, restart, INIT_SCALE))
+        comp = LinearComposition(*_init_weights(problem, config.seed, restart))
         arrays += [comp.left_weights, comp.right_weights]
     opt = _Adam(arrays, config.learning_rate)
 
@@ -657,14 +672,15 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
     ``GRADCHECK_KINK_TOL`` of a sign tie are redrawn, since the subgradient
     is not a derivative there; for cosine, points with a prediction of norm
     at most 1e-3.  A trial with no usable point in 64 draws raises
-    ValueError, as does ``trials`` below 1: a check of no points would
-    report a perfect 0.0.  A configuration that ``fit`` refuses raises
+    ValueError, as does ``trials`` below 1 or not an integer: a check of no
+    points would report a perfect 0.0.  A configuration that ``fit`` refuses raises
     ``fit``'s ValueError; learned linear weights are drawn with each point.
     The numeric side sums ``_record_errors`` over the DAG compiled once per
     check; the analytic side is the optimizer's own ``_loss_and_grads`` at
     the same parameters and weights, so it also checks that the sum over its
     rows equals the per-record one.
     """
+    trials = _integer("trials", trials)
     if trials < 1:
         raise ValueError(f"gradient check needs at least one trial, got {trials}")
     problem = _fit_problem(dataset, config)

@@ -38,6 +38,7 @@ from treerec import (
     DatasetFormatError,
     DistanceSpec,
     FitConfig,
+    LinearComposition,
     VectorShape,
     fig5_alphabets,
     fig5_languages,
@@ -45,11 +46,12 @@ from treerec import (
     parse_derivation,
     read_dataset,
     tre_datum,
+    fit,
     write_dataset,
 )
 import treerec.dataio as dataio
 from treerec.cli import main
-from treerec.dataio import render_report
+from treerec.dataio import render_report, report_to_dict, write_report
 
 SQL2 = DistanceSpec("squared_l2")
 # Dataset files where a JSON boolean, or an integer beyond float range,
@@ -395,11 +397,22 @@ class TestFitCommand:
         assert code == 2
         assert "error" in err
 
-    def test_linear_without_learn_exits_two(self, hand_file, capsys):
-        code, _, err = run_cli("fit", str(hand_file), "--composition", "linear",
-                               capsys=capsys)
+    def test_linear_composition_learns_its_weights(self, hand_file, tmp_path, capsys):
+        # --composition linear alone writes the library's learned-linear
+        # report, byte for byte; there is no --learn-composition flag.
+        report_path, want_path = tmp_path / "report.json", tmp_path / "want.json"
+        code, _, _ = run_cli("fit", str(hand_file), "--composition", "linear",
+                             "--restarts", "2", "--steps", "50", "--out", str(report_path),
+                             capsys=capsys)
+        assert code == 0
+        dataset, alphabet = read_dataset(hand_file)
+        config = FitConfig(distance=SQL2, composition=LinearComposition(),
+                           learn_composition=True, restarts=2, steps=50)
+        write_report(want_path, report_to_dict(fit(dataset, config), config, dataset.shape,
+                                               alphabet, dataset=str(hand_file)))
+        assert report_path.read_bytes() == want_path.read_bytes()
+        code, _, _ = run_cli("fit", str(hand_file), "--learn-composition", capsys=capsys)
         assert code == 2
-        assert "learn-composition" in err
 
     @pytest.mark.parametrize("flags", [("--lr", "nan"), ("--lr", "inf"), ("--tol", "nan")],
                              ids=" ".join)
@@ -422,7 +435,7 @@ class TestFitCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code, _, err = run_cli("fit", str(hand_file), "--composition", "linear",
-                                   "--learn-composition", "--lr", "1e200", "--steps", "20",
+                                   "--lr", "1e200", "--steps", "20",
                                    capsys=capsys)
         assert code == 3
         assert "step 1" in err
@@ -511,7 +524,7 @@ class TestFitCommand:
         report_path = tmp_path / "report.json"
         code, _, _ = run_cli("fit", str(lang_path) + "_A.jsonl",
                              "--distance", "l1", "--composition", "linear",
-                             "--learn-composition", "--steps", "300",
+                             "--steps", "300",
                              "--restarts", "1", "--out", str(report_path),
                              capsys=capsys)
         assert code == 0
@@ -533,7 +546,7 @@ class TestFitCommand:
         lang_path, report_path = tmp_path / "langs", tmp_path / "report.json"
         run_cli("gen", "--kind", "fig5", "--out", str(lang_path), capsys=capsys)
         run_cli("fit", str(lang_path) + "_A.jsonl", "--composition", "linear",
-                "--learn-composition", "--steps", "5", "--restarts", "1",
+                "--steps", "5", "--restarts", "1",
                 "--out", str(report_path), capsys=capsys)
         payload = json.loads(report_path.read_text())
         weights, key = payload["composition_params"], '    "left_weights":'

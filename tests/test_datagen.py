@@ -13,6 +13,7 @@ Core claims:
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,23 @@ class TestGenerateCompositional:
     def test_noise_must_be_non_negative_and_finite(self, sigma):
         with pytest.raises(ValueError, match="noise_sigma"):
             GenSpec(num_primitives=2, shape=VectorShape(2), noise_sigma=sigma)
+
+    @pytest.mark.parametrize("field,value", [
+        ("num_primitives", 2.5), ("num_primitives", True), ("num_records", float("inf")),
+        ("num_records", 4.0), ("seed", 1.5), ("seed", True),
+        ("depth_range[1]", (1, 2.5)), ("depth_range[0]", (True, 2))], ids=str)
+    def test_integer_settings_refuse_other_numbers(self, field, value):
+        name = field.split("[")[0]
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer"):
+            GenSpec(**{"num_primitives": 2, "shape": VectorShape(2), name: value})
+
+    def test_numpy_integer_settings_are_stored_as_int(self):
+        spec = GenSpec(num_primitives=np.int64(3), shape=VectorShape(2),
+                       depth_range=(np.int64(1), np.int64(3)), num_records=np.int64(5),
+                       seed=np.int64(3))
+        settings = (spec.num_primitives, *spec.depth_range, spec.num_records, spec.seed)
+        assert [type(v) for v in settings] == [int] * 5
+        assert settings == (3, 1, 3, 5, 3)
 
 
 class TestGenerateRandom:

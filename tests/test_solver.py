@@ -419,9 +419,9 @@ class TestFit:
         real_init = solver_module._init_params
         calls = {"n": 0}
 
-        def zero_init(problem, seed, restart, scale):
+        def zero_init(problem, seed, restart):
             calls["n"] += 1
-            return np.zeros_like(real_init(problem, seed, restart, scale))
+            return np.zeros_like(real_init(problem, seed, restart))
 
         monkeypatch.setattr(solver_module, "_init_params", zero_init)
         ds = vec_dataset([("x", [1.0, 0.0], "a"), ("y", [0.0, 1.0], "(a b)")], dim=2)
@@ -456,6 +456,19 @@ class TestFit:
     def test_config_rejects_non_finite_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
             FitConfig(distance=SQL2, **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("steps", float("nan")), ("steps", float("inf")), ("steps", 2.5), ("steps", 5.0),
+        ("steps", True), ("restarts", True), ("restarts", 1.5), ("seed", 2.0),
+        ("seed", False)], ids=str)
+    def test_config_integer_settings_refuse_other_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            FitConfig(distance=SQL2, **{field: value})
+
+    @pytest.mark.parametrize("field", ["steps", "restarts", "seed"])
+    def test_config_stores_numpy_integers_as_int(self, field):
+        value = getattr(FitConfig(distance=SQL2, **{field: np.int64(3)}), field)
+        assert type(value) is int and value == 3
 
     def test_learned_linear_fit_builds_no_leaf_counts(self):
         # Building dense leaf counts takes 500 floats per distinct subtree,
@@ -577,6 +590,11 @@ class TestGradientCheckOperation:
         for trials in (0, -3):
             with pytest.raises(ValueError, match="at least one trial"):
                 gradient_check(hand_instance, FitConfig(distance=SQL2), trials=trials)
+
+    @pytest.mark.parametrize("trials", [2.5, float("nan"), True], ids=str)
+    def test_non_integer_trials_are_refused(self, hand_instance, trials):
+        with pytest.raises(ValueError, match="^trials must be an integer"):
+            gradient_check(hand_instance, FitConfig(distance=SQL2), trials=trials)
 
     @pytest.mark.parametrize("composition,message", [
         (TableComposition(), "cannot optimize through composition kind 'table'"),
@@ -704,8 +722,8 @@ class TestDistinctCountRows:
         real_init = solver_module._init_params
         start = {}
 
-        def init(problem, seed, restart, scale):
-            params = real_init(problem, seed, restart, scale)
+        def init(problem, seed, restart):
+            params = real_init(problem, seed, restart)
             for i, sym in enumerate(problem.dag.symbols):
                 if sym.name in zeroed:
                     params[i] = 0.0
@@ -798,13 +816,13 @@ class TestDistinctRootRows:
         real_init = solver_module._init_params
         start = {}
 
-        def init(problem, seed, restart, scale):
-            params = real_init(problem, seed, restart, scale)
+        def init(problem, seed, restart):
+            params = real_init(problem, seed, restart)
             for i, sym in enumerate(problem.dag.symbols):
                 if sym.name in zeroed:
                     params[i] = 0.0
             start.update(zip(problem.dag.symbols, params.copy()))
-            start["weights"] = solver_module._init_weights(problem, seed, restart, scale)
+            start["weights"] = solver_module._init_weights(problem, seed, restart)
             return params
 
         monkeypatch.setattr(solver_module, "_init_params", init)
