@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivation import pairwise_tree_edit_distances
-from .solver import Dataset, FitConfig, PrimitiveTable, _integer, _table_errors, _table_params
+from .solver import Dataset, FitConfig, PrimitiveTable, _table_errors, _table_params
 # Unused ``tre_datum`` and ``distance`` stay importable: perfbench's tracer wraps them.
 from .solver import tre_datum  # noqa: F401
-from .space import AdditiveComposition, CompositionSpec, DistanceSpec, distances
+from .space import (AdditiveComposition, CompositionSpec, DistanceSpec, _integer,
+                    as_representation, distances)
 from .space import distance  # noqa: F401
 
 # Slack absorbing pure floating-point rounding in inequality checks; the
@@ -237,9 +238,7 @@ def mutual_information_binned(inputs, representations, bins: int = 30) -> float:
         raise ValueError("empty input")
     bins = _integer("bins", bins, 2)
 
-    flat = np.stack([np.asarray(r, dtype=np.float64).ravel() for r in representations])
-    if not np.isfinite(flat).all():
-        raise ValueError("representation values must be finite")
+    flat = as_representation(np.stack([np.ravel(r) for r in representations]))
     lo = flat.min(axis=0)
     hi = flat.max(axis=0)
     span = hi - lo

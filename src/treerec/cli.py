@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .analysis import topographic_similarity
@@ -38,6 +37,7 @@ from .space import (
     DistanceSpec,
     LinearComposition,
     VectorShape,
+    _real,
 )
 
 
@@ -124,15 +124,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    # A chained comparison, so that NaN fails it too.
-    if not 0 < args.threshold < math.inf:
-        raise ValueError(f"--threshold must be finite and above 0, got {args.threshold}")
+    threshold = _real("--threshold", args.threshold, positive=True)
     spec = GenSpec(num_primitives=4, shape=VectorShape(5), depth_range=(1, 3),
                    num_records=6, seed=args.seed)
     dataset = generate_random(spec)
     worst = gradient_check(dataset, _fit_config(args), trials=args.trials)
     print(f"{worst:.3e}")
-    return 0 if worst < args.threshold else 1
+    return 0 if worst < threshold else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

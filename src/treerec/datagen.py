@@ -12,15 +12,15 @@ over a 16-token vocabulary, encoded as 4x16 one-hot matrices.
 
 from __future__ import annotations
 
-import math
 import string
 from dataclasses import dataclass
 
 import numpy as np
 
 from .derivation import Derivation, Node, Symbol, _leaf, parse_derivation
-from .solver import Dataset, PrimitiveTable, Record, _integer, _rng, eval_compositional
-from .space import AdditiveComposition, CodeShape, CompositionSpec, Shape, encode_message
+from .solver import Dataset, PrimitiveTable, Record, _rng, eval_compositional
+from .space import (AdditiveComposition, CodeShape, CompositionSpec, Shape, _integer, _real,
+                    encode_message)
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,12 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("num_primitives", 1), ("num_records", 1), ("seed", None)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        if not 0 <= self.noise_sigma < math.inf:  # NaN fails too
-            raise ValueError("noise_sigma must be non-negative and finite")
-        lo, hi = (_integer(f"depth_range[{i}]", v) for i, v in enumerate(self.depth_range))
-        if lo < 1 or hi < lo:
-            raise ValueError("depth_range must satisfy 1 <= lo <= hi")
-        object.__setattr__(self, "depth_range", (lo, hi))
+        for name, check, bound in (("num_primitives", _integer, 1), ("num_records", _integer, 1),
+                                   ("seed", _integer, None), ("noise_sigma", _real, False)):
+            object.__setattr__(self, name, check(name, getattr(self, name), bound))
+        lo, hi = self.depth_range
+        lo = _integer("depth_range[0]", lo, 1)
+        object.__setattr__(self, "depth_range", (lo, _integer("depth_range[1]", hi, lo)))
 
 
 def _streams(seed: int):

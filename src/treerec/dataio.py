@@ -56,6 +56,13 @@ def default_alphabet(vocab: int) -> str:
     return pool[:vocab]
 
 
+def _alphabet(alphabet, vocab: int) -> str:
+    """``alphabet``, if it is a string of ``vocab`` distinct characters."""
+    if not isinstance(alphabet, str) or len(alphabet) != vocab or len(set(alphabet)) != vocab:
+        raise ValueError("alphabet must be a string of vocab distinct characters")
+    return alphabet
+
+
 def _dump_line(obj) -> str:
     return json.dumps(obj, separators=(", ", ": "))
 
@@ -63,19 +70,14 @@ def _dump_line(obj) -> str:
 def write_dataset(path: str | Path, dataset: Dataset,
                   alphabet: str | None = None) -> None:
     """Write a dataset file; hard one-hot code datasets use tokens form."""
-    shape = dataset.shape
-    tokens_form = False
-    if isinstance(shape, CodeShape):
-        if alphabet is None:
-            alphabet = default_alphabet(shape.vocab)
-        if len(alphabet) != shape.vocab or len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet must contain vocab distinct characters")
-        tokens_form = all(is_hard_code(r.representation) for r in dataset.records)
-    lines = [_dump_line(_shape_header(shape, alphabet))]
+    header = _shape_header(dataset.shape, alphabet)
+    tokens_form = isinstance(dataset.shape, CodeShape) and all(
+        is_hard_code(r.representation) for r in dataset.records)
+    lines = [_dump_line(header)]
     for rec in dataset.records:
         row = {"id": rec.id, "derivation": format_derivation(rec.derivation)}
         if tokens_form:
-            row["tokens"] = decode_message(rec.representation, alphabet)
+            row["tokens"] = decode_message(rec.representation, header["alphabet"])
         else:
             row["repr"] = rec.representation.ravel().tolist()
         lines.append(_dump_line(row))
@@ -147,37 +149,25 @@ def _loads(text: str, line_no: int, what: str):
 
 def _shape_header(shape: Shape, alphabet: str | None) -> dict:
     """The JSON header of ``shape``, as dataset files and reports write it;
-    ``_parse_header`` reads it back."""
+    ``_parse_header`` reads it back.  Both check the alphabet with ``_alphabet``."""
     if isinstance(shape, VectorShape):
         return {"dim": shape.dim}
-    return {"length": shape.length, "vocab": shape.vocab,
-            "alphabet": alphabet or default_alphabet(shape.vocab)}
+    return {"length": shape.length, "vocab": shape.vocab, "alphabet": _alphabet(
+        default_alphabet(shape.vocab) if alphabet is None else alphabet, shape.vocab)}
 
 
 def _parse_header(line_no: int, header) -> tuple[Shape, str | None]:
-    # ``type(v) is int``, here and for 'repr': JSON true/false load as bools.
-    if not isinstance(header, dict):
-        raise DatasetFormatError(line_no, "header must be a JSON object")
-    if "dim" in header:
-        if set(header) != {"dim"}:
-            raise DatasetFormatError(line_no, "vector header declares only 'dim'")
-        dim = header["dim"]
-        if type(dim) is not int or dim < 1:
-            raise DatasetFormatError(line_no, "'dim' must be a positive integer")
-        return VectorShape(dim), None
-    if set(header) == {"length", "vocab", "alphabet"}:
-        length, vocab, alphabet = header["length"], header["vocab"], header["alphabet"]
-        if not (type(length) is int and length >= 1
-                and type(vocab) is int and vocab >= 1):
-            raise DatasetFormatError(
-                line_no, "'length' and 'vocab' must be positive integers")
-        if (not isinstance(alphabet, str) or len(alphabet) != vocab
-                or len(set(alphabet)) != vocab):
-            raise DatasetFormatError(
-                line_no, "'alphabet' must be a string of vocab distinct characters")
-        return CodeShape(length, vocab), alphabet
+    keys = set(header) if isinstance(header, dict) else None
+    try:
+        if keys == {"dim"}:
+            return VectorShape(header["dim"]), None
+        if keys == {"length", "vocab", "alphabet"}:
+            shape = CodeShape(header["length"], header["vocab"])
+            return shape, _alphabet(header["alphabet"], shape.vocab)
+    except ValueError as e:
+        raise DatasetFormatError(line_no, str(e)) from None
     raise DatasetFormatError(
-        line_no, "header must declare either {dim} or {length, vocab, alphabet}")
+        line_no, "header must be a JSON object of either {dim} or {length, vocab, alphabet}")
 
 
 def _parse_record(line_no: int, line: str, shape: Shape, alphabet: str | None,

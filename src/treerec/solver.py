@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -45,7 +44,9 @@ from .space import (
     ShapeMismatchError,
     TableComposition,
     ZeroNormError,
+    _integer,
     _loss_and_dpred,
+    _real,
     composes,
     distances,
 )
@@ -143,20 +144,6 @@ class PrimitiveTable:
     composition_params: LinearComposition | None = None
 
 
-def _integer(name: str, value, least: int | None = None) -> int:
-    """``value`` as a Python int.  A bool, anything without ``__index__``
-    (a float too, even a whole one) and, if ``least`` is given, anything
-    below it raise a ValueError that names the setting."""
-    try:
-        number = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or (least is not None and number < least):
-        bound = "" if least is None else f" of at least {least}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-    return number
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """Optimizer settings for ``fit``.
@@ -178,15 +165,12 @@ class FitConfig:
     restarts: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", _integer("steps", self.steps, 1))
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        for name, check, bound in (("steps", _integer, 1), ("seed", _integer, None),
+                                   ("learning_rate", _real, True),
+                                   ("convergence_tol", _real, False)):
+            object.__setattr__(self, name, check(name, getattr(self, name), bound))
         if self.restarts is not None:
             object.__setattr__(self, "restarts", _integer("restarts", self.restarts, 1))
-        # Chained comparisons, so that NaN fails them too.
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
-        if not 0 <= self.convergence_tol < math.inf:
-            raise ValueError("convergence_tol must be non-negative and finite")
         if self.learn_composition and not isinstance(self.composition, LinearComposition):
             raise ValueError("only linear composition weights can be learned")
         if self.learn_composition and self.composition.has_weights:
@@ -225,12 +209,14 @@ def eval_compositional(table: PrimitiveTable, comp: CompositionSpec,
 
     ``d`` is one derivation, whose value is returned, or a sequence of
     derivations, whose values are returned stacked along a new first axis.
-    Subtrees shared within or between derivations are evaluated once.
+    Subtrees shared within or between derivations are evaluated once.  A
+    linear composition without matrices takes the table's.
     """
     single = isinstance(d, (Leaf, Node))
     dag = _compile([d] if single else d)
     if not dag.size:
         raise ValueError("no derivations to evaluate")
+    comp = _with_weights(comp, table)
     values = _forward(dag, _table_params(table, dag.symbols), comp)[dag.roots]
     return values[0] if single else values
 
@@ -243,16 +229,19 @@ def _record_errors(problem: _Problem, params: np.ndarray, comp: CompositionSpec)
                      _forward(dag, params, comp)[dag.roots]).tolist()
 
 
+def _with_weights(comp: CompositionSpec, table: PrimitiveTable) -> CompositionSpec:
+    """``comp``, or the table's weights for a linear one without matrices."""
+    if not isinstance(comp, LinearComposition) or comp.has_weights:
+        return comp
+    if table.composition_params is None:
+        raise ValueError("linear composition weights are neither given nor in the table")
+    return table.composition_params
+
+
 def _table_errors(table: PrimitiveTable, config: FitConfig,
                   records: Iterable[Record]) -> list[float]:
-    """Per-record errors of ``records`` at ``table``, compiled together.  A
-    linear composition without matrices takes the table's."""
-    comp = config.composition
-    if isinstance(comp, LinearComposition) and not comp.has_weights:
-        if table.composition_params is None:
-            raise ValueError("linear composition weights are neither in the "
-                             "config nor in the table")
-        comp = table.composition_params
+    """Per-record errors of ``records`` at ``table``, compiled together."""
+    comp = _with_weights(config.composition, table)
     problem = _build_problem(records, config.distance.kind, comp)
     return _record_errors(problem, _table_params(table, problem.dag.symbols,
                                                  problem.targets.shape[1:]), comp)

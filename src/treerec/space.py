@@ -26,6 +26,8 @@ one-row case.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -51,13 +53,41 @@ class CompositionLookupError(KeyError):
     """Table composition queried with an operand pair it never registered."""
 
 
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as a Python int.  A bool, anything without ``__index__``
+    (a float too, even a whole one) and, if ``least`` is given, anything
+    below it raise a ValueError that names the setting."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or (least is not None and number < least):
+        bound = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return number
+
+
+def _real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite Python float of at least 0, or above 0 when
+    ``positive``.  A bool, anything that is not a ``numbers.Real``, NaN and
+    an int past float range raise a ValueError that names the setting."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int past float range
+        number = math.inf
+    if not (0 < number < math.inf if positive else 0 <= number < math.inf):
+        bound = "above 0" if positive else "of at least 0"
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class VectorShape:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
+        object.__setattr__(self, "dim", _integer("dim", self.dim, 1))
 
     def array_shape(self) -> tuple[int, ...]:
         return (self.dim,)
@@ -69,8 +99,8 @@ class CodeShape:
     vocab: int
 
     def __post_init__(self):
-        if self.length < 1 or self.vocab < 1:
-            raise ValueError("length and vocab must be positive")
+        for name in ("length", "vocab"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
 
     def array_shape(self) -> tuple[int, ...]:
         return (self.length, self.vocab)

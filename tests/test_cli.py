@@ -13,6 +13,8 @@ Core claims:
     - a JSON boolean, or an integer beyond float range, is not a number
       anywhere in a dataset file, and JSON's NaN and Infinity literals are
       not finite values in a dataset file or a report
+    - a header's numbers are checked as the shapes check them, and the
+      writer refuses the alphabet the reader refuses
     - a dataset error names the first faulty line in file order, and a read
       parses each distinct derivation text once
     - JSON nested too deeply to parse is a format error: a dataset line names
@@ -38,6 +40,7 @@ from treerec import (
     DatasetFormatError,
     DistanceSpec,
     FitConfig,
+    GenSpec,
     LinearComposition,
     VectorShape,
     fig5_alphabets,
@@ -47,6 +50,7 @@ from treerec import (
     read_dataset,
     tre_datum,
     fit,
+    generate_compositional,
     write_dataset,
 )
 import treerec.dataio as dataio
@@ -267,6 +271,41 @@ class TestDatasetFiles:
             assert code == 1
             assert err.startswith(f"error: line {line}: ")
 
+    @pytest.mark.parametrize("header", [
+        '{"dim": 2.5}', '{"dim": 0}', '{"length": 1, "vocab": true, "alphabet": "a"}',
+        '{"length": 1, "vocab": 2, "alphabet": ["a", "b"]}'])
+    def test_bad_header_numbers_and_alphabet_name_line_one(self, tmp_path, header):
+        path = tmp_path / "h.jsonl"
+        path.write_text(header + '\n{"id": "x", "derivation": "a", "repr": [1.0]}\n')
+        with pytest.raises(DatasetFormatError) as err:
+            read_dataset(path)
+        assert err.value.line == 1
+
+    def test_numpy_integer_dim_writes_and_reads_back(self, tmp_path):
+        data, _ = generate_compositional(GenSpec(num_primitives=2, shape=VectorShape(np.int64(3)),
+                                                 num_records=4, seed=1))
+        path = tmp_path / "v.jsonl"
+        write_dataset(path, data)
+        loaded, _ = read_dataset(path)
+        assert loaded.shape == VectorShape(3)
+        assert all(np.array_equal(a.representation, b.representation)
+                   for a, b in zip(data.records, loaded.records))
+
+    def test_writer_refuses_the_alphabet_the_reader_refuses(self, tmp_path):
+        # A list of the right characters once wrote a file that the reader
+        # refused on line 1; the report header is checked the same way.
+        lang_a, _ = fig5_languages()
+        alpha_a, _ = fig5_alphabets()
+        path = tmp_path / "a.jsonl"
+        for alphabet in (list(alpha_a), alpha_a[:-1], alpha_a[:-1] + alpha_a[0]):
+            with pytest.raises(ValueError, match="alphabet"):
+                write_dataset(path, lang_a, alphabet)
+            assert not path.exists()
+        config = FitConfig(distance=DistanceSpec("l1"), steps=2)
+        report = fit(lang_a, config)
+        with pytest.raises(ValueError, match="alphabet"):
+            report_to_dict(report, config, lang_a.shape, list(alpha_a))
+
     def test_token_outside_alphabet(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"length": 2, "vocab": 2, "alphabet": "ab"}\n'
@@ -316,6 +355,16 @@ class TestGenCommand:
                                "--out", str(tmp_path / "x.jsonl"), capsys=capsys)
         assert code == 2
         assert "either" in err
+
+    @pytest.mark.parametrize("flags,name", [
+        (("--dim", "0"), "dim"), (("--length", "0", "--vocab", "2"), "length"),
+        (("--length", "2", "--vocab", "0"), "vocab")], ids=str)
+    def test_empty_shape_exits_two(self, tmp_path, capsys, flags, name):
+        out = tmp_path / "x.jsonl"
+        code, _, err = run_cli("gen", "--kind", "random", *flags, "--out", str(out),
+                               capsys=capsys)
+        assert code == 2
+        assert f"error: {name} must be an integer of at least 1" in err and not out.exists()
 
     def test_non_finite_noise_exits_two(self, tmp_path, capsys):
         out = tmp_path / "x.jsonl"
@@ -420,6 +469,13 @@ class TestFitCommand:
         code, _, err = run_cli("fit", str(hand_file), *flags, "--steps", "5", capsys=capsys)
         assert code == 2
         assert "finite" in err
+
+    @pytest.mark.parametrize("flags,name", [(("--tol", "-1"), "convergence_tol"),
+                                            (("--lr", "0"), "learning_rate")], ids=str)
+    def test_out_of_range_setting_exits_two(self, hand_file, capsys, flags, name):
+        code, out, err = run_cli("fit", str(hand_file), *flags, "--steps", "5", capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {name} must be a finite number")
 
     def test_divergence_exits_three(self, hand_file, capsys):
         import warnings

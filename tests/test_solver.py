@@ -3,7 +3,8 @@
 Core claims:
     - a dataset rejects a duplicate id, a wrongly shaped or a non-finite
       representation, naming the first faulty record in record order
-    - bottom-up evaluation and per-record error match hand arithmetic
+    - bottom-up evaluation and per-record error match hand arithmetic; a
+      linear composition without matrices takes the table's weights
     - the closed-form least-squares oracle reproduces the hand-solved
       3-record instance exactly (aggregate 4/9, known entries)
     - the gradient fit agrees with the closed-form oracle
@@ -41,6 +42,7 @@ Core claims:
 """
 
 import hashlib
+import json
 import math
 import tracemalloc
 import warnings
@@ -146,6 +148,20 @@ class TestEvalCompositional:
                                 Symbol("c"): np.array([2.0, 0.0])})
         got = eval_compositional(table, ADD, parse_derivation("((a b) c)"))
         assert got == approx(np.array([3.0, 1.0]))
+
+    def test_linear_without_matrices_takes_the_tables_weights(self, hand_instance):
+        # As tre_datum and objective do: a learned fit's table evaluates
+        # with the placeholder composition its config was given.
+        config = FitConfig(distance=SQL2, composition=LinearComposition(),
+                           learn_composition=True, steps=20, restarts=1)
+        table = fit(hand_instance, config).table
+        trees = [r.derivation for r in hand_instance.records]
+        got = eval_compositional(table, LinearComposition(), trees)
+        assert np.array_equal(got, eval_compositional(table, table.composition_params, trees))
+        assert [tre_datum(table, config, r) for r in hand_instance.records] == approx(
+            [float(((r.representation - g) ** 2).sum()) for r, g in zip(hand_instance, got)])
+        with pytest.raises(ValueError, match="neither given nor in the table"):
+            eval_compositional(PrimitiveTable(table.entries), LinearComposition(), trees)
 
     def test_linear_code_rows_match_recursive_reference(self):
         rng = np.random.default_rng(9)
@@ -469,6 +485,13 @@ class TestFit:
     def test_config_stores_numpy_integers_as_int(self, field):
         value = getattr(FitConfig(distance=SQL2, **{field: np.int64(3)}), field)
         assert type(value) is int and value == 3
+
+    def test_numpy_float_learning_rate_fit_renders(self, hand_instance):
+        # A float32 setting once fitted and then failed JSON rendering.
+        config = FitConfig(distance=SQL2, learning_rate=np.float32(0.5), steps=5)
+        report = fit(hand_instance, config)
+        rendered = json.loads(render_report(report_to_dict(report, config, VectorShape(2))))
+        assert rendered["config"]["learning_rate"] == 0.5
 
     def test_learned_linear_fit_builds_no_leaf_counts(self):
         # Building dense leaf counts takes 500 floats per distinct subtree,
