@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivation import pairwise_tree_edit_distances
-from .solver import Dataset, FitConfig, PrimitiveTable, _table_errors, _table_params
+from .solver import Dataset, PrimitiveTable, _table_errors, _table_params
 # Unused ``tre_datum`` and ``distance`` stay importable: perfbench's tracer wraps them.
 from .solver import tre_datum  # noqa: F401
 from .space import (AdditiveComposition, CompositionSpec, DistanceSpec, _integer,
@@ -205,8 +205,7 @@ def bound_check(dataset: Dataset, table: PrimitiveTable, comp: CompositionSpec,
             f"conditions unmet: entries {symbols[i - 1].name!r} and {name!r} "
             f"are more than unit distance apart ({dist:.6g})")
 
-    epsilon = max(_table_errors(table, FitConfig(distance=distance_spec, composition=comp),
-                                dataset))
+    epsilon = max(_table_errors(table, comp, distance_spec.kind, dataset))
 
     rep_d, tree_d = _pair_distances(dataset, distance_spec)
     rhs = tree_d + 2.0 * epsilon

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivation import Derivation, Node, Symbol, _leaf, parse_derivation
-from .solver import Dataset, PrimitiveTable, Record, _rng, eval_compositional
+from .solver import Dataset, PrimitiveTable, _rng, eval_compositional
 from .space import (AdditiveComposition, CodeShape, CompositionSpec, Shape, _integer, _real,
                     encode_message)
 
@@ -70,6 +70,12 @@ def _sample_derivations(spec: GenSpec, rng: np.random.Generator) -> list[Derivat
     return out
 
 
+def _dataset(derivations: list[Derivation], values: np.ndarray, shape: Shape) -> Dataset:
+    """Records ``r0000``, ``r0001``, ... pairing each derivation with its values."""
+    return Dataset.build(((f"r{i:04d}", value, deriv)
+                          for i, (deriv, value) in enumerate(zip(derivations, values))), shape)
+
+
 def generate_compositional(spec: GenSpec) -> tuple[Dataset, PrimitiveTable]:
     """Dataset whose representations are composed from a hidden ground-truth
     table, plus per-coordinate Gaussian noise; returns that table."""
@@ -83,9 +89,7 @@ def generate_compositional(spec: GenSpec) -> tuple[Dataset, PrimitiveTable]:
     if spec.noise_sigma > 0:
         # One block draws the same stream as one draw per record, in order.
         values += noise_rng.normal(0.0, spec.noise_sigma, values.shape)
-    records = (Record(f"r{i:04d}", value, deriv)
-               for i, (deriv, value) in enumerate(zip(derivations, values)))
-    return Dataset(tuple(records), spec.shape), truth
+    return _dataset(derivations, values, spec.shape), truth
 
 
 def generate_random(spec: GenSpec) -> Dataset:
@@ -95,9 +99,7 @@ def generate_random(spec: GenSpec) -> Dataset:
     derivations = _sample_derivations(spec, tree_rng)
     # One block draws the same stream as one draw per record, in order.
     values = value_rng.normal(0.0, 1.0, (len(derivations), *shape))
-    records = (Record(f"r{i:04d}", value, deriv)
-               for i, (deriv, value) in enumerate(zip(derivations, values)))
-    return Dataset(tuple(records), spec.shape)
+    return _dataset(derivations, values, spec.shape)
 
 
 # -- fixture languages ---------------------------------------------------------
@@ -137,12 +139,11 @@ def code_alphabet(messages, vocab: int) -> str:
 
 def _language_dataset(messages) -> Dataset:
     alphabet = code_alphabet(messages, MESSAGE_VOCAB)
-    records = []
-    for referent, message in zip(LANGUAGE_REFERENTS, messages):
-        deriv = parse_derivation(referent)
-        rid = "-".join(referent.replace("(", "").replace(")", "").split())
-        records.append(Record(rid, encode_message(message, alphabet), deriv))
-    return Dataset(tuple(records), CodeShape(MESSAGE_LENGTH, MESSAGE_VOCAB))
+    return Dataset.build(
+        (("-".join(referent.replace("(", "").replace(")", "").split()),
+          encode_message(message, alphabet), parse_derivation(referent))
+         for referent, message in zip(LANGUAGE_REFERENTS, messages)),
+        CodeShape(MESSAGE_LENGTH, MESSAGE_VOCAB))
 
 
 def fig5_languages() -> tuple[Dataset, Dataset]:

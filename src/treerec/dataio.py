@@ -14,8 +14,8 @@ shortest round-trip representation, so re-reading a file reproduces values
 bit-exactly.
 
 ``read_dataset`` parses each distinct derivation text of a file once and
-checks the values of all its records for finiteness in one call; an error
-names the first faulty line all the same.
+hands its records to ``Dataset``, the one record check (duplicate ids,
+finiteness); an error names the first faulty line all the same.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ def _read_text(path: str | Path) -> str:
 def read_dataset(path: str | Path) -> tuple[Dataset, str | None]:
     """Parse a dataset file; returns the dataset and the declared alphabet
     (None for vector-shaped data).  Raises DatasetFormatError with the
-    first offending 1-based line number."""
+    first offending 1-based line number.  ``Dataset`` is the one record
+    check: it checks the records parsed before the first parse fault."""
     text = _read_text(path)
     numbered = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     if not numbered:
@@ -113,26 +114,22 @@ def read_dataset(path: str | Path) -> tuple[Dataset, str | None]:
 
     # Row k holds record k's flat values; its representation is a view of it.
     values = np.empty((len(rows), math.prod(shape.array_shape())))
-    ids: dict[str, None] = {}  # the ids read so far, in file order
-    derivations: list[Derivation] = []
+    records: list[Record] = []
     parsed: dict[str, Derivation] = {}
     fault = None
     try:
         for (line_no, line), out in zip(rows, values):
-            rid, deriv = _parse_record(line_no, line, shape, alphabet, ids, parsed, out)
-            ids[rid] = None
-            derivations.append(deriv)
+            records.append(_parse_record(line_no, line, shape, alphabet, parsed, out))
     except DatasetFormatError as e:
         fault = e
-    # One finiteness check over the records read.  A non-finite value lies
-    # on a line before the fault that stopped the loop, so it is reported.
-    finite = np.isfinite(values[:len(ids)]).all(axis=1)
-    if not finite.all():
-        raise DatasetFormatError(rows[int(finite.argmin())][0], _NON_FINITE)
+    # A fault ``Dataset`` finds lies on a line before the parse fault, if any.
+    try:
+        dataset = Dataset(records, shape) if records else None
+    except ValueError as e:
+        raise DatasetFormatError(rows[e.record][0], str(e)) from None
     if fault is not None:
         raise fault
-    reps = values.reshape(len(rows), *shape.array_shape())
-    return Dataset(tuple(map(Record, ids, reps, derivations)), shape), alphabet
+    return dataset, alphabet
 
 
 def _loads(text: str, line_no: int, what: str):
@@ -171,12 +168,11 @@ def _parse_header(line_no: int, header) -> tuple[Shape, str | None]:
 
 
 def _parse_record(line_no: int, line: str, shape: Shape, alphabet: str | None,
-                  ids: dict[str, None], parsed: dict[str, Derivation],
-                  out: np.ndarray) -> tuple[str, Derivation]:
-    """Check one record line and write its flat values, not yet checked for
-    finiteness, to ``out``; returns its id and derivation.  ``ids`` holds
-    the ids of the lines before it, and ``parsed`` maps the derivation texts
-    met so far to their derivations, so that each text is parsed once."""
+                  parsed: dict[str, Derivation], out: np.ndarray) -> Record:
+    """Parse one record line and write its flat values, not yet checked for
+    finiteness, to ``out``; returns its record, whose representation is a
+    view of ``out``.  ``parsed`` maps the derivation texts met so far to
+    their derivations, so that each text is parsed once."""
     def fail(message: str):
         raise DatasetFormatError(line_no, message)
 
@@ -185,9 +181,6 @@ def _parse_record(line_no: int, line: str, shape: Shape, alphabet: str | None,
         fail("record must be a JSON object")
     if not isinstance(row.get("id"), str) or not row["id"]:
         fail("record needs a non-empty string 'id'")
-    rid = row["id"]
-    if rid in ids:
-        fail(f"duplicate record id {rid!r}")
     text = row.get("derivation")
     if not isinstance(text, str):
         fail("record needs a 'derivation' string")
@@ -215,11 +208,10 @@ def _parse_record(line_no: int, line: str, shape: Shape, alphabet: str | None,
         out[:] = matrix.ravel()
     else:
         _fill_values(line_no, row["repr"], out, "'repr'")
-    return rid, deriv
+    return Record(row["id"], out.reshape(shape.array_shape()), deriv)
 
 
 _NUMBER_TYPES = frozenset((int, float))  # not bool: JSON true/false load as bools
-_NON_FINITE = "representation values must be finite"
 
 
 def _fill_values(line_no: int, values, out: np.ndarray, what: str) -> None:
@@ -243,7 +235,7 @@ def _parse_values(line_no: int, values, shape: Shape, what: str) -> np.ndarray:
     out = np.empty(math.prod(shape.array_shape()))
     _fill_values(line_no, values, out, what)
     if not np.isfinite(out).all():
-        raise DatasetFormatError(line_no, _NON_FINITE)
+        raise DatasetFormatError(line_no, "representation values must be finite")
     return out.reshape(shape.array_shape())
 
 

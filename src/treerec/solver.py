@@ -10,8 +10,8 @@ distance at the optimum is that record's tree reconstruction error; the
 dataset score is the mean.
 
 ``fit`` minimizes with full-batch Adam; ``closed_form_fit`` solves the
-additive / squared-L2 case exactly through the normal equations and serves as
-an independent oracle for the iterative path.
+additive / squared-L2 case exactly by SVD least squares and serves as an
+independent oracle for the iterative path.
 
 ``fit`` and ``gradient_check`` evaluate the objective through
 ``_loss_and_grads``, which sums over ``_Problem.rows``, the weighted groups
@@ -88,7 +88,9 @@ class Record:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Non-empty list of records sharing one representation shape."""
+    """Non-empty list of records sharing one representation shape; the one
+    record check.  The first faulty record (duplicate id, wrong shape or a
+    non-finite value) raises a ValueError whose ``record`` is its index."""
 
     records: tuple[Record, ...]
     shape: Shape
@@ -111,14 +113,15 @@ class Dataset:
                 fault = ShapeMismatchError(
                     f"record {rec.id!r}: expected array of shape {expected}, got {got}")
             if fault is not None:
-                checked = k
+                fault.record = checked = k
                 break
             seen.add(rec.id)
         values = np.array([rec.representation for rec in records[:checked]], dtype=np.float64)
         finite = np.isfinite(values.reshape(checked, math.prod(expected))).all(axis=1)
         if not finite.all():
-            raise ValueError(f"record {records[finite.argmin()].id!r}: "
-                             "representation values must be finite")
+            k = int(finite.argmin())
+            fault = ValueError(f"record {records[k].id!r}: representation values must be finite")
+            fault.record = k
         if fault is not None:
             raise fault
 
@@ -238,23 +241,23 @@ def _with_weights(comp: CompositionSpec, table: PrimitiveTable) -> CompositionSp
     return table.composition_params
 
 
-def _table_errors(table: PrimitiveTable, config: FitConfig,
+def _table_errors(table: PrimitiveTable, comp: CompositionSpec, kind: str,
                   records: Iterable[Record]) -> list[float]:
-    """Per-record errors of ``records`` at ``table``, compiled together."""
-    comp = _with_weights(config.composition, table)
-    problem = _build_problem(records, config.distance.kind, comp)
+    """Per-record ``kind`` errors of ``records`` at ``table``, compiled together."""
+    comp = _with_weights(comp, table)
+    problem = _build_problem(records, kind, comp)
     return _record_errors(problem, _table_params(table, problem.dag.symbols,
                                                  problem.targets.shape[1:]), comp)
 
 
 def tre_datum(table: PrimitiveTable, config: FitConfig, record: Record) -> float:
     """Distance between the stored representation and the composed prediction."""
-    return _table_errors(table, config, [record])[0]
+    return _table_errors(table, config.composition, config.distance.kind, [record])[0]
 
 
 def objective(table: PrimitiveTable, config: FitConfig, dataset: Dataset) -> float:
     """Sum (not mean) of per-record errors at the current table."""
-    return math.fsum(_table_errors(table, config, dataset))
+    return math.fsum(_table_errors(table, config.composition, config.distance.kind, dataset))
 
 
 # -- internal optimization machinery -----------------------------------------
@@ -641,8 +644,8 @@ def closed_form_fit(dataset: Dataset) -> TreReport:
     """Exact optimum for additive composition under squared-L2 distance.
 
     Each prediction is the leaf-count-weighted sum of primitive entries, so
-    the objective is linear least squares in the entries; the normal equations
-    are solved exactly, with the minimum-norm solution on rank deficiency.
+    the objective is linear least squares in the entries.  ``np.linalg.lstsq``
+    solves it by SVD and returns the minimum-norm solution on rank deficiency.
     """
     problem = _build_problem(dataset, "squared_l2", AdditiveComposition())
     flat_targets = problem.targets.reshape(len(dataset), -1)

@@ -193,7 +193,7 @@ class TestDatasetFiles:
                         '{"id": "x", "derivation": "a", "repr": [1.0, 0.0]}\n'
                         f'{{"id": "y", "derivation": "b", "repr": [0.0, {literal}]}}\n'
                         '{"id": "z", "derivation": "(a b)", "repr": [1.0, 1.0]}\n')
-        message = "line 3: representation values must be finite"
+        message = "line 3: record 'y': representation values must be finite"
         with pytest.raises(DatasetFormatError, match=f"^{message}$"):
             read_dataset(path)
         code, _, err = run_cli("fit", str(path), "--steps", "5", capsys=capsys)
@@ -213,6 +213,24 @@ class TestDatasetFiles:
         path = tmp_path / "faults.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match="finite" if nan_first else match) as err:
+            read_dataset(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("fault", [f for f in RECORD_FAULTS if f != "duplicate id"])
+    @pytest.mark.parametrize("duplicate_first", [True, False],
+                             ids=["duplicate_first", "duplicate_last"])
+    def test_duplicate_id_against_parse_fault(self, tmp_path, fault, duplicate_first):
+        # A duplicate id and a parse fault on lines 3 and 5: line 3's is reported.
+        record, match = RECORD_FAULTS[fault]
+        duplicate, duplicate_match = RECORD_FAULTS["duplicate id"]
+        lines = ['{"dim": 2}', '{"id": "x", "derivation": "a", "repr": [1.0, 0.0]}',
+                 duplicate, '{"id": "y", "derivation": "(a b)", "repr": [1.0, 1.0]}', record]
+        if not duplicate_first:
+            lines[2], lines[4] = lines[4], lines[2]
+        path = tmp_path / "faults.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError,
+                           match=duplicate_match if duplicate_first else match) as err:
             read_dataset(path)
         assert err.value.line == 3
 

@@ -110,24 +110,25 @@ def hand_instance():
 
 
 class TestDataset:
-    @pytest.mark.parametrize("reps,error,message", [
+    @pytest.mark.parametrize("reps,error,message,record", [
         ([("a", [0.0, 1.0]), ("b", [np.nan, 0.0]), ("c", [np.inf, 0.0])], ValueError,
-         "record 'b': representation values must be finite"),
+         "record 'b': representation values must be finite", 1),
         ([("a", [0.0, 1.0]), ("b", [1.0]), ("c", [np.nan, 0.0])], ShapeMismatchError,
-         r"record 'b': expected array of shape \(2,\), got \(1,\)"),
-        ([("a", [np.nan, 1.0]), ("b", [1.0, 0.0, 0.0])], ValueError, "record 'a': .* finite"),
-        ([("a", [[0.0, 1.0]])], ShapeMismatchError, r"record 'a': .* got \(1, 2\)"),
+         r"record 'b': expected array of shape \(2,\), got \(1,\)", 1),
+        ([("a", [np.nan, 1.0]), ("b", [1.0, 0.0, 0.0])], ValueError, "record 'a': .* finite", 0),
+        ([("a", [[0.0, 1.0]])], ShapeMismatchError, r"record 'a': .* got \(1, 2\)", 0),
         ([("a", [0.0, 1.0]), ("b", [np.nan, 0.0]), ("a", [1.0, 0.0])], ValueError,
-         "record 'b': .* finite"),
+         "record 'b': .* finite", 1),
         ([("a", [0.0, 1.0]), ("a", [1.0, 0.0]), ("c", [np.nan, 0.0])], ValueError,
-         "duplicate record id 'a'"),
+         "duplicate record id 'a'", 1),
     ], ids=["non_finite", "shape", "non_finite_before_shape", "first_shape",
             "non_finite_before_duplicate", "duplicate_before_non_finite"])
-    def test_first_faulty_record_is_named(self, reps, error, message):
+    def test_first_faulty_record_is_named(self, reps, error, message, record):
         rows = [(rid, rep, parse_derivation("a")) for rid, rep in reps]
         with pytest.raises(error, match=f"^{message}$") as err:
             Dataset.build(rows, VectorShape(2))
         assert type(err.value) is error
+        assert err.value.record == record
 
 
 class TestEvalCompositional:
