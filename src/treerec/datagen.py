@@ -39,7 +39,11 @@ class GenSpec:
         for name, check, bound in (("num_primitives", _integer, 1), ("num_records", _integer, 1),
                                    ("seed", _integer, None), ("noise_sigma", _real, False)):
             object.__setattr__(self, name, check(name, getattr(self, name), bound))
-        lo, hi = self.depth_range
+        try:
+            lo, hi = self.depth_range
+        except (TypeError, ValueError):
+            raise ValueError("depth_range must be a pair of integers, "
+                             f"got {self.depth_range!r}") from None
         lo = _integer("depth_range[0]", lo, 1)
         object.__setattr__(self, "depth_range", (lo, _integer("depth_range[1]", hi, lo)))
 
@@ -50,24 +54,50 @@ def _streams(seed: int):
     return tuple(_rng(seed, k) for k in range(3))
 
 
-def _random_tree(rng: np.random.Generator, names: list[str], depth: int) -> Derivation:
-    if depth == 1:
-        return _leaf(names[int(rng.integers(len(names)))])
-    shallow = int(rng.integers(1, depth)) if depth > 2 else 1
-    deep_on_left = bool(rng.integers(2))
-    deep = _random_tree(rng, names, depth - 1)
-    other = _random_tree(rng, names, shallow)
-    return Node(deep, other) if deep_on_left else Node(other, deep)
+_BLOCK = 4096  # raw draws per refill of the tree stream
+
+
+def _raw_draws(rng: np.random.Generator):
+    """The raw 32-bit draws of ``rng``, one at a time, read in blocks."""
+    while True:
+        yield from rng.integers(0, 1 << 32, size=_BLOCK, dtype=np.uint32).tolist()
+
+
+def _bounded(draws, k: int) -> int:
+    """``rng.integers(k)`` read from ``_raw_draws(rng)``, as numpy maps draws
+    (Lemire's method): ``(u * k) >> 32``, taking the next draw u while the
+    low 32 bits of ``u * k`` fall below ``(2**32 - k) % k``.  A bound of 1
+    gives 0 and takes no draw."""
+    if k == 1:
+        return 0
+    threshold = ((1 << 32) - k) % k
+    while True:
+        m = next(draws) * k
+        if m & 0xFFFFFFFF >= threshold:
+            return m >> 32
 
 
 def _sample_derivations(spec: GenSpec, rng: np.random.Generator) -> list[Derivation]:
-    names = [f"p{i}" for i in range(spec.num_primitives)]
+    """Random trees: per record a depth, then per node the shallower child's
+    depth and which side is deeper.  The tree stream is read in blocks of raw
+    32-bit draws; a bounded ``Generator.integers`` call reads the same draws
+    in the same order and maps them as ``_bounded`` does, so the trees are
+    those of one call per decision.  ``rng`` is this call's alone, so the
+    unread rest of the last block changes nothing."""
+    leaves = [_leaf(f"p{i}") for i in range(spec.num_primitives)]
+    draws = _raw_draws(rng)
     lo, hi = spec.depth_range
-    out = []
-    for _ in range(spec.num_records):
-        depth = int(rng.integers(lo, hi + 1))
-        out.append(_random_tree(rng, names, depth))
-    return out
+
+    def tree(depth: int) -> Derivation:
+        if depth == 1:
+            return leaves[_bounded(draws, len(leaves))]
+        shallow = 1 + _bounded(draws, depth - 1)
+        deep_on_left = _bounded(draws, 2)
+        deep = tree(depth - 1)
+        other = tree(shallow)
+        return Node(deep, other) if deep_on_left else Node(other, deep)
+
+    return [tree(lo + _bounded(draws, hi - lo + 1)) for _ in range(spec.num_records)]
 
 
 def _dataset(derivations: list[Derivation], values: np.ndarray, shape: Shape) -> Dataset:

@@ -4,6 +4,8 @@ Core claims:
     - generation is bit-exactly reproducible from the seed, its output at
       fixed seeds is pinned by digest, and derivations do not change when
       only the noise level changes
+    - the block sampler gives the very trees of one ``Generator.integers``
+      call per decision, and its bounded draw equals numpy's value by value
     - the returned generating table has zero error on noiseless data, and on
       noisy data its mean squared-L2 error matches dim * sigma^2
     - random (structure-free) data fits far worse than matched compositional
@@ -40,7 +42,9 @@ from treerec import (
     is_hard_code,
     tre_datum,
 )
+from treerec import datagen
 from treerec.datagen import LANGUAGE_MESSAGES, LANGUAGE_REFERENTS
+from treerec.derivation import _leaf
 
 SQL2 = DistanceSpec("squared_l2")
 
@@ -49,6 +53,66 @@ def tree_depth(d):
     if isinstance(d, Leaf):
         return 1
     return 1 + max(tree_depth(d.left), tree_depth(d.right))
+
+
+def _random_tree(rng, names, depth):
+    """The per-call sampler: one ``rng.integers`` call per decision."""
+    if depth == 1:
+        return _leaf(names[int(rng.integers(len(names)))])
+    shallow = int(rng.integers(1, depth)) if depth > 2 else 1
+    deep_on_left = bool(rng.integers(2))
+    deep = _random_tree(rng, names, depth - 1)
+    other = _random_tree(rng, names, shallow)
+    return Node(deep, other) if deep_on_left else Node(other, deep)
+
+
+def reference_derivations(spec, rng):
+    names = [f"p{i}" for i in range(spec.num_primitives)]
+    lo, hi = spec.depth_range
+    return [_random_tree(rng, names, int(rng.integers(lo, hi + 1)))
+            for _ in range(spec.num_records)]
+
+
+class TestBlockSampler:
+    BOUNDS = (1, 2, 3, 5, 2**31 + 1, 2**32 - 1, 2**32)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_bounded_draw_equals_numpy(self, seed):
+        # A mixed sequence long enough to refill the block several times;
+        # 2**31 + 1 rejects about half its draws, and a bound of 1 takes none.
+        ks = np.random.default_rng(seed + 100).choice(self.BOUNDS, 3 * datagen._BLOCK).tolist()
+        draws = datagen._raw_draws(np.random.default_rng(seed))
+        numpy_rng = np.random.default_rng(seed)
+        got = [datagen._bounded(draws, k) for k in ks]
+        assert got == [int(numpy_rng.integers(k)) for k in ks]
+
+    def test_bound_of_one_takes_no_draw(self):
+        draws = datagen._raw_draws(np.random.default_rng(3))
+        assert [datagen._bounded(draws, 1) for _ in range(5)] == [0] * 5
+        first = int(np.random.default_rng(3).integers(0, 1 << 32, dtype=np.uint32))
+        assert next(draws) == first
+
+    @pytest.mark.parametrize("spec,refills", [
+        (GenSpec(1, VectorShape(2), depth_range=(1, 4), num_records=200, seed=1), 0),
+        (GenSpec(5, VectorShape(2), depth_range=(3, 3), num_records=200, seed=2), 0),
+        (GenSpec(4, VectorShape(2), depth_range=(2, 7), num_records=200, seed=3), 0),
+        (GenSpec(3, VectorShape(2), depth_range=(1, 6), num_records=3000, seed=11), 5),
+    ], ids=["one_primitive", "fixed_depth", "depth_2_7", "many_blocks"])
+    def test_same_trees_as_per_call_draws(self, spec, refills, monkeypatch):
+        read = []
+        raw_draws = datagen._raw_draws
+
+        def counted(rng):
+            for u in raw_draws(rng):
+                read.append(u)
+                yield u
+
+        monkeypatch.setattr(datagen, "_raw_draws", counted)
+        got = datagen._sample_derivations(spec, datagen._streams(spec.seed)[1])
+        want = reference_derivations(spec, datagen._streams(spec.seed)[1])
+        assert len(got) == len(want) == spec.num_records
+        assert all(a is b for a, b in zip(got, want))
+        assert len(read) > refills * datagen._BLOCK
 
 
 class TestGenerateCompositional:
@@ -150,8 +214,25 @@ class TestGenerateCompositional:
         assert [type(v) for v in settings] == [int] * 5
         assert settings == (3, 1, 3, 5, 3)
 
+    @pytest.mark.parametrize("value", [(1, 2, 3), 5, (4,)], ids=str)
+    def test_depth_range_must_be_a_pair(self, value):
+        with pytest.raises(ValueError, match=r"^depth_range must be a pair of integers"):
+            GenSpec(num_primitives=2, shape=VectorShape(2), depth_range=value)
+
 
 class TestGenerateRandom:
+    def test_output_is_pinned(self):
+        # About 10 blocks of the tree stream; the digest comes from the
+        # per-call sampler.
+        spec = GenSpec(3, VectorShape(4), depth_range=(1, 6), num_records=3000, seed=11)
+        h = hashlib.sha256()
+        for rec in generate_random(spec).records:
+            h.update(rec.id.encode())
+            h.update(format_derivation(rec.derivation).encode())
+            h.update(rec.representation.tobytes())
+        assert h.hexdigest() == (
+            "9c9442370c7efe00b0f9426459a75d9cdc1e0a77efd7d398aa1025108c8213ee")
+
     def test_reproducible_and_seed_sensitive(self):
         spec = GenSpec(num_primitives=5, shape=VectorShape(6), num_records=20, seed=9)
         d1 = generate_random(spec)
