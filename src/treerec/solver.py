@@ -296,6 +296,11 @@ def _forward(dag: _Dag, params: np.ndarray, comp: CompositionSpec) -> np.ndarray
     return values
 
 
+def _flat_index(ids: np.ndarray, width: int) -> np.ndarray:
+    """Flat indices of the elements of rows ``ids`` of a ``(size, width)`` array."""
+    return (ids[:, None] * width + np.arange(width)).ravel()
+
+
 def _backward(problem: _Problem, values: np.ndarray, comp: CompositionSpec,
               roots: np.ndarray, upstream: np.ndarray) -> list[np.ndarray]:
     """Adjoint of ``_forward`` over ``problem.dag`` for linear composition.
@@ -312,29 +317,30 @@ def _backward(problem: _Problem, values: np.ndarray, comp: CompositionSpec,
     gradient, objective trace and report byte-stable.  The scatters run on
     the flat array with one index per element, which numpy's ``ufunc.at``
     handles on its fast path; each element still receives its adds in the
-    order of the row ids.
+    order of the row ids.  Each level's index, left block then right block,
+    is built once per problem (``_Problem.level_index``); the weight
+    gradients are the GEMM that ``np.tensordot`` makes, on the same operands.
     """
     if not isinstance(comp, LinearComposition):
         raise TypeError(f"composition kind {getattr(comp, 'kind', comp)!r} "
                         f"has no level-batched gradient")
     dag, lw, rw = problem.dag, comp.left_weights, comp.right_weights
     grads = np.zeros_like(values)
-    flat, offsets = grads.reshape(-1), np.arange(math.prod(values.shape[1:]))
-
-    def scatter(ids: np.ndarray, rows: np.ndarray):
-        np.add.at(flat, (ids[:, None] * len(offsets) + offsets).ravel(), rows.ravel())
-
-    scatter(roots, upstream)
-    shape = (dag.size, values.shape[1], -1)
+    flat, side = grads.reshape(-1), values.shape[1]
+    np.add.at(flat, _flat_index(roots, math.prod(values.shape[1:])), upstream.ravel())
+    shape = (dag.size, side, -1)
     cols, gcols = values.reshape(shape), grads.reshape(shape)
     grad_lw, grad_rw = np.zeros_like(lw), np.zeros_like(rw)
-    for lo, hi in reversed(dag.levels):
+    for (lo, hi), index in zip(reversed(dag.levels), reversed(problem.level_index)):
         g, left, right = gcols[lo:hi], dag.left[lo:hi], dag.right[lo:hi]
-        scatter(left, np.matmul(lw.T, g))
-        scatter(right, np.matmul(rw.T, g))
+        children = np.empty((2,) + g.shape)
+        np.matmul(lw.T, g, out=children[0])
+        np.matmul(rw.T, g, out=children[1])
+        np.add.at(flat, index, children.ravel())
         if problem.learns_weights:
-            grad_lw += np.tensordot(g, cols[left], axes=([0, 2], [0, 2]))
-            grad_rw += np.tensordot(g, cols[right], axes=([0, 2], [0, 2]))
+            gt = g.transpose(1, 0, 2).reshape(side, -1)
+            grad_lw += np.dot(gt, cols[left].transpose(0, 2, 1).reshape(-1, side))
+            grad_rw += np.dot(gt, cols[right].transpose(0, 2, 1).reshape(-1, side))
     return [grads[:len(dag.symbols)], *((grad_lw, grad_rw) if problem.learns_weights else ())]
 
 
@@ -401,6 +407,13 @@ class _Problem:
         return _forward(self.dag, eye, AdditiveComposition())[self.dag.roots]
 
     @cached_property
+    def level_index(self) -> list[np.ndarray]:
+        """Per level, ``_backward``'s scatter: its left, then right children's ``_flat_index``."""
+        dag, width = self.dag, math.prod(self.targets.shape[1:])
+        return [_flat_index(np.concatenate([dag.left[lo:hi], dag.right[lo:hi]]), width)
+                for lo, hi in dag.levels]
+
+    @cached_property
     def rows(self) -> _Rows:
         """The records grouped by shared prediction ``p``, additive ones by
         leaf-count row ``u`` (``p = u @ params``) and linear ones by DAG root:
@@ -422,14 +435,15 @@ class _Problem:
             return _Rows(keys, np.arange(len(flat)), flat, None, 0.0)
         keys, first, inverse, sizes = _distinct_rows(keys)
         sums = np.zeros((len(keys), flat.shape[1]))
+        index = _flat_index(inverse, flat.shape[1])
         if self.kind == "squared_l2":
-            np.add.at(sums, inverse, flat)
+            np.add.at(sums.reshape(-1), index, flat.ravel())
             means = sums / sizes[:, None]
             scatter = flat - means[inverse]
             constant = math.fsum((scatter * scatter).sum(axis=1).tolist())
             return _Rows(keys, first, means, sizes, constant)
         units = flat / np.linalg.norm(flat, axis=1)[:, None]
-        np.add.at(sums, inverse, units)
+        np.add.at(sums.reshape(-1), index, units.ravel())
         weights = np.linalg.norm(sums, axis=1)
         cancelled = weights == 0.0
         sums[cancelled] = units[first[cancelled]]

@@ -39,8 +39,13 @@ Core claims:
     - the additive l1 gradient is exactly the transposed leaf counts times
       the residual signs, and fit reports on generated data match pinned
       digests, with the final objective, a flat sum, pinned to 1e-12
+    - the rows' targets, weights, norms and constant equal those of a scatter
+      over whole rows to the bit; the backward pass keeps its order on a
+      9-level DAG and from the rows of ``_loss_and_grads``, and one fit
+      builds its level indices once
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -987,6 +992,41 @@ class TestRowBlocks:
         assert blocked[0] == approx(one_block[0], rel=1e-12)
 
 
+def reference_rows(problem):
+    """``problem.rows``' targets, weights, norms and constant, each group's
+    sum taken by a 2-D ``np.add.at`` over whole rows."""
+    flat = problem.targets.reshape(len(problem.targets), -1)
+    additive = isinstance(problem.comp, AdditiveComposition)
+    _, first, inverse, sizes = solver_module._distinct_rows(
+        problem.counts if additive else problem.dag.roots[:, None])
+    sums = np.zeros((len(sizes), flat.shape[1]))
+    if problem.kind == "squared_l2":
+        np.add.at(sums, inverse, flat)
+        means = sums / sizes[:, None]
+        scatter = flat - means[inverse]
+        return means, sizes, None, math.fsum((scatter * scatter).sum(axis=1).tolist())
+    units = flat / np.linalg.norm(flat, axis=1)[:, None]
+    np.add.at(sums, inverse, units)
+    weights = np.linalg.norm(sums, axis=1)
+    cancelled = weights == 0.0
+    sums[cancelled] = units[first[cancelled]]
+    return sums, weights, np.linalg.norm(sums, axis=1), math.fsum((sizes - weights).tolist())
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("comp", [ADD, LinearComposition()], ids=["additive", "linear"])
+    @pytest.mark.parametrize("kind", ["squared_l2", "cosine"])
+    def test_bit_identical_to_whole_row_scatter(self, kind, comp):
+        dataset = generate_compositional(PIN_DATA["code"])[0]
+        problem = solver_module._build_problem(dataset, kind, comp)
+        rows = problem.rows
+        assert len(rows.targets) < len(dataset)
+        expected = reference_rows(problem)
+        got = (rows.targets, rows.weights, rows.norms, rows.constant)
+        assert (got[2] is None) == (expected[2] is None)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected) if b is not None)
+
+
 def reference_backward(dag, values, comp, upstream, learn_weights):
     """``_backward`` as one Python add per edge, in its documented order:
     the roots in record order, then the levels from the highest down, each
@@ -1014,6 +1054,9 @@ class TestBackwardOrder:
     # two heights, and a, b and c are children of parents at several heights.
     TEXTS = ["(a b)", "((a b) c)", "(c (a b))", "((a b) (b c))", "(((a b) c) a)",
              "c", "(a (b (c a)))", "((a b) c)", "(((a b) c) (a b))"]
+    # Plus a 10-leaf left comb over "(((a b) c) a)": nine levels, the lowest
+    # three shared with TEXTS.
+    DEEP_TEXTS = TEXTS + ["(((((((((a b) c) a) b) c) a) b) c) a)"]
 
     @pytest.mark.parametrize("shape", [(5,), (3, 5)], ids=["vector", "code"])
     @pytest.mark.parametrize("learn_weights", [True, False])
@@ -1036,3 +1079,76 @@ class TestBackwardOrder:
             assert all(np.array_equal(w, r) for w, r in zip(weights, ref_weights))
         else:
             assert weights == []
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)], ids=["vector", "code"])
+    @pytest.mark.parametrize("learn_weights", [True, False])
+    def test_deep_dag_bit_identical_to_per_edge_loop(self, shape, learn_weights):
+        rng = np.random.default_rng(8)
+        dag = solver_module._compile([parse_derivation(t) for t in self.DEEP_TEXTS])
+        assert len(dag.levels) == 9
+        side = shape[0]
+        comp = LinearComposition(rng.normal(0, 1, (side, side)),
+                                 rng.normal(0, 1, (side, side)))
+        values = solver_module._forward(dag, rng.normal(0, 1, (len(dag.symbols),) + shape),
+                                        comp)
+        upstream = rng.normal(0, 1, (len(self.DEEP_TEXTS),) + shape)
+        problem = solver_module._Problem(dag, values[dag.roots], "l1",
+                                         LinearComposition() if learn_weights else comp)
+        grads = solver_module._backward(problem, values, comp, dag.roots, upstream)
+        ref_params, ref_weights = reference_backward(dag, values, comp, upstream,
+                                                     learn_weights)
+        expected = (ref_params, *ref_weights) if learn_weights else (ref_params,)
+        assert len(grads) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, expected))
+
+    def deep_dataset(self, shape):
+        rng = np.random.default_rng(9)
+        return Dataset.build([(f"r{i}", rng.normal(0, 1, shape), parse_derivation(t))
+                              for i, t in enumerate(self.DEEP_TEXTS)],
+                             VectorShape(*shape) if len(shape) == 1 else CodeShape(*shape))
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)], ids=["vector", "code"])
+    @pytest.mark.parametrize("kind", ["l1", "squared_l2"])
+    def test_loss_and_grads_bit_identical_to_per_edge_loop(self, shape, kind):
+        # l1 sums over the records, so the root of "((a b) c)" comes twice;
+        # squared_l2 sums over the distinct roots.
+        problem = solver_module._build_problem(self.deep_dataset(shape), kind,
+                                               LinearComposition())
+        dag, rows, side = problem.dag, problem.rows, shape[0]
+        roots = dag.roots[rows.first]
+        assert (len(set(roots.tolist())) < len(roots)) == (kind == "l1")
+        rng = np.random.default_rng(10)
+        params = rng.normal(0, 1, (len(dag.symbols),) + shape)
+        comp = LinearComposition(rng.normal(0, 1, (side, side)),
+                                 rng.normal(0, 1, (side, side)))
+        _, grads = solver_module._loss_and_grads(problem, params, comp)
+        values = solver_module._forward(dag, params, comp)
+        _, upstream = _loss_and_dpred(kind, values[roots], rows.targets, rows.weights,
+                                      rows.norms)
+        ref_params, ref_weights = reference_backward(dataclasses.replace(dag, roots=roots),
+                                                     values, comp, upstream, True)
+        assert len(grads) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(grads, (ref_params, *ref_weights)))
+
+    def test_one_fit_builds_the_level_indices_once(self, monkeypatch):
+        # Each of the two restarts evaluates steps 0 to 5 and builds its
+        # roots' index every time; the 9 levels' indices belong to the
+        # problem, built once.  l1 rows build no index.
+        data = self.deep_dataset((3, 5))
+        calls = {"index": 0, "step": 0}
+        flat_index, loss_and_grads = solver_module._flat_index, solver_module._loss_and_grads
+
+        def counted_index(*args):
+            calls["index"] += 1
+            return flat_index(*args)
+
+        def counted_step(*args):
+            calls["step"] += 1
+            return loss_and_grads(*args)
+
+        monkeypatch.setattr(solver_module, "_flat_index", counted_index)
+        monkeypatch.setattr(solver_module, "_loss_and_grads", counted_step)
+        fit(data, FitConfig(distance=L1, composition=LinearComposition(),
+                            learn_composition=True, steps=5, restarts=2, convergence_tol=0.0))
+        assert calls["step"] == 2 * 6
+        assert calls["index"] == calls["step"] + 9
