@@ -302,24 +302,23 @@ def _flat_index(ids: np.ndarray, width: int) -> np.ndarray:
 
 
 def _backward(problem: _Problem, values: np.ndarray, comp: CompositionSpec,
-              roots: np.ndarray, upstream: np.ndarray) -> list[np.ndarray]:
+              seed: np.ndarray, upstream: np.ndarray) -> list[np.ndarray]:
     """Adjoint of ``_forward`` over ``problem.dag`` for linear composition.
 
-    ``upstream[k]`` is the gradient with respect to the value of subtree
-    ``roots[k]``.  Returns the list ``_Adam.step`` takes: the parameter rows'
-    gradient, then, if ``problem.learns_weights``, both weight matrices'.
-    A subtree shared by several parents sums their gradients before passing on.
+    ``upstream[k]`` is the gradient with respect to the value of the k-th subtree
+    that ``seed``, a ``_flat_index``, names.  Returns the list ``_Adam.step`` takes:
+    the parameter rows' gradient, then, if ``problem.learns_weights``, both weight
+    matrices'.  A subtree shared by several parents sums their gradients before passing on.
 
-    The adds into a subtree's gradient come in one fixed order: the roots in
-    ``roots`` order, then the levels from the highest down, each level adding
-    its left-child block and then its right-child block, nodes in id order.
-    Floating-point sums depend on their order, so keeping it keeps every
-    gradient, objective trace and report byte-stable.  The scatters run on
-    the flat array with one index per element, which numpy's ``ufunc.at``
-    handles on its fast path; each element still receives its adds in the
-    order of the row ids.  Each level's index, left block then right block,
-    is built once per problem (``_Problem.level_index``); the weight
-    gradients are the GEMM that ``np.tensordot`` makes, on the same operands.
+    The adds into a subtree's gradient come in one fixed order: the seeded subtrees in
+    ``seed`` order, then the levels from the highest down, each level adding its left-child
+    block and then its right-child block, nodes in id order.  Floating-point sums depend on
+    their order, so keeping it keeps every gradient, objective trace and report byte-stable.
+    The scatters run on the flat array with one index per element, which numpy's
+    ``ufunc.at`` handles on its fast path; each element still receives its adds in the
+    order of the row ids.  Each level's index, left block then right block
+    (``_Problem.level_index``), and the rows' roots' seed (``root_index``) are built once
+    per problem; the weight gradients are ``np.tensordot``'s GEMM, on the same operands.
     """
     if not isinstance(comp, LinearComposition):
         raise TypeError(f"composition kind {getattr(comp, 'kind', comp)!r} "
@@ -327,7 +326,7 @@ def _backward(problem: _Problem, values: np.ndarray, comp: CompositionSpec,
     dag, lw, rw = problem.dag, comp.left_weights, comp.right_weights
     grads = np.zeros_like(values)
     flat, side = grads.reshape(-1), values.shape[1]
-    np.add.at(flat, _flat_index(roots, math.prod(values.shape[1:])), upstream.ravel())
+    np.add.at(flat, seed, upstream.ravel())
     shape = (dag.size, side, -1)
     cols, gcols = values.reshape(shape), grads.reshape(shape)
     grad_lw, grad_rw = np.zeros_like(lw), np.zeros_like(rw)
@@ -412,6 +411,11 @@ class _Problem:
         dag, width = self.dag, math.prod(self.targets.shape[1:])
         return [_flat_index(np.concatenate([dag.left[lo:hi], dag.right[lo:hi]]), width)
                 for lo, hi in dag.levels]
+
+    @cached_property
+    def root_index(self) -> np.ndarray:
+        """``_backward``'s seed under linear composition: the rows' roots' ``_flat_index``."""
+        return _flat_index(self.rows.keys[:, 0], math.prod(self.targets.shape[1:]))
 
     @cached_property
     def rows(self) -> _Rows:
@@ -511,10 +515,10 @@ def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec
         if zero:
             raise ZeroNormError("cosine distance is undefined for a zero-norm operand", zero)
         return loss, [grad.reshape(params.shape)]
-    values, roots = _forward(problem.dag, params, comp), problem.dag.roots[rows.first]
-    loss, dpred = _loss_and_dpred(problem.kind, values[roots], rows.targets, rows.weights,
-                                  rows.norms)
-    return rows.constant + loss, _backward(problem, values, comp, roots, dpred)
+    values = _forward(problem.dag, params, comp)
+    loss, dpred = _loss_and_dpred(problem.kind, values[rows.keys[:, 0]], rows.targets,
+                                  rows.weights, rows.norms)
+    return rows.constant + loss, _backward(problem, values, comp, problem.root_index, dpred)
 
 
 def _init_params(problem: _Problem, seed: int, restart: int) -> np.ndarray:
@@ -534,21 +538,28 @@ def _init_weights(problem: _Problem, seed: int, restart: int):
     return lw, rw
 
 
-def _table_from(problem: _Problem, params: np.ndarray,
-                comp: LinearComposition | None = None) -> PrimitiveTable:
-    entries = {sym: params[i].copy() for i, sym in enumerate(problem.dag.symbols)}
-    if comp is not None:
-        comp = LinearComposition(comp.left_weights.copy(), comp.right_weights.copy())
-    return PrimitiveTable(entries, comp)
+@dataclass(frozen=True)
+class _Restart:
+    """One restart's parameter rows, composition with the weights in use,
+    (step, objective) trace, stop before ``config.steps`` and rescue messages."""
+
+    params: np.ndarray
+    comp: CompositionSpec
+    trace: tuple[tuple[int, float], ...]
+    converged: bool
+    diagnostics: tuple[str, ...] = ()
 
 
-def _report(dataset: Dataset, errors: list[float], table: PrimitiveTable, trace,
-            converged: bool, diagnostics=()) -> TreReport:
-    """The report of a fit whose per-record errors, in record order, are
-    ``errors``; the aggregate is their mean."""
+def _report(dataset: Dataset, problem: _Problem, run: _Restart,
+            errors: list[float]) -> TreReport:
+    """The report of ``run`` on ``dataset``, compiled as ``problem``: copies of
+    its entries and learned weights, and the per-record ``errors`` and their mean."""
+    entries = {sym: run.params[i].copy() for i, sym in enumerate(problem.dag.symbols)}
+    weights = (LinearComposition(run.comp.left_weights.copy(), run.comp.right_weights.copy())
+               if problem.learns_weights else None)
     return TreReport({rec.id: e for rec, e in zip(dataset.records, errors)},
-                     math.fsum(errors) / len(errors), table, tuple(trace), converged,
-                     tuple(diagnostics))
+                     math.fsum(errors) / len(errors), PrimitiveTable(entries, weights),
+                     run.trace, run.converged, run.diagnostics)
 
 
 def _fit_problem(dataset: Dataset, config: FitConfig) -> _Problem:
@@ -583,20 +594,18 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
     in a fixed order, so runs are bit-reproducible given (dataset order,
     config).  Each step is one ``_loss_and_grads`` call, which under additive
     composition uses weighted distinct leaf-count rows instead of the DAG.
-    Per-record errors come from the winning restart's parameters.  Under
-    cosine, a zero-norm representation raises ZeroNormError naming its record.
+    Each restart ends in a ``_Restart`` record; the winner's is reported, with
+    per-record errors at its parameters.  Under cosine, a zero-norm
+    representation raises ZeroNormError naming its record.
     """
     problem = _fit_problem(dataset, config)
     # ``min`` keeps the first of equally good restarts.
-    _, params, comp, trace, converged, diagnostics = min(
-        (_fit_once(problem, config, restart) for restart in range(config.effective_restarts)),
-        key=lambda outcome: outcome[0])
-    table = _table_from(problem, params, comp if problem.learns_weights else None)
-    return _report(dataset, _record_errors(problem, params, comp), table, trace, converged,
-                   diagnostics)
+    runs = (_fit_once(problem, config, restart) for restart in range(config.effective_restarts))
+    best = min(runs, key=lambda run: run.trace[-1][1])
+    return _report(dataset, problem, best, _record_errors(problem, best.params, best.comp))
 
 
-def _fit_once(problem: _Problem, config: FitConfig, restart: int):
+def _fit_once(problem: _Problem, config: FitConfig, restart: int) -> _Restart:
     params = _init_params(problem, config.seed, restart)
     comp, arrays = problem.comp, [params]
     if problem.learns_weights:
@@ -608,15 +617,12 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int):
     trace: list[tuple[int, float]] = []
     best_so_far: list[float] = []
     diagnostics: list[str] = []
-    converged = False
-    rescues = 0
-
-    step = 0
     while True:
+        step = len(trace)
         try:
             obj, grads = _loss_and_grads(problem, params, comp)
         except ZeroNormError as zero:
-            rescues += 1
+            rescues = len(diagnostics) + 1
             if rescues > _MAX_COSINE_RESCUES:
                 raise DivergenceError(
                     step, f"cosine predictions collapsed to zero norm at step {step} "
@@ -644,14 +650,11 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int):
             prev = best_so_far[-1 - EARLY_STOP_WINDOW]
             improvement = prev - best_so_far[-1]
             if improvement / max(prev, 1e-30) < config.convergence_tol:
-                converged = True
                 break
 
         opt.step(grads)
-        step += 1
 
-    final_obj = trace[-1][1]
-    return final_obj, params, comp, trace, converged, diagnostics
+    return _Restart(params, comp, tuple(trace), step < config.steps, tuple(diagnostics))
 
 
 def closed_form_fit(dataset: Dataset) -> TreReport:
@@ -666,8 +669,9 @@ def closed_form_fit(dataset: Dataset) -> TreReport:
     solution, *_ = np.linalg.lstsq(problem.counts, flat_targets, rcond=None)
 
     errors = distances("squared_l2", problem.counts @ solution, flat_targets).tolist()
-    table = _table_from(problem, solution.reshape((-1,) + problem.targets.shape[1:]))
-    return _report(dataset, errors, table, [(0, math.fsum(errors))], True)
+    run = _Restart(solution.reshape((-1,) + problem.targets.shape[1:]), problem.comp,
+                   ((0, math.fsum(errors)),), True)
+    return _report(dataset, problem, run, errors)
 
 
 def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> float:

@@ -516,6 +516,97 @@ class TestFit:
         assert peak < 10e6
 
 
+class TestRestarts:
+    """``converged`` is "stopped before ``config.steps``", the report is the
+    restart with the lowest final objective, and cosine rescues are capped."""
+
+    DATA = GenSpec(num_primitives=5, shape=VectorShape(6), num_records=60, noise_sigma=0.1,
+                   seed=11)
+    CONFIG = FitConfig(distance=L1, steps=3000, seed=1)
+
+    def test_early_stop_is_converged(self):
+        report = fit(generate_compositional(self.DATA)[0], self.CONFIG)
+        assert report.converged
+        assert report.steps_run < self.CONFIG.steps
+
+    def test_exhausted_steps_are_not_converged(self):
+        config = dataclasses.replace(self.CONFIG, steps=200, convergence_tol=0.0)
+        report = fit(generate_compositional(self.DATA)[0], config)
+        assert not report.converged
+        assert report.steps_run == 200
+
+    def test_early_stop_at_the_last_step_is_not_converged(self):
+        # The early-stop test first holds at step ``stop``: with ``stop``
+        # steps the loop ends there for want of steps, with one more it
+        # converges there.
+        dataset = generate_compositional(self.DATA)[0]
+        stop = fit(dataset, self.CONFIG).steps_run
+        for steps, converged in ((stop, False), (stop + 1, True)):
+            report = fit(dataset, dataclasses.replace(self.CONFIG, steps=steps))
+            assert (report.steps_run, report.converged) == (stop, converged)
+
+    @pytest.mark.parametrize("tie", [False, True], ids=["lowest", "tie"])
+    def test_report_is_the_restart_with_the_lowest_final_objective(self, monkeypatch, tie):
+        # At seed 5 the second of three restarts ends lowest; a tie sets
+        # every restart's final objective to 1.0.
+        runs, fit_once = [], solver_module._fit_once
+
+        def recorded(*args):
+            run = fit_once(*args)
+            if tie:
+                run = dataclasses.replace(run, trace=run.trace[:-1] + ((run.trace[-1][0], 1.0),))
+            runs.append(run)
+            return run
+
+        monkeypatch.setattr(solver_module, "_fit_once", recorded)
+        dataset = generate_compositional(PIN_DATA["code"])[0]
+        config = FitConfig(distance=SQL2, composition=LinearComposition(),
+                           learn_composition=True, steps=60, seed=5, restarts=3)
+        report = fit(dataset, config)
+        finals = [run.trace[-1][1] for run in runs]
+        assert len(runs) == 3
+        if tie:
+            assert finals == [1.0] * 3
+        else:
+            assert len(set(finals)) == 3 and finals.index(min(finals)) == 1
+        best = runs[0] if tie else runs[1]
+        assert report.objective_trace == best.trace
+        symbols = solver_module._fit_problem(dataset, config).dag.symbols
+        assert all(np.array_equal(report.table.entries[sym], best.params[i])
+                   for i, sym in enumerate(symbols))
+        weights = report.table.composition_params
+        assert np.array_equal(weights.left_weights, best.comp.left_weights)
+        assert np.array_equal(weights.right_weights, best.comp.right_weights)
+        assert not np.array_equal(runs[0].params, runs[1].params)
+
+    def test_cosine_rescues_stop_after_ten(self, monkeypatch):
+        # Every evaluation finds a zero-norm row: ten rescues re-initialize
+        # its primitives from keys 1 to 10, and the eleventh gives up.
+        calls, keys, rng = {"n": 0}, [], solver_module._rng
+
+        def zero_norm(problem, params, comp):
+            calls["n"] += 1
+            raise ZeroNormError("cosine distance is undefined for a zero-norm operand", [0])
+
+        def recorded_rng(seed, *args):
+            if args[0] == 2:
+                keys.append(args)
+            return rng(seed, *args)
+
+        monkeypatch.setattr(solver_module, "_loss_and_grads", zero_norm)
+        monkeypatch.setattr(solver_module, "_rng", recorded_rng)
+        dataset = vec_dataset([("x", [1.0, 0.0], "a"), ("y", [0.0, 1.0], "(a b)")], dim=2)
+        with pytest.raises(DivergenceError, match="at step 0 and re-initialization did not "
+                                                  "recover") as err:
+            fit(dataset, FitConfig(distance=COSINE, steps=300, seed=0))
+        assert err.value.step == 0
+        assert solver_module._MAX_COSINE_RESCUES == 10
+        assert calls["n"] == 11
+        rows = [row for _, _, rescue, row in keys if rescue == 1]
+        assert rows
+        assert keys == [(2, 0, rescue, row) for rescue in range(1, 11) for row in rows]
+
+
 class TestNoiseMonotonicity:
     def test_mean_error_increases_with_noise(self):
         sigmas = (0.0, 0.1, 0.3, 1.0)
@@ -801,8 +892,8 @@ class TestDistinctRootRows:
 
         values = solver_module._forward(dag, params, comp)
         ref_loss, dpred = _loss_and_dpred(spec.kind, values[dag.roots], problem.targets)
-        ref_grad, *ref_weights = solver_module._backward(problem, values, comp, dag.roots,
-                                                         dpred)
+        seed = solver_module._flat_index(dag.roots, math.prod(shape))
+        ref_grad, *ref_weights = solver_module._backward(problem, values, comp, seed, dpred)
         if spec is L1:
             assert loss == ref_loss
             assert all(np.array_equal(a, b)
@@ -829,7 +920,8 @@ class TestDistinctRootRows:
         dag = problem.dag
         values = solver_module._forward(dag, params, comp)
         _, dpred = _loss_and_dpred(spec.kind, values[dag.roots], problem.targets)
-        expected = solver_module._backward(problem, values, comp, dag.roots, dpred)
+        expected = solver_module._backward(problem, values, comp,
+                                           solver_module._flat_index(dag.roots, 4), dpred)
         assert len(grads) == len(expected) == 1
         np.testing.assert_allclose(grads[0], expected[0], rtol=1e-12,
                                    atol=1e-12 * np.abs(expected[0]).max())
@@ -1071,7 +1163,8 @@ class TestBackwardOrder:
         upstream = rng.normal(0, 1, (len(self.TEXTS),) + shape)
         problem = solver_module._Problem(dag, values[dag.roots], "l1",
                                          LinearComposition() if learn_weights else comp)
-        params, *weights = solver_module._backward(problem, values, comp, dag.roots, upstream)
+        seed = solver_module._flat_index(dag.roots, math.prod(shape))
+        params, *weights = solver_module._backward(problem, values, comp, seed, upstream)
         ref_params, ref_weights = reference_backward(dag, values, comp, upstream,
                                                      learn_weights)
         assert np.array_equal(params, ref_params)
@@ -1094,7 +1187,8 @@ class TestBackwardOrder:
         upstream = rng.normal(0, 1, (len(self.DEEP_TEXTS),) + shape)
         problem = solver_module._Problem(dag, values[dag.roots], "l1",
                                          LinearComposition() if learn_weights else comp)
-        grads = solver_module._backward(problem, values, comp, dag.roots, upstream)
+        seed = solver_module._flat_index(dag.roots, math.prod(shape))
+        grads = solver_module._backward(problem, values, comp, seed, upstream)
         ref_params, ref_weights = reference_backward(dag, values, comp, upstream,
                                                      learn_weights)
         expected = (ref_params, *ref_weights) if learn_weights else (ref_params,)
@@ -1131,9 +1225,9 @@ class TestBackwardOrder:
         assert all(np.array_equal(a, b) for a, b in zip(grads, (ref_params, *ref_weights)))
 
     def test_one_fit_builds_the_level_indices_once(self, monkeypatch):
-        # Each of the two restarts evaluates steps 0 to 5 and builds its
-        # roots' index every time; the 9 levels' indices belong to the
-        # problem, built once.  l1 rows build no index.
+        # Each of the two restarts evaluates steps 0 to 5; the rows' roots'
+        # index and the 9 levels' indices belong to the problem, built once.
+        # l1 rows build no index.
         data = self.deep_dataset((3, 5))
         calls = {"index": 0, "step": 0}
         flat_index, loss_and_grads = solver_module._flat_index, solver_module._loss_and_grads
@@ -1151,4 +1245,4 @@ class TestBackwardOrder:
         fit(data, FitConfig(distance=L1, composition=LinearComposition(),
                             learn_composition=True, steps=5, restarts=2, convergence_tol=0.0))
         assert calls["step"] == 2 * 6
-        assert calls["index"] == calls["step"] + 9
+        assert calls["index"] == 1 + 9

@@ -72,7 +72,8 @@ def composition_gradients(spec, r, s, upstream):
         return tuple(np.tensordot(problem.rows.keys.T, upstream[None], axes=1))
     values = solver._forward(problem.dag, np.stack([r, s]), spec) if isinstance(
         spec, LinearComposition) else None
-    grads, *weights = solver._backward(problem, values, spec, problem.dag.roots,
+    grads, *weights = solver._backward(problem, values, spec,
+                                       solver._flat_index(problem.dag.roots, r.size),
                                        upstream[None])
     return (grads[0], grads[1], *weights)
 
