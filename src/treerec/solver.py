@@ -56,7 +56,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EARLY_STOP_WINDOW = 50
 GRADCHECK_STEP = 1e-5
-GRADCHECK_KINK_TOL = 1e-4
 INIT_SCALE = 0.01
 _SEED_MASK = (1 << 64) - 1
 _MAX_COSINE_RESCUES = 10
@@ -299,6 +298,16 @@ def _forward(dag: _Dag, params: np.ndarray, comp: CompositionSpec) -> np.ndarray
 def _flat_index(ids: np.ndarray, width: int) -> np.ndarray:
     """Flat indices of the elements of rows ``ids`` of a ``(size, width)`` array."""
     return (ids[:, None] * width + np.arange(width)).ravel()
+
+
+def _leaves_under(dag: _Dag, ids: np.ndarray) -> np.ndarray:
+    """The leaf ids, ascending, under the subtrees ``ids``: one walk down the levels."""
+    marked = np.zeros(dag.size, dtype=bool)
+    marked[ids] = True
+    for lo, hi in reversed(dag.levels):
+        nodes = lo + np.flatnonzero(marked[lo:hi])
+        marked[dag.left[nodes]] = marked[dag.right[nodes]] = True
+    return np.flatnonzero(marked[:len(dag.symbols)])
 
 
 def _backward(problem: _Problem, values: np.ndarray, comp: CompositionSpec,
@@ -627,8 +636,8 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int) -> _Restart:
                 raise DivergenceError(
                     step, f"cosine predictions collapsed to zero norm at step {step} "
                           f"and re-initialization did not recover")
-            first = problem.rows.first[list(zero.rows)]
-            rows = np.flatnonzero(problem.counts[first].any(axis=0)).tolist()
+            roots = problem.dag.roots[problem.rows.first[list(zero.rows)]]
+            rows = _leaves_under(problem.dag, roots).tolist()
             for row in rows:
                 rng = _rng(config.seed, 2, restart, rescues, row)
                 params[row] = rng.normal(0.0, INIT_SCALE, params.shape[1:])
@@ -675,64 +684,52 @@ def closed_form_fit(dataset: Dataset) -> TreReport:
 
 
 def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> float:
-    """Worst relative error of analytic objective gradients vs central
-    finite differences, over ``trials`` random evaluation points.
-
-    For the l1 objective, points with a per-record residual within
-    ``GRADCHECK_KINK_TOL`` of a sign tie are redrawn, since the subgradient
-    is not a derivative there; for cosine, points with a prediction of norm
-    at most 1e-3.  A trial with no usable point in 64 draws raises
-    ValueError, as does ``trials`` below 1 or not an integer: a check of no
-    points would report a perfect 0.0.  A configuration that ``fit`` refuses raises
-    ``fit``'s ValueError; learned linear weights are drawn with each point.
-    The numeric side sums ``_record_errors`` over the DAG compiled once per
-    check; the analytic side is the optimizer's own ``_loss_and_grads`` at
-    the same parameters and weights, so it also checks that the sum over its
-    rows equals the per-record one.
+    """Worst relative error of analytic objective gradients vs central finite differences, as
+    directional derivatives along random directions: per trial, a random point x (with
+    learned linear weights when learned) and a direction v over the same arrays.  The
+    analytic side sums <g, v> over the optimizer's own ``_loss_and_grads`` at x, so it
+    also checks that the sum over its rows equals the per-record one; the numeric side is
+    (F(x + hv) - F(x - hv)) / 2h, h = ``GRADCHECK_STEP``, where F sums ``_record_errors``.
+    A draw is refused where the objective may have no derivative: under l1, if a residual
+    is 0 at x or has another sign at x - hv or x + hv; under cosine, if a prediction at x
+    has norm at most 1e-3.  A trial with no usable point in 64 draws raises ValueError, as
+    does ``trials`` below 1 or not an integer: a check of no points would report a perfect
+    0.0.  A configuration that ``fit`` refuses raises its ValueError.
     """
     trials = _integer("trials", trials)
     if trials < 1:
         raise ValueError(f"gradient check needs at least one trial, got {trials}")
     problem = _fit_problem(dataset, config)
-    dag, shape = problem.dag, problem.targets.shape[1:]
-    worst = 0.0
+    dag, shape, kind = problem.dag, problem.targets.shape[1:], problem.kind
 
+    def at(arrays):
+        return arrays[0], LinearComposition(*arrays[1:]) if problem.learns_weights else problem.comp
+
+    worst = 0.0
     for trial in range(trials):
         for attempt in range(64):
             rng = _rng(config.seed, 3, trial, attempt)
-            params = rng.normal(0.0, 1.0, (len(dag.symbols),) + shape)
-            comp, arrays = problem.comp, [params]
+            x = [rng.normal(0.0, 1.0, (len(dag.symbols),) + shape)]
             if problem.learns_weights:
-                side = shape[0]
-                comp = LinearComposition(
-                    np.eye(side) + 0.5 * rng.normal(0.0, 1.0, (side, side)),
-                    np.eye(side) + 0.5 * rng.normal(0.0, 1.0, (side, side)))
-                arrays += [comp.left_weights, comp.right_weights]
-            preds = _forward(dag, params, comp)[dag.roots]
-            if config.distance.kind == "l1":
-                if np.abs(preds - problem.targets).min() <= GRADCHECK_KINK_TOL:
-                    continue
-            if config.distance.kind == "cosine":
-                if np.linalg.norm(preds.reshape(len(preds), -1), axis=1).min() <= 1e-3:
-                    continue
-            break
+                x += [np.eye(shape[0]) + 0.5 * rng.normal(0.0, 1.0, (shape[0],) * 2)
+                      for _ in range(2)]
+            v = [rng.normal(0.0, 1.0, a.shape) for a in x]
+            lo, hi = ([a + sign * GRADCHECK_STEP * b for a, b in zip(x, v)] for sign in (-1, 1))
+            preds = [_forward(dag, *at(arrays))[dag.roots] for arrays in (lo, x, hi)]
+            residuals = np.subtract(preds, problem.targets)
+            norms = np.linalg.norm(preds[1].reshape(len(dag.roots), -1), axis=1)
+            if not (kind == "l1" and (residuals[[0, 2]] * residuals[1] <= 0).any()
+                    or kind == "cosine" and norms.min() <= 1e-3):
+                break
         else:
             raise ValueError(f"gradient check trial {trial}: no point in 64 draws is away from "
-                             f"where the {config.distance.kind} objective has no derivative")
+                             f"where the {kind} objective has no derivative")
 
-        _, grads = _loss_and_grads(problem, params, comp)
-        for block, analytic in zip(arrays, grads):
-            flat = block.ravel()
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + GRADCHECK_STEP
-                hi = math.fsum(_record_errors(problem, params, comp))
-                flat[k] = orig - GRADCHECK_STEP
-                lo = math.fsum(_record_errors(problem, params, comp))
-                flat[k] = orig
-                numeric = (hi - lo) / (2.0 * GRADCHECK_STEP)
-                a = analytic.ravel()[k]
-                worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1.0))
+        _, grads = _loss_and_grads(problem, *at(x))
+        analytic = math.fsum(float(np.vdot(g, d)) for g, d in zip(grads, v))
+        numeric = (math.fsum(_record_errors(problem, *at(hi)))
+                   - math.fsum(_record_errors(problem, *at(lo)))) / (2.0 * GRADCHECK_STEP)
+        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0))
     return worst
 
 

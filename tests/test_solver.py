@@ -16,11 +16,14 @@ Core claims:
       derivation-closed dataset perfectly
     - fits are deterministic, record-order invariant, and report the mean of
       per-record errors as the aggregate
-    - a learned linear fit builds no dense subtrees x primitives table
+    - a learned linear fit builds no dense subtrees x primitives table, also
+      when a cosine rescue re-initializes every primitive
     - the linear backward pass adds into each subtree's gradient in one fixed
       order (roots, then levels top-down, left block before right block), so
       its sums are reproducible to the bit; a gradient check of no trials is
       refused
+    - the directional gradient check reads above 1e-4 when any one gradient
+      entry is 1% off, and checks additive l1 on 2e4 records
     - additive squared_l2 and cosine sum over the distinct leaf-count rows,
       weighted, plus a constant, and that sum equals the per-record one in
       value, gradient and rescue diagnostics; l1 sums over the records
@@ -80,6 +83,7 @@ from treerec import (
     eval_compositional,
     fit,
     generate_compositional,
+    generate_random,
     gradient_check,
     homomorphism_residuals,
     objective,
@@ -499,13 +503,19 @@ class TestFit:
         rendered = json.loads(render_report(report_to_dict(report, config, VectorShape(2))))
         assert rendered["config"]["learning_rate"] == 0.5
 
-    def test_learned_linear_fit_builds_no_leaf_counts(self):
+    @pytest.mark.parametrize("spec", [SQL2, COSINE], ids=lambda s: s.kind)
+    def test_learned_linear_fit_builds_no_leaf_counts(self, monkeypatch, spec):
         # Building dense leaf counts takes 500 floats per distinct subtree,
-        # about 49 MB here; the linear path never reads them.
+        # about 49 MB here; the linear path never reads them.  Under cosine
+        # the fit starts from zero parameters, so every prediction is 0 and
+        # the first step rescues every primitive, found from the DAG roots.
         data, _ = generate_compositional(GenSpec(num_primitives=500, shape=VectorShape(4),
                                                  num_records=2000, seed=0))
-        config = FitConfig(distance=SQL2, composition=LinearComposition(),
+        config = FitConfig(distance=spec, composition=LinearComposition(),
                            learn_composition=True, steps=5, restarts=1)
+        if spec is COSINE:
+            monkeypatch.setattr(solver_module, "_init_params", lambda problem, seed, restart:
+                                np.zeros((len(problem.dag.symbols),) + problem.targets.shape[1:]))
         tracemalloc.start()
         try:
             report = fit(data, config)
@@ -513,6 +523,7 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert report.steps_run == 5
+        assert len(report.diagnostics) == (spec is COSINE)
         assert peak < 10e6
 
 
@@ -706,6 +717,46 @@ class TestGradientCheckOperation:
                            learn_composition=True, seed=11)
         assert gradient_check(data, config, trials=10) < 1e-6
 
+    @pytest.mark.parametrize("spec", [SQL2, L1, COSINE], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("learned", [False, True], ids=["additive", "learned_linear"])
+    def test_one_percent_error_in_any_entry_is_caught(self, monkeypatch, spec, learned):
+        # Criterion 3's data and settings, with one analytic gradient entry
+        # at a time scaled by 1.01: every such entry must show.
+        data = generate_random(GenSpec(num_primitives=4, shape=VectorShape(5),
+                                       depth_range=(1, 3), num_records=6, seed=3))
+        config = FitConfig(distance=spec, composition=LinearComposition() if learned else ADD,
+                           learn_composition=learned, seed=11)
+        real = solver_module._loss_and_grads
+
+        def skewed(block, k):
+            def loss_and_grads(problem, params, comp):
+                loss, grads = real(problem, params, comp)
+                grads = [g.copy() for g in grads]
+                grads[block].reshape(-1)[k] *= 1.01
+                return loss, grads
+            return loss_and_grads
+
+        problem = solver_module._fit_problem(data, config)
+        sizes = [len(problem.dag.symbols) * 5] + [5 * 5] * 2 * learned
+        for block, size in enumerate(sizes):
+            for k in range(size):
+                monkeypatch.setattr(solver_module, "_loss_and_grads", skewed(block, k))
+                assert gradient_check(data, config, trials=10) > 1e-4, (block, k)
+
+    def test_additive_l1_on_twenty_thousand_records(self):
+        # 3.2e5 residuals: the draws must still find points whose residuals
+        # keep their signs between x - hv and x + hv.
+        data, _ = generate_compositional(
+            GenSpec(num_primitives=8, shape=VectorShape(16), depth_range=(1, 4),
+                    num_records=20000, noise_sigma=0.1, seed=1))
+        assert gradient_check(data, FitConfig(distance=L1), trials=2) < 1e-6
+
+    def test_accepted_l1_draws_cross_no_kink(self, hand_instance, monkeypatch):
+        # Additive l1 is linear between kinks, so even over a long step the
+        # central difference is exact at every draw the kink test accepts.
+        monkeypatch.setattr(solver_module, "GRADCHECK_STEP", 0.05)
+        assert gradient_check(hand_instance, FitConfig(distance=L1), trials=100) < 1e-9
+
     def test_no_trials_is_refused(self, hand_instance):
         for trials in (0, -3):
             with pytest.raises(ValueError, match="at least one trial"):
@@ -734,9 +785,9 @@ class TestGradientCheckOperation:
 
     @pytest.mark.parametrize("composition", [ADD, LinearComposition()], ids=["additive", "linear"])
     def test_no_point_clear_of_kinks_is_an_error(self, hand_instance, monkeypatch, composition):
-        # Every residual is within an infinite tolerance of a tie, so every
-        # draw is refused; evaluating at the last one would misreport.
-        monkeypatch.setattr(solver_module, "GRADCHECK_KINK_TOL", math.inf)
+        # A step this long makes some residual change sign on every draw, so
+        # every draw is refused; evaluating at the last one would misreport.
+        monkeypatch.setattr(solver_module, "GRADCHECK_STEP", 1e6)
         config = FitConfig(distance=L1, composition=composition,
                            learn_composition=composition is not ADD)
         with pytest.raises(ValueError, match="trial 0: no point in 64 draws"):
