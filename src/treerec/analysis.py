@@ -139,11 +139,10 @@ def _pairs(kind: str, rows: np.ndarray) -> np.ndarray:
 def _pair_distances(dataset: Dataset, distance_spec: DistanceSpec):
     """Representation and tree edit distances of every record pair (i, j),
     i < j, in row-major upper-triangle order, as two float arrays."""
-    reps = np.stack([r.representation for r in dataset.records])
-    rep_d = _pairs(distance_spec.kind, reps)
-    tree = np.array(pairwise_tree_edit_distances([r.derivation for r in dataset.records]),
-                    dtype=np.float64)
-    return rep_d, tree[np.triu_indices(len(reps), 1)]
+    rep_d = _pairs(distance_spec.kind, np.stack([r.representation for r in dataset.records]))
+    ted = pairwise_tree_edit_distances([r.derivation for r in dataset.records])
+    return rep_d, np.fromiter(itertools.chain.from_iterable(
+        row[i + 1:] for i, row in enumerate(ted)), np.float64, len(rep_d))
 
 
 def topographic_similarity(dataset: Dataset, distance_spec: DistanceSpec,
@@ -210,9 +209,11 @@ def bound_check(dataset: Dataset, table: PrimitiveTable, comp: CompositionSpec,
     rep_d, tree_d = _pair_distances(dataset, distance_spec)
     rhs = tree_d + 2.0 * epsilon
     records = dataset.records
-    rows, cols = np.triu_indices(len(records), 1)
-    violations = [((records[rows[k]].id, records[cols[k]].id), float(rep_d[k]), float(rhs[k]))
-                  for k in np.flatnonzero(rep_d > rhs + _FLOAT_SLACK)]
+    bad = np.flatnonzero(rep_d > rhs + _FLOAT_SLACK)
+    ends = np.cumsum(np.arange(len(records) - 1, 0, -1))  # one past each row's last pair
+    rows = np.searchsorted(ends, bad, side="right")
+    violations = [((records[i].id, records[j].id), float(rep_d[k]), float(rhs[k]))
+                  for i, j, k in zip(rows, bad - ends[rows] + len(records), bad)]
     return BoundCheckReport(epsilon=epsilon, violations=tuple(violations),
                             holds=not violations)
 

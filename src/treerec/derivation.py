@@ -298,44 +298,47 @@ def tree_edit_distance(d1: Derivation, d2: Derivation) -> int:
 def pairwise_tree_edit_distances(trees: Sequence[Derivation]) -> list[list[int]]:
     """Full symmetric ``tree_edit_distance`` matrix over ``trees``.
 
-    Fills an m x m table over the m distinct subtrees of ``trees``, so a
-    subtree pair shared across trees is solved once: O(m^2) time and memory,
-    and no recursion.  The table is int64, as leaf counts outgrow 32 bits:
-    ``Node(t, t)`` nested 40 times has 2^40 leaves.  Trees of 2^60 leaves or
-    more raise OverflowError.
+    Fills an m x m table over the m distinct subtrees of ``trees`` with no
+    recursion, each unordered pair of them once (into both halves), so a pair
+    shared across trees is solved once: O(m^2) time and memory.  The table is
+    int64, as leaf counts outgrow 32 bits: ``Node(t, t)`` nested 40 times has
+    2^40 leaves.  Trees of 2^60 leaves or more raise OverflowError.
     """
     if any(t._size >= 1 << 60 for t in trees):
         raise OverflowError("tree edit distance needs fewer than 2^60 leaves per tree")
     dag = _compile(trees)
-    # Ids run by height, so each height is a block of ids from ``start[h]``.
-    # Id -1 (table row m) stands for the children of a leaf; as it is far from
-    # everything (twice ``far`` still fits), a term using it never wins.
+    # Ids run by height: height h is the block of ids from ``start[h]``.  A
+    # leaf's children map to row m, far from everything: terms using it never win.
     m, top, n_leaves = dag.size, len(dag.levels), len(dag.symbols)
     start = np.array([0, n_leaves, *(hi for _, hi in dag.levels)])
     height = np.repeat(np.arange(top + 1), np.diff(start))
-    left, right = dag.left, dag.right
+    left, right = (np.where(ids < 0, m, ids) for ids in (dag.left, dag.right))
     leaves = np.zeros(m + 1, dtype=np.int64)
     leaves[:n_leaves] = 1
     for lo, hi in dag.levels:
         leaves[lo:hi] = leaves[left[lo:hi]] + leaves[right[lo:hi]]
 
-    far = np.iinfo(np.int64).max // 2
+    far = np.iinfo(np.int64).max // 2  # twice ``far`` still fits
     dist = np.full((m + 1, m + 1), far, dtype=np.int64)
     dist[:n_leaves, :n_leaves] = 1 - np.eye(n_leaves, dtype=np.int64)
+    flat, w = dist.ravel(), m + 1
     # Each term for a pair of height sum s reads pairs of smaller sums, so
     # one batched step fills a sum: every a with h(a) <= h(b), against the
-    # block of b ids of the height s - h(a), into both halves of the table.
+    # ids b >= a of the height s - h(a), into both halves of the table.
     for s in range(1, 2 * top + 1):
         a = np.arange(start[max(0, s - top)], start[s // 2 + 1])
-        first, count = start[s - height[a]], np.diff(start)[s - height[a]]
+        first = np.maximum(start[s - height[a]], a)
+        count = start[s - height[a] + 1] - first
         a = np.repeat(a, count)
         b = np.arange(len(a)) + np.repeat(first - np.cumsum(count) + count, count)
         la, ra, lb, rb = left[a], right[a], left[b], right[b]
-        d = dist[la, lb] + dist[ra, rb]
-        for term in (dist[a, lb] + leaves[rb], dist[a, rb] + leaves[lb],
-                     dist[la, b] + leaves[ra], dist[ra, b] + leaves[la]):
+        aw, law, raw = a * w, la * w, ra * w
+        d = flat.take(law + lb) + flat.take(raw + rb)
+        for at, cost in ((aw + lb, rb), (aw + rb, lb), (law + b, ra), (raw + b, la)):
+            term = flat.take(at)
+            term += leaves[cost]
             np.minimum(d, term, out=d)
-        dist[a, b] = dist[b, a] = d
+        flat[aw + b] = flat[b * w + a] = d
     return dist[np.ix_(dag.roots, dag.roots)].tolist()
 
 

@@ -20,8 +20,8 @@ composition, in blocks of at most ``_BLOCK_VALUES`` values so one block's
 temporaries stay in a core's cache, and a distinct DAG root under linear (a
 record under l1).  That sum, under l1 and squared_l2 flat over coordinates,
 may differ in the last bits from the sum of the per-record errors.  Every
-per-record error is one ``_record_errors`` pass over the records' DAG at the
-parameters in use.
+per-record error is ``_record_errors`` scoring one ``_Problem.predict`` pass
+over the records' DAG at the parameters in use.
 """
 
 from __future__ import annotations
@@ -223,12 +223,9 @@ def eval_compositional(table: PrimitiveTable, comp: CompositionSpec,
     return values[0] if single else values
 
 
-def _record_errors(problem: _Problem, params: np.ndarray, comp: CompositionSpec) -> list[float]:
-    """Per-record distances of ``problem``'s targets to their predictions at
-    ``params`` under ``comp``: the one evaluation behind every reported error."""
-    dag = problem.dag
-    return distances(problem.kind, problem.targets,
-                     _forward(dag, params, comp)[dag.roots]).tolist()
+def _record_errors(problem: _Problem, preds: np.ndarray) -> list[float]:
+    """Per-record distances of ``problem``'s targets to their predictions ``preds``."""
+    return distances(problem.kind, problem.targets, preds).tolist()
 
 
 def _with_weights(comp: CompositionSpec, table: PrimitiveTable) -> CompositionSpec:
@@ -245,8 +242,8 @@ def _table_errors(table: PrimitiveTable, comp: CompositionSpec, kind: str,
     """Per-record ``kind`` errors of ``records`` at ``table``, compiled together."""
     comp = _with_weights(comp, table)
     problem = _build_problem(records, kind, comp)
-    return _record_errors(problem, _table_params(table, problem.dag.symbols,
-                                                 problem.targets.shape[1:]), comp)
+    return _record_errors(problem, problem.predict(
+        _table_params(table, problem.dag.symbols, problem.targets.shape[1:]), comp))
 
 
 def tre_datum(table: PrimitiveTable, config: FitConfig, record: Record) -> float:
@@ -411,8 +408,11 @@ class _Problem:
     def counts(self) -> np.ndarray:
         """(n, P) leaf-count matrix: the additive evaluation at one-hot
         parameters.  Dense, so built only when read."""
-        eye = np.eye(len(self.dag.symbols))
-        return _forward(self.dag, eye, AdditiveComposition())[self.dag.roots]
+        return self.predict(np.eye(len(self.dag.symbols)), AdditiveComposition())
+
+    def predict(self, params: np.ndarray, comp: CompositionSpec) -> np.ndarray:
+        """(n, *shape) predictions of the records at ``params`` under ``comp``."""
+        return _forward(self.dag, params, comp)[self.dag.roots]
 
     @cached_property
     def level_index(self) -> list[np.ndarray]:
@@ -611,7 +611,8 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
     # ``min`` keeps the first of equally good restarts.
     runs = (_fit_once(problem, config, restart) for restart in range(config.effective_restarts))
     best = min(runs, key=lambda run: run.trace[-1][1])
-    return _report(dataset, problem, best, _record_errors(problem, best.params, best.comp))
+    return _report(dataset, problem, best,
+                   _record_errors(problem, problem.predict(best.params, best.comp)))
 
 
 def _fit_once(problem: _Problem, config: FitConfig, restart: int) -> _Restart:
@@ -715,7 +716,7 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
                       for _ in range(2)]
             v = [rng.normal(0.0, 1.0, a.shape) for a in x]
             lo, hi = ([a + sign * GRADCHECK_STEP * b for a, b in zip(x, v)] for sign in (-1, 1))
-            preds = [_forward(dag, *at(arrays))[dag.roots] for arrays in (lo, x, hi)]
+            preds = [problem.predict(*at(arrays)) for arrays in (lo, x, hi)]
             residuals = np.subtract(preds, problem.targets)
             norms = np.linalg.norm(preds[1].reshape(len(dag.roots), -1), axis=1)
             if not (kind == "l1" and (residuals[[0, 2]] * residuals[1] <= 0).any()
@@ -727,8 +728,8 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
 
         _, grads = _loss_and_grads(problem, *at(x))
         analytic = math.fsum(float(np.vdot(g, d)) for g, d in zip(grads, v))
-        numeric = (math.fsum(_record_errors(problem, *at(hi)))
-                   - math.fsum(_record_errors(problem, *at(lo)))) / (2.0 * GRADCHECK_STEP)
+        numeric = (math.fsum(_record_errors(problem, preds[2]))
+                   - math.fsum(_record_errors(problem, preds[0]))) / (2.0 * GRADCHECK_STEP)
         worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0))
     return worst
 

@@ -56,6 +56,7 @@ from treerec import (
     topographic_similarity,
     tre_datum,
 )
+from treerec import analysis as analysis_module
 
 L1 = DistanceSpec("l1")
 SQL2 = DistanceSpec("squared_l2")
@@ -235,6 +236,15 @@ class TestTopographicSimilarity:
             else:
                 assert got == expected
 
+    def test_tree_side_is_the_upper_triangle_of_the_ted_matrix(self):
+        spec = GenSpec(num_primitives=16, shape=VectorShape(4), depth_range=(1, 4),
+                       num_records=60, seed=2)
+        ds, _ = generate_compositional(spec)
+        ted = pairwise_tree_edit_distances([r.derivation for r in ds.records])
+        _, tree_d = analysis_module._pair_distances(ds, L1)
+        assert tree_d.dtype == np.float64
+        assert np.array_equal(tree_d, np.array(ted, dtype=np.float64)[np.triu_indices(60, 1)])
+
     def test_rank_mode_invariant_to_rescaling_and_relabeling(self):
         spec = GenSpec(num_primitives=4, shape=VectorShape(6), num_records=10,
                        noise_sigma=0.3, seed=5)
@@ -285,6 +295,37 @@ class TestBoundCheck:
                 lhs = distance(L1, ds.records[i].representation,
                                ds.records[j].representation)
                 assert lhs <= tree_d[i][j] + 1e-9
+
+    def test_violations_come_in_pair_order(self, monkeypatch):
+        # With every tree distance 0, each pair of records whose exact
+        # representations differ violates the bound; repeated derivations and
+        # mirrored ones such as "(a b)" and "(b a)" share a representation.
+        rng = np.random.default_rng(10)
+        symbols = [Symbol(s) for s in "abc"]
+        table = PrimitiveTable(unit_ball_entries(symbols, 4, rng))
+        trees = all_derivations(symbols, 3)
+        derivs = [trees[k] for k in rng.integers(len(trees), size=30)]
+        ds = Dataset.build([(f"r{i}", eval_compositional(table, ADD, d), d)
+                            for i, d in enumerate(derivs)], VectorShape(4))
+        monkeypatch.setattr(analysis_module, "pairwise_tree_edit_distances",
+                            lambda trees: [[0] * len(trees) for _ in trees])
+        report = bound_check(ds, table, ADD, L1)
+        records = ds.records
+        expected = [(records[i].id, records[j].id) for i, j in zip(*np.triu_indices(30, 1))
+                    if distance(L1, records[i].representation, records[j].representation)
+                    > 2 * report.epsilon + 1e-9]
+        assert 0 < len(expected) < 30 * 29 // 2
+        assert [pair for pair, _, _ in report.violations] == expected
+        assert not report.holds
+
+    @pytest.mark.parametrize("texts", [["(a b)"], ["a", "(a b)"]], ids=["one", "two"])
+    def test_one_or_two_records_hold(self, texts):
+        rng = np.random.default_rng(11)
+        table = PrimitiveTable(unit_ball_entries([Symbol(s) for s in "ab"], 3, rng))
+        ds = Dataset.build([(text, eval_compositional(table, ADD, parse_derivation(text)),
+                             parse_derivation(text)) for text in texts], VectorShape(3))
+        report = bound_check(ds, table, ADD, L1)
+        assert report.holds and report.violations == ()
 
     def test_epsilon_is_worst_tre_datum(self):
         # One evaluation of the whole dataset gives each record the error,

@@ -28,13 +28,16 @@ from hypothesis import given, settings, strategies as st
 
 from treerec import (
     DerivationSyntaxError,
+    GenSpec,
     Leaf,
     Node,
     Symbol,
+    VectorShape,
     all_derivations,
     format_derivation,
     pairwise_tree_edit_distances,
     parse_derivation,
+    generate_random,
     primitives_of,
     size,
     tree_edit_distance,
@@ -389,6 +392,25 @@ class TestEditDistanceHandValues:
         assert tree_edit_distance(doubled(A, 40), doubled(B, 40)) == 2**40
         with pytest.raises(OverflowError):
             tree_edit_distance(doubled(A, 60), doubled(B, 1))
+
+
+class TestEditDistanceGenerated:
+    def test_generated_records_agree_with_bottomup_dp(self):
+        # Records as the analyses see them: 16 primitives, depth 1-4 and
+        # repeated derivations, so many subtree pairs share a height.
+        data = generate_random(GenSpec(num_primitives=16, shape=VectorShape(2),
+                                       depth_range=(1, 4), num_records=150, seed=4))
+        trees = [r.derivation for r in data.records]
+        assert len(set(trees)) < len(trees)
+        subtrees, stack = {}, list(trees)
+        while stack:
+            t = stack.pop()
+            if t not in subtrees:
+                subtrees[t] = len(subtrees)
+                stack += [t.left, t.right] if isinstance(t, Node) else []
+        ids = [subtrees[t] for t in trees]
+        expected = bottomup_distance_matrix(list(subtrees))[np.ix_(ids, ids)]
+        assert (np.array(pairwise_tree_edit_distances(trees)) == expected).all()
 
 
 @pytest.fixture(scope="module")

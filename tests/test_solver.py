@@ -966,8 +966,8 @@ class TestDistinctRootRows:
                                  np.eye(4) + 0.5 * rng.normal(0, 1, (4, 4)))
         problem = solver_module._build_problem(data, spec.kind, comp)
         loss, grads = solver_module._loss_and_grads(problem, params, comp)
-        assert loss == approx(math.fsum(solver_module._record_errors(problem, params, comp)),
-                              rel=1e-12)
+        errors = solver_module._record_errors(problem, problem.predict(params, comp))
+        assert loss == approx(math.fsum(errors), rel=1e-12)
         dag = problem.dag
         values = solver_module._forward(dag, params, comp)
         _, dpred = _loss_and_dpred(spec.kind, values[dag.roots], problem.targets)
