@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivation import pairwise_tree_edit_distances
-from .solver import Dataset, PrimitiveTable, _table_errors, _table_params
+from .solver import _BLOCK_VALUES, Dataset, PrimitiveTable, _table_errors, _table_params
 # Unused ``tre_datum`` and ``distance`` stay importable: perfbench's tracer wraps them.
 from .solver import tre_datum  # noqa: F401
 from .space import (AdditiveComposition, CompositionSpec, DistanceSpec, _integer,
@@ -68,11 +68,11 @@ def _t_approx_p_value(r: float, n: int) -> float:
     if abs(r) >= 1.0:
         return 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    # Imported here, not at the top: scipy.stats takes about a second to
-    # import, and only p-values need it.
-    from scipy import stats
+    # Imported here, not at the top: only p-values need it.  2 * stdtr(df, -|t|)
+    # is scipy.stats' t.sf to the bit, without its second-long import.
+    from scipy import special
 
-    return float(2.0 * stats.t.sf(abs(t), df=n - 2))
+    return float(2.0 * special.stdtr(n - 2, -abs(t)))
 
 
 def _pearson_coefficient(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -131,18 +131,26 @@ def spearman(xs, ys, exact: bool = False) -> CorrelationResult:
 
 def _pairs(kind: str, rows: np.ndarray) -> np.ndarray:
     """``kind`` distances of every pair (i, j), i < j, of ``rows`` in
-    ``np.triu_indices`` order, one batched call per row."""
-    return np.concatenate([distances(kind, np.broadcast_to(row, rows[i + 1:].shape), rows[i + 1:])
-                           for i, row in enumerate(rows)])
+    ``np.triu_indices`` order, filled in tiles: runs of that order whose
+    operands hold at most ``_BLOCK_VALUES`` values each.  A pair's distance
+    does not depend on its tile."""
+    n, size = len(rows), max(1, _BLOCK_VALUES // math.prod(rows.shape[1:]))
+    ends = np.cumsum(np.arange(n - 1, 0, -1))  # one past each row's last pair
+    out = np.empty(n * (n - 1) // 2)
+    for start in range(0, len(out), size):
+        k = np.arange(start, min(start + size, len(out)))
+        i = np.searchsorted(ends, k, side="right")
+        out[k] = distances(kind, rows.take(i, axis=0), rows.take(k - ends[i] + n, axis=0))
+    return out
 
 
 def _pair_distances(dataset: Dataset, distance_spec: DistanceSpec):
     """Representation and tree edit distances of every record pair (i, j),
-    i < j, in row-major upper-triangle order, as two float arrays."""
+    i < j, in row-major upper-triangle order, as a float and an int64 array."""
     rep_d = _pairs(distance_spec.kind, np.stack([r.representation for r in dataset.records]))
     ted = pairwise_tree_edit_distances([r.derivation for r in dataset.records])
     return rep_d, np.fromiter(itertools.chain.from_iterable(
-        row[i + 1:] for i, row in enumerate(ted)), np.float64, len(rep_d))
+        row[i + 1:] for i, row in enumerate(ted)), np.int64, len(rep_d))
 
 
 def topographic_similarity(dataset: Dataset, distance_spec: DistanceSpec,

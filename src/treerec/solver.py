@@ -47,6 +47,7 @@ from .space import (
     _integer,
     _loss_and_dpred,
     _real,
+    _row_norms,
     composes,
     distances,
 )
@@ -455,13 +456,13 @@ class _Problem:
             scatter = flat - means[inverse]
             constant = math.fsum((scatter * scatter).sum(axis=1).tolist())
             return _Rows(keys, first, means, sizes, constant)
-        units = flat / np.linalg.norm(flat, axis=1)[:, None]
+        units = flat / _row_norms(flat)[:, None]
         np.add.at(sums.reshape(-1), index, units.ravel())
-        weights = np.linalg.norm(sums, axis=1)
+        weights = _row_norms(sums)
         cancelled = weights == 0.0
         sums[cancelled] = units[first[cancelled]]
         constant = math.fsum((sizes - weights).tolist())
-        return _Rows(keys, first, sums, weights, constant, np.linalg.norm(sums, axis=1))
+        return _Rows(keys, first, sums, weights, constant, _row_norms(sums))
 
 
 def _distinct_rows(matrix: np.ndarray):
@@ -483,7 +484,7 @@ def _build_problem(records: Iterable[Record], kind: str, comp: CompositionSpec) 
     records = tuple(records)
     targets = np.stack([rec.representation for rec in records])
     if kind == "cosine":
-        zero = np.flatnonzero(np.linalg.norm(targets.reshape(len(targets), -1), axis=1) == 0.0)
+        zero = np.flatnonzero(_row_norms(targets.reshape(len(targets), -1)) == 0.0)
         if zero.size:
             raise ZeroNormError(f"cosine distance is undefined for zero-norm representation "
                                 f"in record {records[zero[0]].id!r}", zero.tolist())
@@ -718,7 +719,7 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
             lo, hi = ([a + sign * GRADCHECK_STEP * b for a, b in zip(x, v)] for sign in (-1, 1))
             preds = [problem.predict(*at(arrays)) for arrays in (lo, x, hi)]
             residuals = np.subtract(preds, problem.targets)
-            norms = np.linalg.norm(preds[1].reshape(len(dag.roots), -1), axis=1)
+            norms = _row_norms(preds[1].reshape(len(dag.roots), -1))
             if not (kind == "l1" and (residuals[[0, 2]] * residuals[1] <= 0).any()
                     or kind == "cosine" and norms.min() <= 1e-3):
                 break

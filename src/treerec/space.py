@@ -254,20 +254,27 @@ def _flat_rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], math.prod(a.shape[1:]))
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of the 2-d ``x``: every cosine norm."""
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
 def _cosine_terms(af: np.ndarray, bf: np.ndarray, bn: np.ndarray | None = None):
     """Cosine ``distances`` of the flat rows ``af`` and ``bf`` plus the
-    intermediates its gradient reuses: the rows' norms and dot products.
-    ``bn``, the norms of ``bf``'s rows, is computed when not given."""
-    an = np.linalg.norm(af, axis=1)
+    intermediates its gradient reuses: the rows' norms (``bn``, ``bf``'s, when
+    not given) and dot products, as ``einsum`` contractions.  Equal rows score
+    a few ulps at most, so only rows at or below 1e-12 are tested for equality."""
+    an = _row_norms(af)
     if bn is None:
-        bn = np.linalg.norm(bf, axis=1)
+        bn = _row_norms(bf)
     zero = np.flatnonzero((an == 0.0) | (bn == 0.0))
     if zero.size:
         raise ZeroNormError("cosine distance is undefined for a zero-norm "
                             "operand", zero.tolist())
-    dots = (af * bf).sum(axis=1)
+    dots = np.einsum("ij,ij->i", af, bf)
     out = np.maximum(1.0 - dots / (an * bn), 0.0)
-    out[(af == bf).all(axis=1)] = 0.0
+    near = np.flatnonzero(out <= 1e-12)
+    out[near[(af[near] == bf[near]).all(axis=1)]] = 0.0
     return out, an, bn, dots
 
 
@@ -322,11 +329,10 @@ def _loss_and_dpred(kind: str, preds: np.ndarray, targets: np.ndarray,
     pf, tf = _flat_rows(preds), _flat_rows(targets)
     if kind == "cosine":
         rows, pn, tn, dots = _cosine_terms(pf, tf, target_norms)
-        dpred = (dots / (pn**3 * tn))[:, None] * pf - tf / (pn * tn)[:, None]
-        if weights is not None:
-            rows = weights * rows
-            dpred *= weights[:, None]
-        return float(rows.sum()), dpred.reshape(preds.shape)
+        w = 1.0 if weights is None else weights
+        scale = w / (pn * tn)
+        dpred = (scale * dots / (pn * pn))[:, None] * pf - scale[:, None] * tf
+        return float((w * rows).sum()), dpred.reshape(preds.shape)
     diff = pf - tf
     dpred = np.sign(diff) if kind == "l1" else 2.0 * diff
     if weights is not None:

@@ -3,11 +3,15 @@
 Core claims:
     - Pearson/Spearman reproduce the standard hand-checkable values; the
       exact permutation p-value is available for small n; Spearman's tied
-      ranks are scipy's, and importing treerec does not import scipy.stats
+      ranks are scipy's; the t-approximation p-value is scipy.stats' to the
+      bit, and neither importing treerec nor a topographic similarity
+      imports scipy.stats
     - a dataset whose representation distances equal its derivation distances
       scores topographic similarity exactly 1.0; structure-free data scores
       near 0; constant distances raise; the batched computation equals a
-      per-pair loop (exactly for l1 and squared_l2)
+      per-pair loop (exactly for l1 and squared_l2); pair distances filled
+      in tiles equal one batched call per row to the bit, however the tiles
+      split the rows
     - with l1 distance, additive composition, and unit-ball primitive entries,
       representation distances never exceed derivation distance plus twice
       the worst per-record error (verified by enumerating all record pairs)
@@ -57,6 +61,7 @@ from treerec import (
     tre_datum,
 )
 from treerec import analysis as analysis_module
+from treerec.space import distances
 
 L1 = DistanceSpec("l1")
 SQL2 = DistanceSpec("squared_l2")
@@ -154,6 +159,34 @@ class TestPearsonSpearman:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_topo_leaves_scipy_stats_unloaded(self):
+        code = ("import sys\n"
+                "from treerec import (DistanceSpec, GenSpec, VectorShape, "
+                "generate_compositional, topographic_similarity)\n"
+                "spec = GenSpec(num_primitives=4, shape=VectorShape(3), num_records=8, seed=1)\n"
+                "result = topographic_similarity(generate_compositional(spec)[0], "
+                "DistanceSpec('l1'))\n"
+                "print(0.0 <= result.p_value <= 1.0, 'scipy.stats' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False"]
+
+    @pytest.mark.parametrize("r,n", [(0.9, 5), (-0.3, 12), (0.05, 400), (1e-9, 3),
+                                     (0.999, 6), (0.7, 60), (-0.62, 79800), (0.0, 4)])
+    def test_t_approximation_is_scipy_stats_bit_for_bit(self, r, n):
+        t = r * np.sqrt((n - 2) / (1.0 - r * r))
+        expected = float(2.0 * stats.t.sf(abs(t), df=n - 2))
+        assert analysis_module._t_approx_p_value(r, n) == expected
+
+    def test_t_approximation_is_scipy_stats_bit_for_bit_near_1e_8(self):
+        # At n = 60, r from 0.62 to 0.70 gives p-values from about 1e-7 to 5e-10.
+        for r in np.linspace(0.62, 0.70, 41):
+            t = r * np.sqrt(58 / (1.0 - r * r))
+            expected = float(2.0 * stats.t.sf(abs(t), df=58))
+            assert analysis_module._t_approx_p_value(float(r), 60) == expected
+        assert 1e-9 < analysis_module._t_approx_p_value(0.67, 60) < 1e-7
+
     def test_t_approximation_matches_known_value(self):
         # rank formula: rho = 1 - 6*sum(d^2)/(n(n^2-1)) = 1 - 12/120 = 0.9;
         # then t = 0.9*sqrt(3/0.19) = 3.576 gives p ~= 0.0374 at 3 dof
@@ -162,6 +195,41 @@ class TestPearsonSpearman:
         result = spearman(xs, ys)
         assert result.coefficient == approx(0.9)
         assert result.p_value == approx(0.0374, abs=1e-3)
+
+
+def reference_pairs(kind, rows):
+    """``_pairs`` as one batched ``distances`` call per row."""
+    return np.concatenate([distances(kind, np.broadcast_to(row, rows[i + 1:].shape), rows[i + 1:])
+                           for i, row in enumerate(rows)])
+
+
+class TestPairs:
+    @pytest.mark.parametrize("kind", ["cosine", "l1", "squared_l2"])
+    @pytest.mark.parametrize("shape", [(16,), (4, 16)], ids=["vector", "code"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    def test_tiles_equal_one_call_per_row(self, kind, shape, n):
+        rows = np.random.default_rng(n).normal(size=(n,) + shape)
+        if n > 3:
+            rows[7] = rows[2]  # an exactly equal pair, 0.0 under every kind
+        got = analysis_module._pairs(kind, rows)
+        assert got.shape == (n * (n - 1) // 2,)
+        assert np.array_equal(got, reference_pairs(kind, rows))
+
+    @pytest.mark.parametrize("kind", ["cosine", "l1", "squared_l2"])
+    def test_tiles_that_split_rows_and_span_rows(self, monkeypatch, kind):
+        # Tiles of 3 pairs over 9 rows: row 0's 8 pairs take three tiles, and
+        # the third also holds row 1's first pair.
+        rows = np.random.default_rng(5).normal(size=(9, 4, 16))
+        sizes = []
+
+        def recorded(*args):
+            sizes.append(args[1].size)
+            return distances(*args)
+
+        monkeypatch.setattr(analysis_module, "_BLOCK_VALUES", 3 * 64)
+        monkeypatch.setattr(analysis_module, "distances", recorded)
+        assert np.array_equal(analysis_module._pairs(kind, rows), reference_pairs(kind, rows))
+        assert sizes == [3 * 64] * 12
 
 
 def reference_distance(kind, r, s):
@@ -242,7 +310,7 @@ class TestTopographicSimilarity:
         ds, _ = generate_compositional(spec)
         ted = pairwise_tree_edit_distances([r.derivation for r in ds.records])
         _, tree_d = analysis_module._pair_distances(ds, L1)
-        assert tree_d.dtype == np.float64
+        assert tree_d.dtype == np.int64
         assert np.array_equal(tree_d, np.array(ted, dtype=np.float64)[np.triu_indices(60, 1)])
 
     def test_rank_mode_invariant_to_rescaling_and_relabeling(self):

@@ -4,7 +4,10 @@ Core claims:
     - the three distances match their definitions on hand-checked values
     - identity, symmetry, l1 triangle inequality, exact l1 translation
       invariance (on dyadic inputs where float addition is exact)
-    - cosine with a zero operand raises instead of returning NaN
+    - cosine with a zero operand raises instead of returning NaN, naming
+      every such row; only exactly equal rows are forced to 0.0, and the
+      gradient with the row weight folded into one scale matches the
+      unfolded formula to 1e-13
     - ``distance`` is the one-row case of the batched ``distances``, and
       ``compose`` the one-row case of the batched ``composes``
     - analytic gradients of every distance and composition match central
@@ -151,10 +154,43 @@ def test_distance_is_one_row_of_distances(kind, shape):
         assert distance(DistanceSpec(kind), a[k], b[k]) == rows[k]
     assert rows[1] == 0.0
     if kind == "cosine":
-        b[2] = 0.0
+        b[2], a[3] = 0.0, 0.0  # a zero row on either side is named
         with pytest.raises(ZeroNormError) as err:
             distances(kind, a, b)
-        assert err.value.rows == (2,)
+        assert err.value.rows == (2, 3)
+
+
+class TestCosineRows:
+    def test_only_exactly_equal_rows_are_forced_to_zero(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(40, 16))
+        b = rng.normal(size=a.shape)
+        equal, doubled = [3, 17, 18, 39], [5, 21]
+        b[equal] = a[equal]
+        b[doubled] = 2.0 * a[doubled]  # colinear but not equal: scored by the formula
+        rows = distances("cosine", a, b)
+        assert (rows[equal] == 0.0).all()
+        dots, an, bn = (np.einsum("ij,ij->i", x, y) for x, y in ((a, b), (a, a), (b, b)))
+        formula = np.maximum(1.0 - dots / (np.sqrt(an) * np.sqrt(bn)), 0.0)
+        others = np.setdiff1d(np.arange(40), equal)
+        assert np.array_equal(rows[others], formula[others])
+        assert (rows[doubled] <= 1e-15).all()
+
+    def test_folded_gradient_matches_the_unfolded_formula(self):
+        rng = np.random.default_rng(9)
+        preds, targets = rng.normal(size=(2, 50, 4, 5))
+        weights = rng.uniform(0.0, 3.0, 50)
+        pf, tf = preds.reshape(50, -1), targets.reshape(50, -1)
+        pn, tn = np.linalg.norm(pf, axis=1), np.linalg.norm(tf, axis=1)
+        dots = (pf * tf).sum(axis=1)
+        for w in (None, weights):
+            expected = (dots / (pn**3 * tn))[:, None] * pf - tf / (pn * tn)[:, None]
+            if w is not None:
+                expected *= w[:, None]
+            loss, dpred = _loss_and_dpred("cosine", preds, targets, w)
+            rows = 1.0 - dots / (pn * tn)
+            assert loss == approx((rows if w is None else w * rows).sum(), rel=1e-13)
+            assert rel_err(dpred.reshape(50, -1), expected) < 1e-13
 
 
 @pytest.mark.parametrize("shape", [VectorShape(3), CodeShape(3, 2)], ids=repr)
