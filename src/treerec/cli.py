@@ -44,10 +44,9 @@ from .space import (
 def _fit_config(args, **settings) -> FitConfig:
     """The ``FitConfig`` of ``fit`` and ``gradcheck``; linear composition
     learns its weights."""
-    linear = args.composition == "linear"
-    return FitConfig(distance=DistanceSpec(args.distance),
-                     composition=LinearComposition() if linear else AdditiveComposition(),
-                     learn_composition=linear, seed=args.seed, **settings)
+    comp = LinearComposition() if args.composition == "linear" else AdditiveComposition()
+    return FitConfig(distance=DistanceSpec(args.distance), composition=comp,
+                     seed=args.seed, **settings)
 
 
 def cmd_fit(args) -> int:

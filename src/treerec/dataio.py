@@ -254,7 +254,7 @@ def report_to_dict(report: TreReport, config: FitConfig, shape: Shape,
             "seed": config.seed,
             "init_scale": INIT_SCALE,
             "convergence_tol": config.convergence_tol,
-            "restarts": config.effective_restarts,
+            "restarts": config.restarts,
             **config_extra,
         },
         "shape": _shape_header(shape, alphabet),

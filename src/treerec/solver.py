@@ -147,20 +147,27 @@ class PrimitiveTable:
     composition_params: LinearComposition | None = None
 
 
+def _learns_weights(comp: CompositionSpec) -> bool:
+    """Whether fitting learns ``comp``'s weights: a linear composition without matrices."""
+    return isinstance(comp, LinearComposition) and not comp.has_weights
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Optimizer settings for ``fit``.
 
     The optimizer itself is inherent to nothing in the data: defaults here
     (Adam, lr 0.01, 1000 steps) are chosen for robustness across the cosine /
-    l1 / squared-L2 objectives without per-dataset tuning.  ``restarts``
-    defaults to 1, or 5 when the composition weights are learned.  Learned
-    weights start near the identity (see ``fit``), so none may be given.
+    l1 / squared-L2 objectives without per-dataset tuning.  The composition
+    decides ``learn_composition``: a linear one without matrices learns its
+    weights, which start near the identity (see ``fit``); a value given that
+    disagrees is refused.  ``restarts`` defaults to 1, or 5 when the weights
+    are learned.
     """
 
     distance: DistanceSpec
     composition: CompositionSpec = AdditiveComposition()
-    learn_composition: bool = False
+    learn_composition: bool | None = None
     steps: int = 1000
     learning_rate: float = 0.01
     seed: int = 0
@@ -168,22 +175,18 @@ class FitConfig:
     restarts: int | None = None
 
     def __post_init__(self):
-        for name, check, bound in (("steps", _integer, 1), ("seed", _integer, None),
-                                   ("learning_rate", _real, True),
+        learns = _learns_weights(self.composition)
+        if self.learn_composition not in (None, learns):
+            raise ValueError(f"learn_composition={self.learn_composition!r} disagrees with the "
+                             f"composition: learned weights start from the identity, so only "
+                             f"a linear composition without matrices learns them")
+        object.__setattr__(self, "learn_composition", learns)
+        if self.restarts is None:
+            object.__setattr__(self, "restarts", 5 if learns else 1)
+        for name, check, bound in (("steps", _integer, 1), ("restarts", _integer, 1),
+                                   ("seed", _integer, None), ("learning_rate", _real, True),
                                    ("convergence_tol", _real, False)):
             object.__setattr__(self, name, check(name, getattr(self, name), bound))
-        if self.restarts is not None:
-            object.__setattr__(self, "restarts", _integer("restarts", self.restarts, 1))
-        if self.learn_composition and not isinstance(self.composition, LinearComposition):
-            raise ValueError("only linear composition weights can be learned")
-        if self.learn_composition and self.composition.has_weights:
-            raise ValueError("learned weights start from the identity; give no matrices")
-
-    @property
-    def effective_restarts(self) -> int:
-        if self.restarts is not None:
-            return self.restarts
-        return 5 if self.learn_composition else 1
 
 
 @dataclass(frozen=True)
@@ -231,7 +234,7 @@ def _record_errors(problem: _Problem, preds: np.ndarray) -> list[float]:
 
 def _with_weights(comp: CompositionSpec, table: PrimitiveTable) -> CompositionSpec:
     """``comp``, or the table's weights for a linear one without matrices."""
-    if not isinstance(comp, LinearComposition) or comp.has_weights:
+    if not _learns_weights(comp):
         return comp
     if table.composition_params is None:
         raise ValueError("linear composition weights are neither given nor in the table")
@@ -403,7 +406,7 @@ class _Problem:
 
     @property
     def learns_weights(self) -> bool:
-        return isinstance(self.comp, LinearComposition) and not self.comp.has_weights
+        return _learns_weights(self.comp)
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -574,14 +577,10 @@ def _report(dataset: Dataset, problem: _Problem, run: _Restart,
 
 def _fit_problem(dataset: Dataset, config: FitConfig) -> _Problem:
     """``dataset`` compiled for ``fit`` and ``gradient_check``, which refuse
-    with ValueError a composition they cannot optimize through: a table, a
-    linear one with neither matrices nor ``learn_composition``, or matrices
-    that do not match the dataset shape."""
+    with ValueError a composition they cannot optimize through: a table, or
+    matrices that do not match the dataset shape."""
     comp = config.composition
     if isinstance(comp, LinearComposition):
-        if not config.learn_composition and not comp.has_weights:
-            raise ValueError("linear composition needs weight matrices unless "
-                             "learn_composition=True")
         if comp.has_weights and len(comp.left_weights) != dataset.shape.array_shape()[0]:
             raise ValueError("composition weights do not match the dataset shape")
     elif not isinstance(comp, AdditiveComposition):
@@ -610,7 +609,7 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
     """
     problem = _fit_problem(dataset, config)
     # ``min`` keeps the first of equally good restarts.
-    runs = (_fit_once(problem, config, restart) for restart in range(config.effective_restarts))
+    runs = (_fit_once(problem, config, restart) for restart in range(config.restarts))
     best = min(runs, key=lambda run: run.trace[-1][1])
     return _report(dataset, problem, best,
                    _record_errors(problem, problem.predict(best.params, best.comp)))

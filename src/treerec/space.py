@@ -170,8 +170,7 @@ class LinearComposition:
     For vectors the weights are dim x dim; for code matrices they are
     length x length and act along the position axis only, so tokens can be
     moved between positions but vocabulary columns never mix.  Constructed
-    without weights it is a placeholder whose matrices are estimated during
-    fitting (see FitConfig.learn_composition).
+    without weights it is a placeholder: fitting learns its matrices.
     """
 
     left_weights: np.ndarray | None = None
@@ -295,7 +294,7 @@ def composes(spec: CompositionSpec, r: np.ndarray, s: np.ndarray) -> np.ndarray:
     if isinstance(spec, LinearComposition):
         if not spec.has_weights:
             raise ValueError("linear composition has no weights yet; "
-                             "fit with learn_composition=True or supply matrices")
+                             "fit it to learn them or supply matrices")
         _check_equal_shapes(r, s)
         if spec.left_weights.shape[1] != r.shape[1]:
             raise ShapeMismatchError(
@@ -331,7 +330,8 @@ def _loss_and_dpred(kind: str, preds: np.ndarray, targets: np.ndarray,
         rows, pn, tn, dots = _cosine_terms(pf, tf, target_norms)
         w = 1.0 if weights is None else weights
         scale = w / (pn * tn)
-        dpred = (scale * dots / (pn * pn))[:, None] * pf - scale[:, None] * tf
+        dpred = (np.einsum("i,ij->ij", scale * dots / (pn * pn), pf)
+                 - np.einsum("i,ij->ij", scale, tf))
         return float((w * rows).sum()), dpred.reshape(preds.shape)
     diff = pf - tf
     dpred = np.sign(diff) if kind == "l1" else 2.0 * diff

@@ -16,6 +16,10 @@ Core claims:
       derivation-closed dataset perfectly
     - fits are deterministic, record-order invariant, and report the mean of
       per-record errors as the aggregate
+    - the composition decides learned weights: a linear one without matrices
+      learns them, ``FitConfig`` derives ``learn_composition`` and the
+      default restarts (5, else 1) and refuses a given value that disagrees,
+      and a learned-linear report is the same with or without the flag
     - a learned linear fit builds no dense subtrees x primitives table, also
       when a cosine rescue re-initializes every primitive
     - the linear backward pass adds into each subtree's gradient in one fixed
@@ -458,9 +462,9 @@ class TestFit:
         assert np.isfinite(report.aggregate)
 
     def test_restart_default_depends_on_learnability(self):
-        assert FitConfig(distance=SQL2).effective_restarts == 1
+        assert FitConfig(distance=SQL2).restarts == 1
         assert FitConfig(distance=SQL2, composition=LinearComposition(),
-                         learn_composition=True).effective_restarts == 5
+                         learn_composition=True).restarts == 5
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -476,6 +480,37 @@ class TestFit:
         with pytest.raises(ValueError, match="identity"):
             FitConfig(distance=SQL2, composition=LinearComposition(np.eye(2), np.eye(2)),
                       learn_composition=True)
+
+    @pytest.mark.parametrize("composition,learns", [
+        (ADD, False), (LinearComposition(np.eye(2), np.eye(2)), False),
+        (LinearComposition(), True)], ids=["additive", "fixed-linear", "learned-linear"])
+    def test_composition_decides_learned_weights(self, hand_instance, composition, learns):
+        config = FitConfig(distance=SQL2, composition=composition, steps=5)
+        assert config.learn_composition is learns
+        assert config.restarts == (5 if learns else 1)
+        assert FitConfig(distance=SQL2, composition=composition, learn_composition=learns,
+                         steps=5) == config
+        report = fit(hand_instance, config)
+        assert (report.table.composition_params is not None) is learns
+        echoed = report_to_dict(report, config, VectorShape(2))["config"]
+        assert (echoed["learn_composition"], echoed["restarts"]) == (learns, config.restarts)
+
+    @pytest.mark.parametrize("composition,given", [
+        (ADD, True), (LinearComposition(np.eye(2), np.eye(2)), True),
+        (LinearComposition(), False)], ids=["additive", "fixed-linear", "learned-linear"])
+    def test_disagreeing_learn_composition_is_refused(self, composition, given):
+        with pytest.raises(ValueError, match=f"^learn_composition={given} disagrees"):
+            FitConfig(distance=SQL2, composition=composition, learn_composition=given)
+
+    @pytest.mark.parametrize("spec", [SQL2, L1, COSINE], ids=lambda s: s.kind)
+    def test_learned_linear_report_needs_no_flag(self, hand_instance, spec):
+        rendered = []
+        for flag in ({}, {"learn_composition": True}):
+            config = FitConfig(distance=spec, composition=LinearComposition(), steps=20,
+                               restarts=2, **flag)
+            rendered.append(render_report(report_to_dict(fit(hand_instance, config), config,
+                                                         VectorShape(2))))
+        assert rendered[0] == rendered[1]
 
     @pytest.mark.parametrize("field", ["learning_rate", "convergence_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -769,11 +804,9 @@ class TestGradientCheckOperation:
 
     @pytest.mark.parametrize("composition,message", [
         (TableComposition(), "cannot optimize through composition kind 'table'"),
-        (LinearComposition(),
-         "linear composition needs weight matrices unless learn_composition=True"),
         (LinearComposition(np.eye(3), np.eye(3)),
          "composition weights do not match the dataset shape")],
-        ids=["table", "linear-without-weights", "3x3-weights-on-dim-2"])
+        ids=["table", "3x3-weights-on-dim-2"])
     def test_refuses_what_fit_refuses(self, hand_instance, composition, message):
         config = FitConfig(distance=SQL2, composition=composition)
         for call in (lambda: fit(hand_instance, config),
