@@ -147,7 +147,7 @@ def _pairs(kind: str, rows: np.ndarray) -> np.ndarray:
 def _pair_distances(dataset: Dataset, distance_spec: DistanceSpec):
     """Representation and tree edit distances of every record pair (i, j),
     i < j, in row-major upper-triangle order, as a float and an int64 array."""
-    rep_d = _pairs(distance_spec.kind, np.stack([r.representation for r in dataset.records]))
+    rep_d = _pairs(distance_spec.kind, dataset._values)
     ted = pairwise_tree_edit_distances([r.derivation for r in dataset.records])
     return rep_d, np.fromiter(itertools.chain.from_iterable(
         row[i + 1:] for i, row in enumerate(ted)), np.int64, len(rep_d))

@@ -16,12 +16,12 @@ independent oracle for the iterative path.
 ``fit`` and ``gradient_check`` evaluate the objective through
 ``_loss_and_grads``, which sums over ``_Problem.rows``, the weighted groups
 of records that share a prediction: a distinct leaf-count row under additive
-composition, in blocks of at most ``_BLOCK_VALUES`` values so one block's
-temporaries stay in a core's cache, and a distinct DAG root under linear (a
-record under l1).  That sum, under l1 and squared_l2 flat over coordinates,
-may differ in the last bits from the sum of the per-record errors.  Every
-per-record error is ``_record_errors`` scoring one ``_Problem.predict`` pass
-over the records' DAG at the parameters in use.
+composition, in blocks of at most ``_BLOCK_VALUES`` values in two buffers per
+call, and a distinct DAG root under linear (a record under l1).  That sum,
+under l1 and squared_l2 flat over coordinates, may differ in the last bits
+from the sum of the per-record errors.  Every per-record error is
+``_record_errors`` scoring one ``_Problem.predict`` pass over the records'
+DAG, which a ``Dataset`` compiles once, with its stacked values, on first use.
 """
 
 from __future__ import annotations
@@ -37,12 +37,14 @@ import numpy as np
 from .derivation import Derivation, Leaf, Node, Symbol, _compile, _Dag, format_derivation
 from .space import (
     AdditiveComposition,
+    CodeShape,
     CompositionSpec,
     DistanceSpec,
     LinearComposition,
     Shape,
     ShapeMismatchError,
     TableComposition,
+    VectorShape,
     ZeroNormError,
     _integer,
     _loss_and_dpred,
@@ -90,7 +92,9 @@ class Record:
 class Dataset:
     """Non-empty list of records sharing one representation shape; the one
     record check.  The first faulty record (duplicate id, wrong shape or a
-    non-finite value) raises a ValueError whose ``record`` is its index."""
+    non-finite value) raises a ValueError whose ``record`` is its index.
+    Derivations are compiled and values stacked on first use and kept, so a
+    record array changed in place after that is not seen."""
 
     records: tuple[Record, ...]
     shape: Shape
@@ -124,6 +128,16 @@ class Dataset:
             fault.record = k
         if fault is not None:
             raise fault
+
+    @cached_property
+    def _dag(self) -> _Dag:
+        return _compile(rec.derivation for rec in self.records)
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        values = np.array([rec.representation for rec in self.records])
+        values.flags.writeable = False  # every fit and evaluation shares it
+        return values
 
     def __len__(self) -> int:
         return len(self.records)
@@ -242,17 +256,20 @@ def _with_weights(comp: CompositionSpec, table: PrimitiveTable) -> CompositionSp
 
 
 def _table_errors(table: PrimitiveTable, comp: CompositionSpec, kind: str,
-                  records: Iterable[Record]) -> list[float]:
-    """Per-record ``kind`` errors of ``records`` at ``table``, compiled together."""
+                  dataset: Dataset) -> list[float]:
+    """Per-record ``kind`` errors of ``dataset``'s records at ``table``."""
     comp = _with_weights(comp, table)
-    problem = _build_problem(records, kind, comp)
+    problem = _build_problem(dataset, kind, comp)
     return _record_errors(problem, problem.predict(
         _table_params(table, problem.dag.symbols, problem.targets.shape[1:]), comp))
 
 
 def tre_datum(table: PrimitiveTable, config: FitConfig, record: Record) -> float:
-    """Distance between the stored representation and the composed prediction."""
-    return _table_errors(table, config.composition, config.distance.kind, [record])[0]
+    """Distance between ``record``, checked as a one-record ``Dataset``, and its prediction."""
+    dims = np.shape(record.representation)
+    shape = CodeShape(*dims) if len(dims) == 2 else VectorShape(math.prod(dims))
+    return _table_errors(table, config.composition, config.distance.kind,
+                         Dataset((record,), shape))[0]
 
 
 def objective(table: PrimitiveTable, config: FitConfig, dataset: Dataset) -> float:
@@ -481,17 +498,16 @@ def _distinct_rows(matrix: np.ndarray):
     return ordered[starts], order[starts], inverse, np.diff(starts, append=len(order))
 
 
-def _build_problem(records: Iterable[Record], kind: str, comp: CompositionSpec) -> _Problem:
+def _build_problem(dataset: Dataset, kind: str, comp: CompositionSpec) -> _Problem:
     """Under cosine, raises ZeroNormError naming the first record whose
     representation has norm 0."""
-    records = tuple(records)
-    targets = np.stack([rec.representation for rec in records])
+    targets = dataset._values
     if kind == "cosine":
         zero = np.flatnonzero(_row_norms(targets.reshape(len(targets), -1)) == 0.0)
         if zero.size:
             raise ZeroNormError(f"cosine distance is undefined for zero-norm representation "
-                                f"in record {records[zero[0]].id!r}", zero.tolist())
-    return _Problem(_compile(rec.derivation for rec in records), targets, kind, comp)
+                                f"in record {dataset.records[zero[0]].id!r}", zero.tolist())
+    return _Problem(dataset._dag, targets, kind, comp)
 
 
 def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec):
@@ -503,22 +519,24 @@ def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec
     by their transpose; linear runs ``_forward`` over the DAG and
     ``_backward`` from the rows' roots.
 
-    Additive runs in row blocks of at most ``_BLOCK_VALUES`` target values
-    and adds their losses and gradients in block order.  The l1 gradient, of
-    integer terms, is the same at any block count; squared_l2 and cosine
-    results are the same while the rows fit in one block.  A cosine
+    Additive runs in row blocks of at most ``_BLOCK_VALUES`` target values, in two
+    buffers per call, and adds their losses and gradients in block order.  The l1
+    gradient, of integer terms, is the same at any block count; squared_l2 and
+    cosine results are the same while the rows fit in one block.  A cosine
     ZeroNormError names the zero-norm rows by their index in ``problem.rows``."""
     rows, flat = problem.rows, params.reshape(len(params), -1)
     if isinstance(problem.comp, AdditiveComposition):
         size = max(1, _BLOCK_VALUES // rows.targets.shape[1])
+        scratch = np.empty((2,) + rows.targets[:size].shape)
         loss, grad, zero = rows.constant, None, []
         for start in range(0, len(rows.targets), size):
             block = slice(start, start + size)
+            pair = scratch[:, :len(rows.targets[block])]
             try:
                 part, dpred = _loss_and_dpred(
-                    problem.kind, rows.keys[block] @ flat, rows.targets[block],
-                    None if rows.weights is None else rows.weights[block],
-                    None if rows.norms is None else rows.norms[block])
+                    problem.kind, np.matmul(rows.keys[block], flat, out=pair[0]),
+                    rows.targets[block], None if rows.weights is None else rows.weights[block],
+                    None if rows.norms is None else rows.norms[block], pair)
             except ZeroNormError as err:
                 zero += [start + r for r in err.rows]
                 continue

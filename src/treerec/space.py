@@ -14,8 +14,8 @@ equal); cosine is scale-invariant, so colinear representations coincide
 under it, and a zero-norm operand is rejected rather than mapped to NaN.
 ``distances`` holds each formula once, over batches of rows, and
 ``distance`` is its one-row case.  The fit's loss-and-gradient kernel,
-``_loss_and_dpred``, reuses the cosine terms; for l1 and squared_l2 it sums
-the loss over all coordinates at once, with no per-row distances.
+``_loss_and_dpred``, reuses the cosine terms, sums the l1 and squared_l2
+loss over all coordinates at once and works in a caller's block buffers.
 Compositions: elementwise addition, a learned/fixed linear form
 ``L @ r + R @ s`` that mixes positions but never vocabulary columns, and an
 exact-lookup table keyed on bit-identical operand pairs.  ``composes``
@@ -312,11 +312,12 @@ def composes(spec: CompositionSpec, r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _loss_and_dpred(kind: str, preds: np.ndarray, targets: np.ndarray,
                     weights: np.ndarray | None = None,
-                    target_norms: np.ndarray | None = None):
+                    target_norms: np.ndarray | None = None, scratch: np.ndarray | None = None):
     """Summed ``distances`` over a batch and its gradient with respect to
     ``preds``; with ``weights``, row k's distance counts ``weights[k]`` times.
     Cosine takes the norms of the flat target rows as ``target_norms``, or
-    computes them when not given.
+    computes them when not given.  It writes only ``scratch``, two flat-row arrays (fresh if
+    None): the gradient it returns to the second, a term to the first, which may be ``preds``.
 
     l1 and squared_l2 sum their loss as one flat dot product of the gradient
     with the residuals d = pred - target, with no per-row distances: the
@@ -326,15 +327,16 @@ def _loss_and_dpred(kind: str, preds: np.ndarray, targets: np.ndarray,
     ties, so an optimizer sits still on coordinates it has matched exactly.
     """
     pf, tf = _flat_rows(preds), _flat_rows(targets)
+    diff, dpred = np.empty((2,) + pf.shape) if scratch is None else scratch
     if kind == "cosine":
         rows, pn, tn, dots = _cosine_terms(pf, tf, target_norms)
         w = 1.0 if weights is None else weights
         scale = w / (pn * tn)
-        dpred = (np.einsum("i,ij->ij", scale * dots / (pn * pn), pf)
-                 - np.einsum("i,ij->ij", scale, tf))
+        np.einsum("i,ij->ij", scale * dots / (pn * pn), pf, out=dpred)
+        dpred -= np.einsum("i,ij->ij", scale, tf, out=diff)
         return float((w * rows).sum()), dpred.reshape(preds.shape)
-    diff = pf - tf
-    dpred = np.sign(diff) if kind == "l1" else 2.0 * diff
+    np.subtract(pf, tf, out=diff)
+    dpred = np.sign(diff, out=dpred) if kind == "l1" else np.multiply(2.0, diff, out=dpred)
     if weights is not None:
         dpred *= weights[:, None]
     loss = float(np.vdot(dpred, diff))

@@ -50,6 +50,14 @@ Core claims:
       over whole rows to the bit; the backward pass keeps its order on a
       9-level DAG and from the rows of ``_loss_and_grads``, and one fit
       builds its level indices once
+    - a dataset compiles its DAG once for every fit, objective, closed-form
+      fit, gradient check and bound check of it, keeps its stacked values
+      read-only, renders the reports of a fresh read, and a replaced one
+      builds its own; ``tre_datum`` refuses a non-finite record as a dataset
+      does
+    - row blocks in the step's two buffers keep the l1 gradient bits with a
+      short last block, and a zero-norm cosine row in the second block is
+      named and rescued
 """
 
 import dataclasses
@@ -83,6 +91,7 @@ from treerec import (
     VectorShape,
     ZeroNormError,
     all_derivations,
+    bound_check,
     closed_form_fit,
     eval_compositional,
     fit,
@@ -93,8 +102,10 @@ from treerec import (
     objective,
     parse_derivation,
     primitives_of,
+    read_dataset,
     tre_datum,
     trivial_composition_table,
+    write_dataset,
 )
 from treerec.dataio import render_report, report_to_dict
 from treerec.space import _loss_and_dpred, _row_norms, distances
@@ -142,6 +153,64 @@ class TestDataset:
             Dataset.build(rows, VectorShape(2))
         assert type(err.value) is error
         assert err.value.record == record
+
+
+def cache_dataset(num_records=40):
+    return generate_compositional(GenSpec(num_primitives=4, shape=VectorShape(3),
+                                          num_records=num_records, noise_sigma=0.1, seed=5))[0]
+
+
+def rendered_fit(dataset, kind):
+    config = FitConfig(distance=DistanceSpec(kind), steps=30, seed=2)
+    return render_report(report_to_dict(fit(dataset, config), config, dataset.shape))
+
+
+class TestDatasetCaches:
+    def test_one_compile_serves_every_call(self, monkeypatch):
+        dataset, compiled = cache_dataset(), []
+        real = solver_module._compile
+
+        def counted(derivations):
+            compiled.append(1)
+            return real(derivations)
+
+        monkeypatch.setattr(solver_module, "_compile", counted)
+        for kind in ("squared_l2", "l1", "cosine"):
+            config = FitConfig(distance=DistanceSpec(kind), steps=5)
+            objective(fit(dataset, config).table, config, dataset)
+            gradient_check(dataset, config, trials=2)
+        closed_form_fit(dataset)
+        small = PrimitiveTable({sym: np.full(3, 0.1) for sym in dataset._dag.symbols})
+        bound_check(dataset, small, ADD, L1)
+        assert len(compiled) == 1
+        assert solver_module._build_problem(dataset, "cosine", ADD).targets is dataset._values
+
+    def test_values_are_read_only_and_kept(self):
+        dataset = cache_dataset()
+        before = rendered_fit(dataset, "l1")
+        assert not dataset._values.flags.writeable
+        # Stacked on first use: a record array changed in place later is not seen.
+        dataset.records[0].representation[:] += 1.0
+        assert rendered_fit(dataset, "l1") == before
+
+    def test_reports_equal_a_fresh_read(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_dataset(path, cache_dataset())
+        dataset = read_dataset(path)[0]
+        for kind in ("squared_l2", "l1", "cosine"):
+            once = rendered_fit(dataset, kind)
+            assert rendered_fit(dataset, kind) == once
+            assert rendered_fit(read_dataset(path)[0], kind) == once
+
+    def test_replaced_dataset_builds_its_own_caches(self):
+        dataset = cache_dataset()
+        rendered_fit(dataset, "squared_l2")
+        part = dataclasses.replace(dataset, records=dataset.records[:25])
+        assert len(part._values) == len(part._dag.roots) == 25
+        assert part._dag is not dataset._dag
+        fresh = Dataset(dataset.records[:25], dataset.shape)
+        for kind in ("squared_l2", "l1", "cosine"):
+            assert rendered_fit(part, kind) == rendered_fit(fresh, kind)
 
 
 class TestEvalCompositional:
@@ -231,6 +300,22 @@ class TestTreDatum:
         rec = Record("x", np.array([1.0, 1.0]), parse_derivation("(a b)"))
         with pytest.raises(ShapeMismatchError,
                            match=r"^primitive 'b' has shape \(3,\), expected \(2,\)$"):
+            tre_datum(table, FitConfig(distance=SQL2), rec)
+
+    @pytest.mark.parametrize("value", [[np.nan, 1.0], [[0.0, np.inf]]], ids=["vector", "code"])
+    def test_non_finite_record_is_refused_as_a_dataset_refuses_it(self, value):
+        table = PrimitiveTable({Symbol("a"): np.zeros(np.shape(value))})
+        rec = Record("x", np.array(value), parse_derivation("a"))
+        with pytest.raises(ValueError,
+                           match="^record 'x': representation values must be finite$") as err:
+            tre_datum(table, FitConfig(distance=SQL2), rec)
+        assert err.value.record == 0
+
+    @pytest.mark.parametrize("value", [1.0, np.ones((2, 2, 2))], ids=["scalar", "3-d"])
+    def test_record_neither_vector_nor_code_is_refused(self, value):
+        table = PrimitiveTable({Symbol("a"): np.zeros(np.shape(value))})
+        rec = Record("x", np.asarray(value), parse_derivation("a"))
+        with pytest.raises(ShapeMismatchError, match="^record 'x': expected array of shape"):
             tre_datum(table, FitConfig(distance=SQL2), rec)
 
     def test_non_negative(self):
@@ -1148,6 +1233,52 @@ class TestRowBlocks:
         with pytest.raises(ZeroNormError) as err:
             solver_module._loss_and_grads(problem, params, ADD)
         assert list(err.value.rows) == zero
+
+    @pytest.mark.parametrize("data", PIN_DATA)
+    def test_short_last_block_keeps_the_l1_gradient_bits(self, monkeypatch, data):
+        # Blocks of 9 rows: the last of 200 or 150 rows holds 2 or 6.
+        dataset = generate_compositional(PIN_DATA[data])[0]
+        problem = solver_module._build_problem(dataset, "l1", ADD)
+        params = np.random.default_rng(5).normal(0, 1, (len(problem.dag.symbols),)
+                                                 + dataset.shape.array_shape())
+        rows, width = len(problem.rows.targets), math.prod(dataset.shape.array_shape())
+        assert rows > 2 * 9 and rows % 9
+        monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 1 << 40)
+        one_loss, (one_grad,) = solver_module._loss_and_grads(problem, params, ADD)
+        monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 9 * width)
+        loss, (grad,) = solver_module._loss_and_grads(problem, params, ADD)
+        assert grad.tobytes() == one_grad.tobytes()
+        assert loss == approx(one_loss, rel=1e-12)
+
+    def test_zero_norm_row_in_the_second_block_is_rescued(self, monkeypatch):
+        dataset = shared_rows_dataset((4,))
+        problem = solver_module._build_problem(dataset, "cosine", ADD)
+        a = [sym.name for sym in problem.dag.symbols].index("a")
+        params = np.random.default_rng(6).normal(0, 1, (3, 4))
+        params[a] = 0.0
+        (zero,) = np.flatnonzero(~(problem.rows.keys @ params).any(axis=1)).tolist()
+        block = zero // 2 + 1
+        assert block <= zero < 2 * block
+        monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 4 * block)
+        with pytest.raises(ZeroNormError) as err:
+            solver_module._loss_and_grads(problem, params, ADD)
+        assert err.value.rows == (zero,)
+
+        real_init = solver_module._init_params
+
+        def zero_a(problem, seed, restart):
+            params = real_init(problem, seed, restart)
+            params[a] = 0.0
+            return params
+
+        monkeypatch.setattr(solver_module, "_init_params", zero_a)
+        config = FitConfig(distance=COSINE, steps=20, seed=1)
+        blocked = fit(dataset, config)
+        monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 1 << 40)
+        one_block = fit(dataset, config)
+        assert blocked.diagnostics == one_block.diagnostics == (
+            "step 0: zero-norm cosine prediction; re-initialized entries [a]",)
+        assert blocked.aggregate == approx(one_block.aggregate, rel=1e-9)
 
     def test_l1_report_does_not_depend_on_block_count(self, monkeypatch):
         # 5000 dim-16 records: 3 blocks at the default size.

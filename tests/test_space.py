@@ -10,6 +10,9 @@ Core claims:
       unfolded formula to 1e-13
     - ``distance`` is the one-row case of the batched ``distances``, and
       ``compose`` the one-row case of the batched ``composes``
+    - the loss-and-gradient kernel gives the same bits in a caller's scratch
+      pair, also with the predictions in its first buffer, and without one
+      writes none of its operands
     - analytic gradients of every distance and composition match central
       finite differences (the oracle lives in this file, not the library);
       they come from the solver's kernels: the batched distance gradient and
@@ -191,6 +194,43 @@ class TestCosineRows:
             rows = 1.0 - dots / (pn * tn)
             assert loss == approx((rows if w is None else w * rows).sum(), rel=1e-13)
             assert rel_err(dpred.reshape(50, -1), expected) < 1e-13
+
+
+def scratch_operands(shape=(12,)):
+    """40 rows of predictions, targets and weights, with exact ties in row 3."""
+    rng = np.random.default_rng(31)
+    preds, targets = rng.normal(size=(2, 40) + shape)
+    preds[3] = targets[3]
+    return preds, targets, rng.uniform(0.5, 3.0, 40)
+
+
+class TestScratch:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("kind", ["cosine", "l1", "squared_l2"])
+    def test_scratch_gives_the_same_bits(self, kind, weighted):
+        preds, targets, weights = scratch_operands()
+        weights = weights if weighted else None
+        loss, dpred = _loss_and_dpred(kind, preds, targets, weights)
+        # As a fit step does: the predictions computed in the first buffer.
+        in_place = np.full((2,) + preds.shape, np.nan)
+        in_place[0] = preds
+        apart = np.full((2,) + preds.shape, np.nan)
+        for scratch, given in ((in_place, in_place[0]), (apart, preds)):
+            got_loss, got = _loss_and_dpred(kind, given, targets, weights, scratch=scratch)
+            assert got_loss == loss
+            assert got.tobytes() == dpred.tobytes()
+            assert np.shares_memory(got, scratch[1])
+
+    @pytest.mark.parametrize("kind", ["cosine", "l1", "squared_l2"])
+    def test_call_without_scratch_writes_no_operand(self, kind):
+        operands = scratch_operands((3, 4))
+        copies = [a.copy() for a in operands]
+        for a in operands:
+            a.flags.writeable = False
+        for weights in (None, operands[2]):
+            _loss_and_dpred(kind, *operands[:2], weights)
+        for a, copy in zip(operands, copies):
+            assert a.tobytes() == copy.tobytes()
 
 
 @pytest.mark.parametrize("shape", [VectorShape(3), CodeShape(3, 2)], ids=repr)
