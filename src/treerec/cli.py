@@ -204,15 +204,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetFormatError, DerivationSyntaxError) as e:
+    except (DivergenceError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DivergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return (3 if isinstance(e, DivergenceError) else
+                1 if isinstance(e, (DatasetFormatError, DerivationSyntaxError)) else 2)
 
 
 if __name__ == "__main__":

@@ -69,17 +69,17 @@ def _dump_line(obj) -> str:
 
 def write_dataset(path: str | Path, dataset: Dataset,
                   alphabet: str | None = None) -> None:
-    """Write a dataset file; hard one-hot code datasets use tokens form."""
-    header = _shape_header(dataset.shape, alphabet)
-    tokens_form = isinstance(dataset.shape, CodeShape) and all(
-        is_hard_code(r.representation) for r in dataset.records)
+    """Write a dataset file from its float64 values; hard one-hot codes use tokens form."""
+    header, values = _shape_header(dataset.shape, alphabet), dataset._values
+    tokens_form = isinstance(dataset.shape, CodeShape) and is_hard_code(
+        values.reshape(-1, dataset.shape.vocab))
     lines = [_dump_line(header)]
-    for rec in dataset.records:
+    for rec, value in zip(dataset.records, values):
         row = {"id": rec.id, "derivation": format_derivation(rec.derivation)}
         if tokens_form:
-            row["tokens"] = decode_message(rec.representation, header["alphabet"])
+            row["tokens"] = decode_message(value, header["alphabet"])
         else:
-            row["repr"] = rec.representation.ravel().tolist()
+            row["repr"] = value.ravel().tolist()
         lines.append(_dump_line(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

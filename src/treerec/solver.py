@@ -93,8 +93,10 @@ class Dataset:
     """Non-empty list of records sharing one representation shape; the one
     record check.  The first faulty record (duplicate id, wrong shape or a
     non-finite value) raises a ValueError whose ``record`` is its index.
-    Derivations are compiled and values stacked on first use and kept, so a
-    record array changed in place after that is not seen."""
+    Derivations are compiled and values stacked, as float64, on first use and
+    kept.  Fitting, analysis, ``write_dataset``, ``trivial_composition_table``
+    and ``homomorphism_residuals`` read that one stack, so a record array
+    changed in place after that is neither fit nor written."""
 
     records: tuple[Record, ...]
     shape: Shape
@@ -135,7 +137,7 @@ class Dataset:
 
     @cached_property
     def _values(self) -> np.ndarray:
-        values = np.array([rec.representation for rec in self.records])
+        values = np.array([rec.representation for rec in self.records], dtype=np.float64)
         values.flags.writeable = False  # every fit and evaluation shares it
         return values
 
@@ -473,8 +475,7 @@ class _Problem:
         if self.kind == "squared_l2":
             np.add.at(sums.reshape(-1), index, flat.ravel())
             means = sums / sizes[:, None]
-            scatter = flat - means[inverse]
-            constant = math.fsum((scatter * scatter).sum(axis=1).tolist())
+            constant = math.fsum(distances("squared_l2", flat, means[inverse]).tolist())
             return _Rows(keys, first, means, sizes, constant)
         units = flat / _row_norms(flat)[:, None]
         np.add.at(sums.reshape(-1), index, units.ravel())
@@ -752,6 +753,14 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
     return worst
 
 
+def _first_records(dataset: Dataset) -> dict[Derivation, int]:
+    """The index of each distinct derivation's first record, in record order."""
+    first: dict[Derivation, int] = {}
+    for k, rec in enumerate(dataset.records):
+        first.setdefault(rec.derivation, k)
+    return first
+
+
 def trivial_composition_table(dataset: Dataset):
     """Lookup table and composition that reproduce the dataset exactly.
 
@@ -759,30 +768,27 @@ def trivial_composition_table(dataset: Dataset):
     record's derivation is itself a record) and the derivation-to-
     representation mapping to be consistent.  Demonstrates that with an
     unrestricted composition function, reconstruction error can always be
-    driven to zero.
+    driven to zero.  Entries are copies of rows of the dataset's values.
     """
-    rep_of: dict[Derivation, np.ndarray] = {}
-    for rec in dataset.records:
-        prev = rep_of.get(rec.derivation)
-        if prev is not None and not np.array_equal(prev, rec.representation):
+    values, first = dataset._values, _first_records(dataset)
+    for k, rec in enumerate(dataset.records):
+        if not np.array_equal(values[first[rec.derivation]], values[k]):
             raise ValueError(
                 f"derivation {format_derivation(rec.derivation)!r} maps to two "
                 f"different representations; lookup composition needs an "
                 f"injective derivation oracle")
-        rep_of[rec.derivation] = rec.representation
 
-    entries: dict[Symbol, np.ndarray] = {}
-    table_comp = TableComposition()
-    for deriv, rep in rep_of.items():
+    entries, table_comp = {}, TableComposition()
+    for deriv, k in first.items():
         if isinstance(deriv, Leaf):
-            entries[deriv.symbol] = rep
+            entries[deriv.symbol] = values[k].copy()
             continue
         for child in (deriv.left, deriv.right):
-            if child not in rep_of:
+            if child not in first:
                 raise ValueError(
                     f"dataset is not derivation-closed: sub-derivation "
                     f"{format_derivation(child)!r} has no record")
-        table_comp.register(rep_of[deriv.left], rep_of[deriv.right], rep)
+        table_comp.register(values[first[deriv.left]], values[first[deriv.right]], values[k])
     return PrimitiveTable(entries), table_comp
 
 
@@ -797,14 +803,12 @@ def homomorphism_residuals(dataset: Dataset, comp: CompositionSpec,
     compose exactly; ties to zero reconstruction error.  When several records
     share a derivation, the first by record order supplies its representation.
     """
-    rep_of: dict[Derivation, np.ndarray] = {}
-    for rec in dataset.records:
-        rep_of.setdefault(rec.derivation, rec.representation)
-    recs = [rec for rec in dataset.records if isinstance(rec.derivation, Node)
-            and rec.derivation.left in rep_of and rec.derivation.right in rep_of]
-    shape = (len(recs), *dataset.shape.array_shape())
-    composed = composes(comp, np.reshape([rep_of[r.derivation.left] for r in recs], shape),
-                        np.reshape([rep_of[r.derivation.right] for r in recs], shape))
-    targets = np.reshape([r.representation for r in recs], shape)
-    errors = distances(distance_spec.kind, targets, composed).tolist()
-    return {rec.id: e for rec, e in zip(recs, errors)}
+    values, first = dataset._values, _first_records(dataset)
+    derivations = (rec.derivation for rec in dataset.records)
+    ids, left, right = np.array(
+        [(k, first[d.left], first[d.right]) for k, d in enumerate(derivations)
+         if isinstance(d, Node) and d.left in first and d.right in first],
+        dtype=np.intp).reshape(-1, 3).T
+    errors = distances(distance_spec.kind, values[ids],
+                       composes(comp, values[left], values[right])).tolist()
+    return {dataset.records[k].id: e for k, e in zip(ids.tolist(), errors)}

@@ -246,7 +246,7 @@ def distances(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if kind == "cosine":
         return _cosine_terms(af, bf)[0]
     diff = af - bf
-    return (np.abs(diff) if kind == "l1" else diff * diff).sum(axis=1)
+    return (np.abs if kind == "l1" else np.square)(diff, out=diff).sum(axis=1)
 
 
 def _flat_rows(a: np.ndarray) -> np.ndarray:

@@ -462,7 +462,7 @@ class TestFitCommand:
     def test_missing_dataset_file_exits_two(self, tmp_path, capsys):
         code, _, err = run_cli("fit", str(tmp_path / "nope.jsonl"), capsys=capsys)
         assert code == 2
-        assert "error" in err
+        assert err.startswith("error: ") and "nope.jsonl" in err
 
     def test_linear_composition_learns_its_weights(self, hand_file, tmp_path, capsys):
         # --composition linear alone writes the library's learned-linear

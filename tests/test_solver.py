@@ -52,12 +52,17 @@ Core claims:
       builds its level indices once
     - a dataset compiles its DAG once for every fit, objective, closed-form
       fit, gradient check and bound check of it, keeps its stacked values
-      read-only, renders the reports of a fresh read, and a replaced one
-      builds its own; ``tre_datum`` refuses a non-finite record as a dataset
-      does
+      read-only, neither fits nor writes a record changed after first use,
+      renders the reports of a fresh read, and a replaced one builds its
+      own; ``tre_datum`` refuses a non-finite record as a dataset does
     - row blocks in the step's two buffers keep the l1 gradient bits with a
       short last block, and a zero-norm cosine row in the second block is
       named and rescued
+    - a dataset's values are one float64 stack: int64, bool and float32
+      records give their float64 copy's trivial-table objective (0.0),
+      topographic similarities, cosine fit report, homomorphism residuals
+      and written file; trivial-table entries are writable copies; no
+      composing record gives no residuals
 """
 
 import dataclasses
@@ -103,6 +108,7 @@ from treerec import (
     parse_derivation,
     primitives_of,
     read_dataset,
+    topographic_similarity,
     tre_datum,
     trivial_composition_table,
     write_dataset,
@@ -185,13 +191,17 @@ class TestDatasetCaches:
         assert len(compiled) == 1
         assert solver_module._build_problem(dataset, "cosine", ADD).targets is dataset._values
 
-    def test_values_are_read_only_and_kept(self):
-        dataset = cache_dataset()
+    def test_values_are_read_only_and_kept(self, tmp_path):
+        dataset, first, again = cache_dataset(), tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         before = rendered_fit(dataset, "l1")
+        write_dataset(first, dataset)
         assert not dataset._values.flags.writeable
-        # Stacked on first use: a record array changed in place later is not seen.
+        # Stacked on first use: a record array changed in place later is
+        # neither fit nor written.
         dataset.records[0].representation[:] += 1.0
         assert rendered_fit(dataset, "l1") == before
+        write_dataset(again, dataset)
+        assert again.read_bytes() == first.read_bytes()
 
     def test_reports_equal_a_fresh_read(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -211,6 +221,68 @@ class TestDatasetCaches:
         fresh = Dataset(dataset.records[:25], dataset.shape)
         for kind in ("squared_l2", "l1", "cosine"):
             assert rendered_fit(part, kind) == rendered_fit(fresh, kind)
+
+
+STACK_TEXTS = ("a", "b", "c", "(a b)", "(b c)", "((a b) c)", "(a (b c))")
+STACK_VALUES = np.array([[1, 0, 0, 1], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 0],
+                         [1, 0, 0, 0], [1, 1, 0, 1], [1, 0, 1, 1]])
+
+
+def stack_dataset(dtype):
+    """A derivation-closed dataset whose records hold ``dtype`` arrays."""
+    return Dataset([Record(text, value.astype(dtype), parse_derivation(text))
+                    for text, value in zip(STACK_TEXTS, STACK_VALUES)], VectorShape(4))
+
+
+def stack_outputs(dataset, tmp_path):
+    """What each reader of a dataset's values makes of it."""
+    table, comp = trivial_composition_table(dataset)
+    topo = [topographic_similarity(dataset, spec) for spec in (COSINE, L1)]
+    path = tmp_path / "stack.jsonl"
+    write_dataset(path, dataset)
+    return {
+        "trivial objective": objective(table, FitConfig(distance=SQL2, composition=comp),
+                                       dataset),
+        "topo": [(t.coefficient, t.p_value, t.n) for t in topo],
+        "cosine fit": rendered_fit(dataset, "cosine"),
+        "homomorphism": homomorphism_residuals(dataset, ADD, SQL2),
+        "file": path.read_bytes(),
+        "read back": read_dataset(path)[0]._values.tolist(),
+    }
+
+
+class TestValueStack:
+    """A dataset's values are one float64 stack, which every reader reads,
+    so integer, boolean and float32 records give what their float64 copy gives."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float32],
+                             ids=["int64", "bool", "float32"])
+    def test_integer_and_boolean_records_read_as_their_float_copy(self, dtype, tmp_path):
+        got = stack_outputs(stack_dataset(dtype), tmp_path)
+        want = stack_outputs(stack_dataset(np.float64), tmp_path)
+        assert want["trivial objective"] == 0.0
+        for name in want:
+            assert got[name] == want[name], name
+        assert all(type(e) is float for e in got["homomorphism"].values())
+        assert b"[1.0, 0.0, 0.0, 1.0]" in got["file"]
+
+    def test_trivial_entries_are_writable_copies(self):
+        dataset = stack_dataset(np.float64)
+        table, _ = trivial_composition_table(dataset)
+        for entry in table.entries.values():
+            assert entry.flags.writeable
+            assert not np.shares_memory(entry, dataset._values)
+            assert not any(np.shares_memory(entry, r.representation) for r in dataset)
+
+    @pytest.mark.parametrize("comp", [
+        ADD, LinearComposition(0.5 * np.eye(4), np.eye(4)), TableComposition()],
+        ids=["additive", "fixed_linear", "table"])
+    def test_no_composing_record_gives_no_residuals(self, comp):
+        # Each node lacks a child among the records, or is a leaf.
+        ds = stack_dataset(np.float64)
+        part = Dataset([r for r in ds if r.id in ("a", "b", "(b c)", "((a b) c)")], ds.shape)
+        for spec in (SQL2, L1, COSINE):
+            assert homomorphism_residuals(part, comp, spec) == {}
 
 
 class TestEvalCompositional:
