@@ -76,8 +76,9 @@ def _t_approx_p_value(r: float, n: int) -> float:
 
 
 def _pearson_coefficient(xs: np.ndarray, ys: np.ndarray) -> float:
-    cx = xs - xs.mean()
-    cy = ys - ys.mean()
+    # Each centred sequence is scaled, exactly, by the power of two that puts its
+    # largest magnitude in [0.5, 1), so that its squares neither underflow nor overflow.
+    cx, cy = (np.ldexp(c, -np.frexp(np.abs(c).max())[1]) for c in (xs - xs.mean(), ys - ys.mean()))
     sx = float(np.sqrt((cx * cx).sum()))
     sy = float(np.sqrt((cy * cy).sum()))
     if sx == 0.0 or sy == 0.0:
@@ -247,6 +248,9 @@ def mutual_information_binned(inputs, representations, bins: int = 30) -> float:
     bins = _integer("bins", bins, 2)
 
     flat = as_representation(np.stack([np.ravel(r) for r in representations]))
+    # A coordinate whose range overflows is binned on its values halved, which is exact.
+    with np.errstate(over="ignore"):
+        flat *= np.where(np.isinf(flat.max(axis=0) - flat.min(axis=0)), 0.5, 1.0)
     lo = flat.min(axis=0)
     hi = flat.max(axis=0)
     span = hi - lo

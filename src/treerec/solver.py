@@ -61,7 +61,6 @@ EARLY_STOP_WINDOW = 50
 GRADCHECK_STEP = 1e-5
 INIT_SCALE = 0.01
 _SEED_MASK = (1 << 64) - 1
-_MAX_COSINE_RESCUES = 10
 _BLOCK_VALUES = 1 << 15
 
 
@@ -207,7 +206,7 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class TreReport:
-    """Result of a fit: per-record errors, their mean, and the learned table."""
+    """Result of a fit: per-record errors, their mean, the table; ``diagnostics`` is empty."""
 
     per_datum: dict[str, float]
     aggregate: float
@@ -283,6 +282,7 @@ def objective(table: PrimitiveTable, config: FitConfig, dataset: Dataset) -> flo
 
 
 def _rng(seed: int, *keys: int) -> np.random.Generator:
+    """``seed``'s stream under ``keys``: first 0 (entries), 1 (weights) or 3 (gradient checks)."""
     return np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, *keys]))
 
 
@@ -318,16 +318,6 @@ def _forward(dag: _Dag, params: np.ndarray, comp: CompositionSpec) -> np.ndarray
 def _flat_index(ids: np.ndarray, width: int) -> np.ndarray:
     """Flat indices of the elements of rows ``ids`` of a ``(size, width)`` array."""
     return (ids[:, None] * width + np.arange(width)).ravel()
-
-
-def _leaves_under(dag: _Dag, ids: np.ndarray) -> np.ndarray:
-    """The leaf ids, ascending, under the subtrees ``ids``: one walk down the levels."""
-    marked = np.zeros(dag.size, dtype=bool)
-    marked[ids] = True
-    for lo, hi in reversed(dag.levels):
-        nodes = lo + np.flatnonzero(marked[lo:hi])
-        marked[dag.left[nodes]] = marked[dag.right[nodes]] = True
-    return np.flatnonzero(marked[:len(dag.symbols)])
 
 
 def _backward(problem: _Problem, values: np.ndarray, comp: CompositionSpec,
@@ -391,10 +381,6 @@ class _Adam:
             mhat = self.m[k] / (1.0 - ADAM_BETA1**self.t)
             vhat = self.v[k] / (1.0 - ADAM_BETA2**self.t)
             array -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-
-    def reset_rows(self, rows: Sequence[int]):
-        self.m[0][list(rows)] = 0.0
-        self.v[0][list(rows)] = 0.0
 
 
 @dataclass(frozen=True)
@@ -462,7 +448,8 @@ class _Problem:
         * cosine: sum_k cosdist(p, y_k) = |s| cosdist(p, s) + m - |s| with
           s = sum_k y_k / |y_k|.  Where s is 0 the row keeps weight 0 and
           its first record's unit target as a stand-in, so that a zero
-          prediction there still raises ZeroNormError;
+          prediction there still raises ZeroNormError, and ``fit`` a
+          DivergenceError naming a record;
         * l1 has no such reduction: the rows are the records, unweighted.
         """
         flat = self.targets.reshape(len(self.targets), -1)
@@ -524,7 +511,8 @@ def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec
     buffers per call, and adds their losses and gradients in block order.  The l1
     gradient, of integer terms, is the same at any block count; squared_l2 and
     cosine results are the same while the rows fit in one block.  A cosine
-    ZeroNormError names the zero-norm rows by their index in ``problem.rows``."""
+    ZeroNormError names every zero-norm row, in every block, by its index in
+    ``problem.rows``, so that ``fit`` names the first such record in record order."""
     rows, flat = problem.rows, params.reshape(len(params), -1)
     if isinstance(problem.comp, AdditiveComposition):
         size = max(1, _BLOCK_VALUES // rows.targets.shape[1])
@@ -573,13 +561,12 @@ def _init_weights(problem: _Problem, seed: int, restart: int):
 @dataclass(frozen=True)
 class _Restart:
     """One restart's parameter rows, composition with the weights in use,
-    (step, objective) trace, stop before ``config.steps`` and rescue messages."""
+    (step, objective) trace and stop before ``config.steps``."""
 
     params: np.ndarray
     comp: CompositionSpec
     trace: tuple[tuple[int, float], ...]
     converged: bool
-    diagnostics: tuple[str, ...] = ()
 
 
 def _report(dataset: Dataset, problem: _Problem, run: _Restart,
@@ -591,7 +578,7 @@ def _report(dataset: Dataset, problem: _Problem, run: _Restart,
                if problem.learns_weights else None)
     return TreReport({rec.id: e for rec, e in zip(dataset.records, errors)},
                      math.fsum(errors) / len(errors), PrimitiveTable(entries, weights),
-                     run.trace, run.converged, run.diagnostics)
+                     run.trace, run.converged)
 
 
 def _fit_problem(dataset: Dataset, config: FitConfig) -> _Problem:
@@ -624,17 +611,19 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
     composition uses weighted distinct leaf-count rows instead of the DAG.
     Each restart ends in a ``_Restart`` record; the winner's is reported, with
     per-record errors at its parameters.  Under cosine, a zero-norm
-    representation raises ZeroNormError naming its record.
+    representation raises ZeroNormError naming its record, and a prediction
+    of norm 0 raises DivergenceError naming the step and the first record, in
+    record order, that predicts it.
     """
     problem = _fit_problem(dataset, config)
     # ``min`` keeps the first of equally good restarts.
-    runs = (_fit_once(problem, config, restart) for restart in range(config.restarts))
+    runs = (_fit_once(dataset, problem, config, restart) for restart in range(config.restarts))
     best = min(runs, key=lambda run: run.trace[-1][1])
     return _report(dataset, problem, best,
                    _record_errors(problem, problem.predict(best.params, best.comp)))
 
 
-def _fit_once(problem: _Problem, config: FitConfig, restart: int) -> _Restart:
+def _fit_once(dataset: Dataset, problem: _Problem, config: FitConfig, restart: int) -> _Restart:
     params = _init_params(problem, config.seed, restart)
     comp, arrays = problem.comp, [params]
     if problem.learns_weights:
@@ -645,29 +634,14 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int) -> _Restart:
 
     trace: list[tuple[int, float]] = []
     best_so_far: list[float] = []
-    diagnostics: list[str] = []
     while True:
         step = len(trace)
         try:
             obj, grads = _loss_and_grads(problem, params, comp)
         except ZeroNormError as zero:
-            rescues = len(diagnostics) + 1
-            if rescues > _MAX_COSINE_RESCUES:
-                raise DivergenceError(
-                    step, f"cosine predictions collapsed to zero norm at step {step} "
-                          f"and re-initialization did not recover")
-            roots = problem.dag.roots[problem.rows.first[list(zero.rows)]]
-            rows = _leaves_under(problem.dag, roots).tolist()
-            for row in rows:
-                rng = _rng(config.seed, 2, restart, rescues, row)
-                params[row] = rng.normal(0.0, INIT_SCALE, params.shape[1:])
-            opt.reset_rows(rows)
-            names = ", ".join(problem.dag.symbols[r].name for r in rows)
-            diagnostics.append(
-                f"step {step}: zero-norm cosine prediction; re-initialized "
-                f"entries [{names}]")
-            continue
-
+            first = dataset.records[problem.rows.first[list(zero.rows)].min()].id
+            raise DivergenceError(step, f"cosine prediction has zero norm at step {step} "
+                                        f"in record {first!r}") from None
         if not np.isfinite(obj):
             raise DivergenceError(step)
         trace.append((step, obj))
@@ -683,7 +657,7 @@ def _fit_once(problem: _Problem, config: FitConfig, restart: int) -> _Restart:
 
         opt.step(grads)
 
-    return _Restart(params, comp, tuple(trace), step < config.steps, tuple(diagnostics))
+    return _Restart(params, comp, tuple(trace), step < config.steps)
 
 
 def closed_form_fit(dataset: Dataset) -> TreReport:

@@ -1,7 +1,8 @@
 """Topographic similarity, the distance bound, correlations, and binned MI.
 
 Core claims:
-    - Pearson/Spearman reproduce the standard hand-checkable values; the
+    - Pearson/Spearman reproduce the standard hand-checkable values, also
+      where the centred sequences' squares would underflow or overflow; the
       exact permutation p-value is available for small n; Spearman's tied
       ranks are scipy's; the t-approximation p-value is scipy.stats' to the
       bit, and neither importing treerec nor a topographic similarity
@@ -11,7 +12,8 @@ Core claims:
       near 0; constant distances raise; the batched computation equals a
       per-pair loop (exactly for l1 and squared_l2); pair distances filled
       in tiles equal one batched call per row to the bit, however the tiles
-      split the rows
+      split the rows; the Pearson score of l1 data scaled by 2^-700 or 2^600
+      is the unscaled one to the bit
     - with l1 distance, additive composition, and unit-ball primitive entries,
       representation distances never exceed derivation distance plus twice
       the worst per-record error (verified by enumerating all record pairs)
@@ -19,7 +21,8 @@ Core claims:
       composed values stay within leaf-count distance of the origin, and
       within edit distance of each other
     - the plug-in MI estimator hits the closed-form values (0 bits, log2 n
-      bits, the hand-computed 1-bit case) and stays within [0, log2 n]
+      bits, the hand-computed 1-bit case) and stays within [0, log2 n],
+      also where a coordinate's range overflows
 """
 
 import itertools
@@ -125,6 +128,15 @@ class TestPearsonSpearman:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
                 corr([1.0, 2.0, bad, 3.0], [1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_squares_past_float_range(self, scale):
+        # The centred squares overflow to inf or underflow to 0 unless the
+        # sequence is rescaled first; at 1e200 the coefficient would read -0.0.
+        xs = [scale, -scale, 0.0]
+        assert pearson(xs, [1.0, 2.0, 3.0]).coefficient == approx(-0.5)
+        assert pearson(xs, xs).coefficient == 1.0
 
     def test_p_value_decreases_with_n(self):
         xs = np.linspace(0, 1, 6)
@@ -312,6 +324,18 @@ class TestTopographicSimilarity:
         _, tree_d = analysis_module._pair_distances(ds, L1)
         assert tree_d.dtype == np.int64
         assert np.array_equal(tree_d, np.array(ted, dtype=np.float64)[np.triu_indices(60, 1)])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("exponent", [-700, 600])
+    def test_pearson_on_power_of_two_rescaled_data_is_unchanged(self, exponent):
+        # Every l1 pair distance scales exactly, so the coefficient must not
+        # move; squared, distances near 2^-700 underflow and near 2^600 overflow.
+        data, _ = generate_compositional(GenSpec(num_primitives=4, shape=VectorShape(6),
+                                                 num_records=12, noise_sigma=0.3, seed=5))
+        scaled = Dataset(tuple(type(r)(r.id, np.ldexp(r.representation, exponent),
+                                       r.derivation) for r in data.records), data.shape)
+        assert (topographic_similarity(scaled, L1, rank_based=False)
+                == topographic_similarity(data, L1, rank_based=False))
 
     def test_rank_mode_invariant_to_rescaling_and_relabeling(self):
         spec = GenSpec(num_primitives=4, shape=VectorShape(6), num_records=10,
@@ -543,6 +567,13 @@ class TestMutualInformation:
     def test_constant_coordinate_is_tolerated(self):
         reps = [np.array([1.0, 0.5]), np.array([2.0, 0.5]), np.array([3.0, 0.5])]
         got = mutual_information_binned(["a", "b", "c"], reps, bins=4)
+        assert got == approx(np.log2(3))
+
+    @pytest.mark.filterwarnings("error")
+    def test_range_past_float_max_bins_without_overflow(self):
+        # 1e308 - (-1e308) overflows; on halved values the three records
+        # fall in three bins, the first, the middle and the last.
+        got = mutual_information_binned([0, 1, 2], [[1e308], [0.0], [-1e308]])
         assert got == approx(np.log2(3))
 
     @pytest.mark.filterwarnings("error")

@@ -4,7 +4,8 @@ Core claims:
     - dataset files round-trip bit-exactly in both shapes and both record
       forms (repr lists and token strings)
     - format errors carry 1-based line numbers and exit with code 1
-    - exit codes: 0 success, 1 parse error, 2 config error, 3 divergence
+    - exit codes: 0 success, 1 parse error, 2 config error, 3 divergence,
+      including a cosine prediction of zero norm, named by step and record
     - generated files are accepted by fit (format closure); identical flags
       produce byte-identical outputs
     - a written report can be re-ingested and its learned primitives
@@ -54,6 +55,7 @@ from treerec import (
     write_dataset,
 )
 import treerec.dataio as dataio
+import treerec.solver as solver
 from treerec.cli import main
 from treerec.dataio import render_report, report_to_dict, write_report
 
@@ -513,6 +515,18 @@ class TestFitCommand:
                                    capsys=capsys)
         assert code == 3
         assert "step 1" in err
+
+    @pytest.mark.parametrize("flags", [(), ("--composition", "linear")],
+                             ids=["additive", "linear"])
+    def test_zero_norm_cosine_prediction_exits_three(self, hand_file, capsys, monkeypatch,
+                                                     flags):
+        # From zero entries every cosine prediction has norm 0.
+        monkeypatch.setattr(solver, "_init_params", lambda problem, seed, restart:
+                            np.zeros((len(problem.dag.symbols),) + problem.targets.shape[1:]))
+        code, out, err = run_cli("fit", str(hand_file), "--distance", "cosine", *flags,
+                                 capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: cosine prediction has zero norm at step 0 in record 'x1'\n"
 
     def test_byte_identical_reports(self, tmp_path, capsys):
         data_path = tmp_path / "data.jsonl"

@@ -21,7 +21,7 @@ Core claims:
       default restarts (5, else 1) and refuses a given value that disagrees,
       and a learned-linear report is the same with or without the flag
     - a learned linear fit builds no dense subtrees x primitives table, also
-      when a cosine rescue re-initializes every primitive
+      when an all-zero cosine start ends it in DivergenceError
     - the linear backward pass adds into each subtree's gradient in one fixed
       order (roots, then levels top-down, left block before right block), so
       its sums are reproducible to the bit; a gradient check of no trials is
@@ -30,13 +30,16 @@ Core claims:
       entry is 1% off, and checks additive l1 on 2e4 records
     - additive squared_l2 and cosine sum over the distinct leaf-count rows,
       weighted, plus a constant, and that sum equals the per-record one in
-      value, gradient and rescue diagnostics; l1 sums over the records
+      value and gradient; l1 sums over the records
+    - a zero-norm cosine prediction raises DivergenceError naming the step
+      and the first record, in record order, that predicts 0, found record
+      by record: in one row block and in 2-row blocks, under additive and
+      learned-linear composition, at the first zero in the first restart
     - learned-linear squared_l2 and cosine sum over the distinct DAG roots,
       weighted, plus a constant, within 1e-12 of the per-record sum in value
       and all three gradients, even where a root's cosine targets cancel;
-      l1 equals the per-record sum to the bit; the learned-linear cosine
-      rescue names the primitives of the records that predict zero; a
-      problem built for fixed linear weights sums over the roots too
+      l1 equals the per-record sum to the bit; a problem built for fixed
+      linear weights sums over the roots too
     - a learned-linear fit that diverges, also through weights that turn
       non-finite, raises DivergenceError naming the step; evaluating no
       derivations is a ValueError
@@ -57,7 +60,7 @@ Core claims:
       own; ``tre_datum`` refuses a non-finite record as a dataset does
     - row blocks in the step's two buffers keep the l1 gradient bits with a
       short last block, and a zero-norm cosine row in the second block is
-      named and rescued
+      named and ends the fit
     - a dataset's values are one float64 stack: int64, bool and float32
       records give their float64 copy's trivial-table objective (0.0),
       topographic similarities, cosine fit report, homomorphism residuals
@@ -65,6 +68,7 @@ Core claims:
       composing record gives no residuals
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -106,7 +110,6 @@ from treerec import (
     homomorphism_residuals,
     objective,
     parse_derivation,
-    primitives_of,
     read_dataset,
     topographic_similarity,
     tre_datum,
@@ -600,9 +603,12 @@ class TestFit:
                                       "representation in record 'y'")
             assert err.value.rows == rows
 
-    def test_cosine_zero_prediction_rescue(self, monkeypatch):
+    @pytest.mark.parametrize("composition", [ADD, LinearComposition()],
+                             ids=["additive", "learned-linear"])
+    def test_cosine_zero_prediction_raises_divergence(self, monkeypatch, composition):
         # Force the degenerate start: all-zero parameters make every cosine
-        # prediction undefined, so the fit must re-initialize and recover.
+        # prediction undefined, so the fit stops at step 0, in its first
+        # restart, naming the first record.
         real_init = solver_module._init_params
         calls = {"n": 0}
 
@@ -612,11 +618,11 @@ class TestFit:
 
         monkeypatch.setattr(solver_module, "_init_params", zero_init)
         ds = vec_dataset([("x", [1.0, 0.0], "a"), ("y", [0.0, 1.0], "(a b)")], dim=2)
-        report = fit(ds, FitConfig(distance=COSINE, steps=300, seed=0))
+        with pytest.raises(DivergenceError) as err:
+            fit(ds, FitConfig(distance=COSINE, composition=composition, steps=300, seed=0))
         assert calls["n"] == 1
-        assert report.diagnostics
-        assert "re-initialized" in report.diagnostics[0]
-        assert np.isfinite(report.aggregate)
+        assert err.value.step == 0
+        assert str(err.value) == "cosine prediction has zero norm at step 0 in record 'x'"
 
     def test_restart_default_depends_on_learnability(self):
         assert FitConfig(distance=SQL2).restarts == 1
@@ -700,7 +706,8 @@ class TestFit:
         # Building dense leaf counts takes 500 floats per distinct subtree,
         # about 49 MB here; the linear path never reads them.  Under cosine
         # the fit starts from zero parameters, so every prediction is 0 and
-        # the first step rescues every primitive, found from the DAG roots.
+        # the first step raises DivergenceError naming the first record,
+        # found from the rows' DAG roots.
         data, _ = generate_compositional(GenSpec(num_primitives=500, shape=VectorShape(4),
                                                  num_records=2000, seed=0))
         config = FitConfig(distance=spec, composition=LinearComposition(),
@@ -710,18 +717,25 @@ class TestFit:
                                 np.zeros((len(problem.dag.symbols),) + problem.targets.shape[1:]))
         tracemalloc.start()
         try:
-            report = fit(data, config)
+            with (pytest.raises(DivergenceError) if spec is COSINE
+                  else contextlib.nullcontext()) as err:
+                report = fit(data, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.steps_run == 5
-        assert len(report.diagnostics) == (spec is COSINE)
+        if spec is COSINE:
+            assert err.value.step == 0
+            assert str(err.value) == (f"cosine prediction has zero norm at step 0 in record "
+                                      f"{data.records[0].id!r}")
+        else:
+            assert report.steps_run == 5
         assert peak < 10e6
 
 
 class TestRestarts:
     """``converged`` is "stopped before ``config.steps``", the report is the
-    restart with the lowest final objective, and cosine rescues are capped."""
+    restart with the lowest final objective, and a zero-norm cosine
+    prediction ends the fit in the restart that meets it."""
 
     DATA = GenSpec(num_primitives=5, shape=VectorShape(6), num_records=60, noise_sigma=0.1,
                    seed=11)
@@ -782,32 +796,35 @@ class TestRestarts:
         assert np.array_equal(weights.right_weights, best.comp.right_weights)
         assert not np.array_equal(runs[0].params, runs[1].params)
 
-    def test_cosine_rescues_stop_after_ten(self, monkeypatch):
-        # Every evaluation finds a zero-norm row: ten rescues re-initialize
-        # its primitives from keys 1 to 10, and the eleventh gives up.
-        calls, keys, rng = {"n": 0}, [], solver_module._rng
+    @pytest.mark.parametrize("rows,record", [((1,), "y"), ((1, 0), "x")], ids=["y", "x-y"])
+    def test_cosine_zero_norm_ends_the_fit_at_its_step(self, monkeypatch, rows, record):
+        # Steps 0 to 2 evaluate; step 3 finds ``rows`` of zero norm.  Rows
+        # 0 and 1 are the records "x" and "y", so the fit names the first
+        # of them in record order, draws no parameters again and runs no
+        # second restart.
+        calls, keys = {"n": 0}, []
+        loss_and_grads, rng = solver_module._loss_and_grads, solver_module._rng
 
-        def zero_norm(problem, params, comp):
+        def zero_norm_at_step_3(problem, params, comp):
             calls["n"] += 1
-            raise ZeroNormError("cosine distance is undefined for a zero-norm operand", [0])
+            if calls["n"] == 4:
+                raise ZeroNormError("cosine distance is undefined for a zero-norm operand", rows)
+            return loss_and_grads(problem, params, comp)
 
         def recorded_rng(seed, *args):
-            if args[0] == 2:
-                keys.append(args)
+            keys.append(args[:2])
             return rng(seed, *args)
 
-        monkeypatch.setattr(solver_module, "_loss_and_grads", zero_norm)
+        monkeypatch.setattr(solver_module, "_loss_and_grads", zero_norm_at_step_3)
         monkeypatch.setattr(solver_module, "_rng", recorded_rng)
         dataset = vec_dataset([("x", [1.0, 0.0], "a"), ("y", [0.0, 1.0], "(a b)")], dim=2)
-        with pytest.raises(DivergenceError, match="at step 0 and re-initialization did not "
-                                                  "recover") as err:
-            fit(dataset, FitConfig(distance=COSINE, steps=300, seed=0))
-        assert err.value.step == 0
-        assert solver_module._MAX_COSINE_RESCUES == 10
-        assert calls["n"] == 11
-        rows = [row for _, _, rescue, row in keys if rescue == 1]
-        assert rows
-        assert keys == [(2, 0, rescue, row) for rescue in range(1, 11) for row in rows]
+        assert solver_module._fit_problem(dataset, FitConfig(COSINE)).rows.first.tolist() == [0, 1]
+        with pytest.raises(DivergenceError) as err:
+            fit(dataset, FitConfig(distance=COSINE, steps=300, seed=0, restarts=2))
+        assert err.value.step == 3
+        assert str(err.value) == f"cosine prediction has zero norm at step 3 in record {record!r}"
+        assert calls["n"] == 4
+        assert keys == [(0, 0), (0, 0)]
 
 
 class TestNoiseMonotonicity:
@@ -1067,17 +1084,18 @@ class TestDistinctCountRows:
         config = FitConfig(distance=spec, seed=11)
         assert gradient_check(shared_rows_dataset(shape), config, trials=10) < 1e-6
 
-    @pytest.mark.parametrize("zeroed,block_rows",
-                             [("abc", None), ("ab", None), ("abc", 2), ("ab", 2)],
-                             ids=["abc", "ab", "abc-2-row-blocks", "ab-2-row-blocks"])
-    def test_cosine_rescue_names_primitives_of_zero_records(self, monkeypatch, zeroed,
-                                                            block_rows):
-        # Entries named in ``zeroed`` start at 0.  The records whose
-        # predictions are then 0, found record by record, must be the ones
-        # whose primitives the fit re-initializes: with "ab", the rows of
-        # "(a b)" and "(b a)", including the cancelled cosine row.  In
-        # 2-row blocks those rows fall in more than one block, and the
-        # diagnostics must equal the fit's in one block.
+    @pytest.mark.parametrize("zeroed,record,block_rows",
+                             [("ab", "r0", None), ("ac", "r5", None), ("ab", "r0", 2),
+                              ("ac", "r5", 2)],
+                             ids=["ab", "ac", "ab-2-row-blocks", "ac-2-row-blocks"])
+    def test_cosine_zero_prediction_names_first_zero_record(self, monkeypatch, zeroed,
+                                                            record, block_rows):
+        # Entries named in ``zeroed`` start at 0.  The fit must name the
+        # first record, in record order, whose prediction is then 0, found
+        # record by record: with "ab", "(a b)", whose row is the cancelled
+        # cosine row.  In 2-row blocks that row lies in the second block
+        # and "b"'s zero row in the first, so the zero rows of every block
+        # must be searched; the error must equal the fit's in one block.
         data = shared_rows_dataset((4,))
         config = FitConfig(distance=COSINE, steps=20, seed=0)
         real_init = solver_module._init_params
@@ -1092,19 +1110,18 @@ class TestDistinctCountRows:
             return params
 
         monkeypatch.setattr(solver_module, "_init_params", init)
-        one_block = fit(data, config)
-        if block_rows is not None:
-            monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 4 * block_rows)
-        report = fit(data, config)
-        assert report.diagnostics == one_block.diagnostics
+        errors = []
+        for block in (None, block_rows):
+            if block is not None:
+                monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 4 * block)
+            with pytest.raises(DivergenceError) as err:
+                fit(data, config)
+            errors.append((err.value.step, str(err.value)))
         values = eval_compositional(PrimitiveTable(start), ADD,
                                     [rec.derivation for rec in data])
-        names = sorted({sym.name for rec, value in zip(data, values) if not value.any()
-                        for sym in primitives_of(rec.derivation)})
-        assert names == sorted(zeroed)
-        assert report.diagnostics[0] == (f"step 0: zero-norm cosine prediction; "
-                                         f"re-initialized entries [{', '.join(names)}]")
-        assert np.isfinite(report.aggregate)
+        assert next(rec.id for rec, value in zip(data, values) if not value.any()) == record
+        assert errors == [(0, f"cosine prediction has zero norm at step 0 in record "
+                              f"{record!r}")] * 2
 
 
 def repeated_roots_dataset(shape):
@@ -1167,11 +1184,12 @@ class TestDistinctRootRows:
         np.testing.assert_allclose(grads[0], expected[0], rtol=1e-12,
                                    atol=1e-12 * np.abs(expected[0]).max())
 
-    @pytest.mark.parametrize("zeroed", ["ab", "ac"])
-    def test_cosine_rescue_names_primitives_of_zero_records(self, monkeypatch, zeroed):
+    @pytest.mark.parametrize("zeroed,record", [("ab", "r0"), ("ac", "r5")], ids=["ab", "ac"])
+    def test_cosine_zero_prediction_names_first_zero_record(self, monkeypatch, zeroed,
+                                                            record):
         # As the additive test of that name, under learned linear
-        # composition: the records that predict 0 at the start, found record
-        # by record, name the primitives the fit re-initializes.
+        # composition: the fit names the first record, in record order,
+        # that predicts 0 at the start, found record by record.
         data = repeated_roots_dataset((4,))
         config = FitConfig(distance=COSINE, composition=LinearComposition(),
                            learn_composition=True, steps=20, seed=0, restarts=1)
@@ -1188,16 +1206,14 @@ class TestDistinctRootRows:
             return params
 
         monkeypatch.setattr(solver_module, "_init_params", init)
-        report = fit(data, config)
+        with pytest.raises(DivergenceError) as err:
+            fit(data, config)
         comp = LinearComposition(*start.pop("weights"))
         values = eval_compositional(PrimitiveTable(start), comp,
                                     [rec.derivation for rec in data])
-        names = sorted({sym.name for rec, value in zip(data, values) if not value.any()
-                        for sym in primitives_of(rec.derivation)})
-        assert names == sorted(zeroed)
-        assert report.diagnostics[0] == (f"step 0: zero-norm cosine prediction; "
-                                         f"re-initialized entries [{', '.join(names)}]")
-        assert np.isfinite(report.aggregate)
+        assert next(rec.id for rec, value in zip(data, values) if not value.any()) == record
+        assert err.value.step == 0
+        assert str(err.value) == f"cosine prediction has zero norm at step 0 in record {record!r}"
 
 
 PIN_DATA = {
@@ -1322,7 +1338,7 @@ class TestRowBlocks:
         assert grad.tobytes() == one_grad.tobytes()
         assert loss == approx(one_loss, rel=1e-12)
 
-    def test_zero_norm_row_in_the_second_block_is_rescued(self, monkeypatch):
+    def test_zero_norm_row_in_the_second_block_ends_the_fit(self, monkeypatch):
         dataset = shared_rows_dataset((4,))
         problem = solver_module._build_problem(dataset, "cosine", ADD)
         a = [sym.name for sym in problem.dag.symbols].index("a")
@@ -1343,14 +1359,16 @@ class TestRowBlocks:
             params[a] = 0.0
             return params
 
+        # Only record "r7", derivation "a", predicts 0.
         monkeypatch.setattr(solver_module, "_init_params", zero_a)
         config = FitConfig(distance=COSINE, steps=20, seed=1)
-        blocked = fit(dataset, config)
-        monkeypatch.setattr(solver_module, "_BLOCK_VALUES", 1 << 40)
-        one_block = fit(dataset, config)
-        assert blocked.diagnostics == one_block.diagnostics == (
-            "step 0: zero-norm cosine prediction; re-initialized entries [a]",)
-        assert blocked.aggregate == approx(one_block.aggregate, rel=1e-9)
+        errors = []
+        for block_values in (4 * block, 1 << 40):
+            monkeypatch.setattr(solver_module, "_BLOCK_VALUES", block_values)
+            with pytest.raises(DivergenceError) as err:
+                fit(dataset, config)
+            errors.append((err.value.step, str(err.value)))
+        assert errors == [(0, "cosine prediction has zero norm at step 0 in record 'r7'")] * 2
 
     def test_l1_report_does_not_depend_on_block_count(self, monkeypatch):
         # 5000 dim-16 records: 3 blocks at the default size.
