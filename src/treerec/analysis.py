@@ -76,9 +76,9 @@ def _t_approx_p_value(r: float, n: int) -> float:
 
 
 def _pearson_coefficient(xs: np.ndarray, ys: np.ndarray) -> float:
-    # Each centred sequence is scaled, exactly, by the power of two that puts its
-    # largest magnitude in [0.5, 1), so that its squares neither underflow nor overflow.
-    cx, cy = (np.ldexp(c, -np.frexp(np.abs(c).max())[1]) for c in (xs - xs.mean(), ys - ys.mean()))
+    # Exact power-of-two scaling to a largest magnitude in [0.5, 1): no mean or square overflows.
+    xs, ys = (np.ldexp(s, -np.frexp(np.abs(s).max())[1]) for s in (xs, ys))
+    cx, cy = xs - xs.mean(), ys - ys.mean()
     sx = float(np.sqrt((cx * cx).sum()))
     sy = float(np.sqrt((cy * cy).sum()))
     if sx == 0.0 or sy == 0.0:
@@ -252,13 +252,10 @@ def mutual_information_binned(inputs, representations, bins: int = 30) -> float:
     with np.errstate(over="ignore"):
         flat *= np.where(np.isinf(flat.max(axis=0) - flat.min(axis=0)), 0.5, 1.0)
     lo = flat.min(axis=0)
-    hi = flat.max(axis=0)
-    span = hi - lo
-    indices = np.zeros(flat.shape, dtype=np.int64)
-    varying = span > 0.0
-    if varying.any():
-        scaled = (flat[:, varying] - lo[varying]) / span[varying] * bins
-        indices[:, varying] = np.minimum(scaled.astype(np.int64), bins - 1)
+    span = flat.max(axis=0) - lo
+    # A constant coordinate is divided by 1, not its span of 0, so it lands in bin 0.
+    scaled = (flat - lo) / np.where(span > 0.0, span, 1.0) * bins
+    indices = np.minimum(scaled.astype(np.int64), bins - 1)
 
     patterns = [tuple(row) for row in indices]
     n = len(patterns)

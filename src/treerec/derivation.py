@@ -81,11 +81,10 @@ class _Interned:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        # The subtree table, not the nested objects, so that pickling and
-        # copying do not recurse once per level.  It is ``_compile``'s table,
-        # built in plain Python: one derivation is too small to repay numpy.
-        order, left, right, _ = _numbered([self])
-        return _rebuild, ([t.symbol.name for t in order if type(t) is Leaf], left, right)
+        # ``_compile``'s subtree table, not the nested objects, so that
+        # pickling and copying do not recurse once per level.
+        dag = _compile([self])
+        return _rebuild, ([s.name for s in dag.symbols], dag.left.tolist(), dag.right.tolist())
 
     def __str__(self) -> str:
         return format_derivation(self)
@@ -238,16 +237,14 @@ class _Dag:
     roots: np.ndarray
 
 
-def _numbered(derivations: Iterable[Derivation]
-              ) -> tuple[list[Derivation], list[int], list[int], dict[Derivation, int]]:
-    """The distinct subtrees of ``derivations`` in ``_Dag`` id order, the
-    ids of their left and right children (-1 for a leaf), and a map from
-    each subtree to its id.  Subtrees are keyed by object, as derivations are
-    interned: a subtree met before is not walked again."""
+def _compile(derivations: Iterable[Derivation]) -> _Dag:
+    """The ``_Dag`` of ``derivations``.  Subtrees are keyed by object, as
+    derivations are interned: a subtree met before is not walked again."""
+    roots = list(derivations)
     seen: set[Derivation] = set()
     leaves: list[Leaf] = []  # each list in postorder discovery order
     nodes: list[Node] = []
-    for d in derivations:
+    for d in roots:
         stack = [d]
         while stack:
             t = stack.pop()
@@ -267,18 +264,11 @@ def _numbered(derivations: Iterable[Derivation]
     order = leaves + nodes
     ids = {t: i for i, t in enumerate(order)}
     no_children = [-1] * len(leaves)
-    return (order, no_children + [ids[t.left] for t in nodes],
-            no_children + [ids[t.right] for t in nodes], ids)
-
-
-def _compile(derivations: Iterable[Derivation]) -> _Dag:
-    """The ``_Dag`` of ``derivations``."""
-    roots = list(derivations)
-    order, left, right, ids = _numbered(roots)
     ends = list(accumulate(np.bincount(np.array([t._height for t in order],
                                                 dtype=np.intp)).tolist()))
-    return _Dag(len(order), tuple(t.symbol for t in order if type(t) is Leaf),
-                np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+    return _Dag(len(order), tuple(t.symbol for t in leaves),
+                np.array(no_children + [ids[t.left] for t in nodes], dtype=np.intp),
+                np.array(no_children + [ids[t.right] for t in nodes], dtype=np.intp),
                 tuple(zip(ends, ends[1:])), np.array([ids[d] for d in roots], dtype=np.intp))
 
 

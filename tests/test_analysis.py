@@ -2,7 +2,8 @@
 
 Core claims:
     - Pearson/Spearman reproduce the standard hand-checkable values, also
-      where the centred sequences' squares would underflow or overflow; the
+      where the centred sequences' squares would underflow or overflow, or a
+      sequence's sum would overflow; sequences of unequal length raise; the
       exact permutation p-value is available for small n; Spearman's tied
       ranks are scipy's; the t-approximation p-value is scipy.stats' to the
       bit, and neither importing treerec nor a topographic similarity
@@ -16,7 +17,8 @@ Core claims:
       is the unscaled one to the bit
     - with l1 distance, additive composition, and unit-ball primitive entries,
       representation distances never exceed derivation distance plus twice
-      the worst per-record error (verified by enumerating all record pairs)
+      the worst per-record error (verified by enumerating all record pairs);
+      an empty primitive table is refused
     - the two supporting inequalities hold exhaustively at small size:
       composed values stay within leaf-count distance of the origin, and
       within edit distance of each other
@@ -26,8 +28,10 @@ Core claims:
 """
 
 import itertools
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +126,18 @@ class TestPearsonSpearman:
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
             pearson([1.0, 2.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("corr", [pearson, spearman])
+    def test_unequal_lengths_raise(self, corr):
+        with pytest.raises(ValueError, match="^sequences must have equal length$"):
+            corr([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+
+    def test_sum_past_float_range(self):
+        # 1.7e308 + 1.7e308 overflows: the mean is taken of the scaled sequence.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = pearson([1.7e308, 1.7e308, 0.0], [1.0, 2.0, 3.0]).coefficient
+        assert r == approx(-math.sqrt(3.0) / 2.0, rel=1e-15)
 
     @pytest.mark.parametrize("corr", [pearson, spearman])
     def test_non_finite_raises(self, corr):
@@ -362,6 +378,12 @@ class TestBoundCheck:
         with pytest.raises(ShapeMismatchError,
                            match=rf"^primitive '{named}' has shape \(3,\), expected \(2,\)$"):
             bound_check(ds, table, ADD, L1)
+
+    def test_empty_table_is_refused(self):
+        ds = Dataset.build([("x", [0.1, 0.1], parse_derivation("a"))], VectorShape(2))
+        with pytest.raises(ConditionsUnmetError,
+                           match="^conditions unmet: empty primitive table$"):
+            bound_check(ds, PrimitiveTable({}), ADD, L1)
 
     def test_exact_compositional_unit_ball(self):
         # zero reconstruction error: representation distances are bounded by

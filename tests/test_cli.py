@@ -7,7 +7,8 @@ Core claims:
     - exit codes: 0 success, 1 parse error, 2 config error, 3 divergence,
       including a cosine prediction of zero norm, named by step and record
     - generated files are accepted by fit (format closure); identical flags
-      produce byte-identical outputs
+      produce byte-identical outputs; ``gen --kind random`` writes the file of
+      ``generate_random``, and shape flags given by halves exit with code 2
     - a written report can be re-ingested and its learned primitives
       re-evaluated to the recorded per-record errors; a malformed report
       shape is a format error
@@ -27,6 +28,7 @@ Core claims:
 
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -37,6 +39,7 @@ import pytest
 from pytest import approx
 
 from treerec import (
+    CodeShape,
     Dataset,
     DatasetFormatError,
     DistanceSpec,
@@ -52,6 +55,7 @@ from treerec import (
     tre_datum,
     fit,
     generate_compositional,
+    generate_random,
     write_dataset,
 )
 import treerec.dataio as dataio
@@ -81,6 +85,26 @@ RECORD_FAULTS = {
                      "duplicate record id 'x'"),
     "short repr": ('{"id": "f", "derivation": "a", "repr": [1.0]}', "expected 2"),
     "invalid JSON": ('{"id": "f",', "invalid JSON"),
+}
+CODE_HEADER = '{"length": 2, "vocab": 2, "alphabet": "ab"}'
+# Whole dataset files with one fault each, with its line and message.
+FILE_FAULTS = {
+    "empty": ("", 1, "empty dataset file"),
+    "blank lines": ("\n  \n", 1, "empty dataset file"),
+    "header only": ('{"dim": 2}\n', 1, "dataset file has a header but no records"),
+    "record not an object": ('{"dim": 2}\n[1.0, 0.0]\n', 2, "record must be a JSON object"),
+    "missing id": ('{"dim": 2}\n{"derivation": "a", "repr": [1.0, 0.0]}\n', 2,
+                   "record needs a non-empty string 'id'"),
+    "empty id": ('{"dim": 2}\n{"id": "", "derivation": "a", "repr": [1.0, 0.0]}\n', 2,
+                 "record needs a non-empty string 'id'"),
+    "missing derivation": ('{"dim": 2}\n{"id": "x", "repr": [1.0, 0.0]}\n', 2,
+                           "record needs a 'derivation' string"),
+    "tokens under dim": ('{"dim": 2}\n{"id": "x", "derivation": "a", "tokens": "ab"}\n', 2,
+                         "'tokens' records require a {length, vocab, alphabet} header"),
+    "tokens too long": (CODE_HEADER + '\n{"id": "x", "derivation": "a", "tokens": "aba"}\n',
+                        2, "'tokens' must be a string of length 2"),
+    "tokens not a string": (CODE_HEADER + '\n{"id": "x", "derivation": "a", "tokens": [0, 1]}\n',
+                            2, "'tokens' must be a string of length 2"),
 }
 
 
@@ -137,7 +161,6 @@ class TestDatasetFiles:
 
     def test_code_round_trip_relaxed_repr_form(self, tmp_path):
         rng = np.random.default_rng(1)
-        from treerec import CodeShape
         rows = [(f"r{i}", rng.normal(0, 1, (3, 4)), parse_derivation("(a b)"))
                 for i in range(3)]
         ds = Dataset.build(rows, CodeShape(3, 4))
@@ -201,6 +224,19 @@ class TestDatasetFiles:
         code, _, err = run_cli("fit", str(path), "--steps", "5", capsys=capsys)
         assert code == 1
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fault", FILE_FAULTS)
+    def test_file_fault_names_its_line_and_exits_one(self, tmp_path, capsys, fault):
+        text, line, message = FILE_FAULTS[fault]
+        path = tmp_path / "fault.jsonl"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError,
+                           match=f"^{re.escape(f'line {line}: {message}')}$") as err:
+            read_dataset(path)
+        assert err.value.line == line
+        code, _, err_text = run_cli("fit", str(path), capsys=capsys)
+        assert code == 1
+        assert err_text == f"error: line {line}: {message}\n"
 
     @pytest.mark.parametrize("fault", RECORD_FAULTS)
     @pytest.mark.parametrize("nan_first", [True, False], ids=["nan_first", "nan_last"])
@@ -369,12 +405,20 @@ class TestGenCommand:
         assert run_cli(*args, "--out", str(p2), capsys=capsys)[0] == 0
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_shape_flag_conflict_exits_two(self, tmp_path, capsys):
-        code, _, err = run_cli("gen", "--kind", "random", "--dim", "4",
-                               "--length", "2", "--vocab", "3",
-                               "--out", str(tmp_path / "x.jsonl"), capsys=capsys)
+    @pytest.mark.parametrize("flags,message", [
+        (("--dim", "4", "--length", "2", "--vocab", "3"),
+         "give either --dim or --length/--vocab, not both"),
+        (("--length", "4"), "--length and --vocab must be given together"),
+        (("--vocab", "8"), "--length and --vocab must be given together"),
+        (("--length", "1", "--vocab", "63"), "no default alphabet for vocab 63; supply one")],
+        ids=["dim-and-code", "length-alone", "vocab-alone", "vocab-past-default-alphabet"])
+    def test_shape_flag_faults_exit_two(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.jsonl"
+        code, _, err = run_cli("gen", "--kind", "random", *flags, "--records", "3",
+                               "--out", str(out), capsys=capsys)
         assert code == 2
-        assert "either" in err
+        assert err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags,name", [
         (("--dim", "0"), "dim"), (("--length", "0", "--vocab", "2"), "length"),
@@ -385,6 +429,19 @@ class TestGenCommand:
                                capsys=capsys)
         assert code == 2
         assert f"error: {name} must be an integer of at least 1" in err and not out.exists()
+
+    @pytest.mark.parametrize("flags,shape", [
+        (("--dim", "4"), VectorShape(4)), (("--length", "4", "--vocab", "8"), CodeShape(4, 8))],
+        ids=["vector", "code"])
+    def test_random_kind_writes_generate_random(self, tmp_path, capsys, flags, shape):
+        out, want = tmp_path / "random.jsonl", tmp_path / "want.jsonl"
+        code, stdout, _ = run_cli("gen", "--kind", "random", "--primitives", "3", *flags,
+                                  "--records", "10", "--seed", "5", "--out", str(out),
+                                  capsys=capsys)
+        assert code == 0 and stdout == f"{out}\n"
+        write_dataset(want, generate_random(GenSpec(3, shape, num_records=10, seed=5)))
+        assert out.read_bytes() == want.read_bytes()
+        assert read_dataset(out)[0].shape == shape
 
     def test_non_finite_noise_exits_two(self, tmp_path, capsys):
         out = tmp_path / "x.jsonl"

@@ -11,11 +11,13 @@ Core claims:
     - random (structure-free) data fits far worse than matched compositional
       data
     - the two fixture languages contain exactly the published 8 rows, with
-      one-hot 4x16 encodings and the documented token-to-column mapping
+      one-hot 4x16 encodings and the documented token-to-column mapping,
+      which refuses a vocab its tokens and padding letters cannot fill
 """
 
 import hashlib
 import re
+import string
 
 import numpy as np
 import pytest
@@ -307,3 +309,10 @@ class TestFixtureLanguages:
     def test_alphabet_rejects_overflow(self):
         with pytest.raises(ValueError):
             code_alphabet(("abcd", "efgh"), 4)
+
+    def test_alphabet_runs_out_of_padding(self):
+        # Two observed tokens and the 24 other lowercase letters make 26.
+        assert code_alphabet(("ab",), 26) == string.ascii_lowercase
+        with pytest.raises(ValueError,
+                           match="^not enough padding characters for requested vocab$"):
+            code_alphabet(("ab",), 27)

@@ -2,7 +2,8 @@
 
 Core claims:
     - a dataset rejects a duplicate id, a wrongly shaped or a non-finite
-      representation, naming the first faulty record in record order
+      representation, naming the first faulty record in record order, and
+      refuses to hold no records
     - bottom-up evaluation and per-record error match hand arithmetic; a
       linear composition without matrices takes the table's weights
     - the closed-form least-squares oracle reproduces the hand-solved
@@ -162,6 +163,11 @@ class TestDataset:
             Dataset.build(rows, VectorShape(2))
         assert type(err.value) is error
         assert err.value.record == record
+
+    @pytest.mark.parametrize("build", [Dataset, Dataset.build], ids=["init", "build"])
+    def test_no_records_is_refused(self, build):
+        with pytest.raises(ValueError, match="^dataset must contain at least one record$"):
+            build([], VectorShape(2))
 
 
 def cache_dataset(num_records=40):

@@ -17,12 +17,15 @@ Core claims:
       finite differences (the oracle lives in this file, not the library);
       they come from the solver's kernels: the batched distance gradient and
       the backward pass over the one-node derivation "(a b)"
+    - an unknown distance kind, one weight matrix, and weight matrices that
+      are not equal-size square matrices are refused by name
     - every numeric setting, of shapes and configs alike, is checked by
       ``_integer`` or ``_real``: a bool, a non-number or a value out of range
       raises a ValueError naming the setting, and a numpy scalar is stored
       as a Python int or float
 """
 
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -427,6 +430,28 @@ class TestShapes:
         assert CodeShape(4, 16).array_shape() == (4, 16)
         with pytest.raises(ValueError):
             CodeShape(4, 0)
+
+
+class TestSpecErrors:
+    def test_unknown_distance_kind(self):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "unknown distance kind 'euclidean'; expected one of "
+                "('cosine', 'l1', 'squared_l2')") + "$"):
+            DistanceSpec("euclidean")
+
+    @pytest.mark.parametrize("side", ["left_weights", "right_weights"])
+    def test_one_weight_matrix_is_refused(self, side):
+        with pytest.raises(ValueError, match="^provide both weight matrices or neither$") as err:
+            LinearComposition(**{side: np.eye(2)})
+        assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize("left,right", [
+        (np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3))), (np.ones(2), np.ones(2))],
+        ids=["unequal", "not-square", "one-dimensional"])
+    def test_weights_must_be_equal_square_matrices(self, left, right):
+        with pytest.raises(ShapeMismatchError,
+                           match="^weights must be equal-size square matrices$"):
+            LinearComposition(left, right)
 
 
 # Settings that were once misread: accepted, or left to fail later with a
