@@ -117,8 +117,13 @@ def pearson(xs, ys, exact: bool = False) -> CorrelationResult:
 
 
 def _average_ranks(xs: np.ndarray) -> np.ndarray:
-    """1-based ranks; each group of tied values gets the mean of its ranks."""
-    _, group, count = np.unique(xs, return_inverse=True, return_counts=True)
+    """1-based ranks; each group of tied values gets the mean of its ranks.  Whole
+    numbers in ``[0, len(xs)]``, such as edit distances, are counted, not sorted."""
+    group = xs.astype(np.intp) if len(xs) and 0 <= xs.min() and xs.max() <= len(xs) else None
+    if group is not None and (group == xs).all():
+        count = np.bincount(group)  # empty bins are never indexed below
+    else:
+        _, group, count = np.unique(xs, return_inverse=True, return_counts=True)
     end = np.cumsum(count)  # a group's ranks run from end - count + 1 to end
     return ((2 * end - count + 1) / 2.0)[group]
 

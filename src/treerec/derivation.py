@@ -272,6 +272,9 @@ def _compile(derivations: Iterable[Derivation]) -> _Dag:
                 tuple(zip(ends, ends[1:])), np.array([ids[d] for d in roots], dtype=np.intp))
 
 
+_TED_BLOCK = 1024  # subtree pairs per height pair that fill a height sum as blocks
+
+
 def tree_edit_distance(d1: Derivation, d2: Derivation) -> int:
     """Edit distance between two derivations.
 
@@ -289,10 +292,13 @@ def pairwise_tree_edit_distances(trees: Sequence[Derivation]) -> list[list[int]]
     """Full symmetric ``tree_edit_distance`` matrix over ``trees``.
 
     Fills an m x m table over the m distinct subtrees of ``trees`` with no
-    recursion, each unordered pair of them once (into both halves), so a pair
-    shared across trees is solved once: O(m^2) time and memory.  The table is
-    int64, as leaf counts outgrow 32 bits: ``Node(t, t)`` nested 40 times has
-    2^40 leaves.  Trees of 2^60 leaves or more raise OverflowError.
+    recursion, in increasing height sum h(a) + h(b), as each pair's terms read
+    smaller sums: O(m^2) time and memory, a shared pair solved once.  A sum of
+    at least ``_TED_BLOCK`` subtree pairs per height pair fills as broadcast
+    blocks, one per height pair (a same-height block fills its square); a
+    narrower one, as in combs, as one flat batch.  Both give the same integers.
+    The int64 table holds the 2^40 leaves of ``Node(t, t)`` nested 40 times;
+    trees of 2^60 leaves or more raise OverflowError.
     """
     if any(t._size >= 1 << 60 for t in trees):
         raise OverflowError("tree edit distance needs fewer than 2^60 leaves per tree")
@@ -301,7 +307,8 @@ def pairwise_tree_edit_distances(trees: Sequence[Derivation]) -> list[list[int]]
     # leaf's children map to row m, far from everything: terms using it never win.
     m, top, n_leaves = dag.size, len(dag.levels), len(dag.symbols)
     start = np.array([0, n_leaves, *(hi for _, hi in dag.levels)])
-    height = np.repeat(np.arange(top + 1), np.diff(start))
+    width = np.diff(start)
+    height = np.repeat(np.arange(top + 1), width)
     left, right = (np.where(ids < 0, m, ids) for ids in (dag.left, dag.right))
     leaves = np.zeros(m + 1, dtype=np.int64)
     leaves[:n_leaves] = 1
@@ -312,15 +319,8 @@ def pairwise_tree_edit_distances(trees: Sequence[Derivation]) -> list[list[int]]
     dist = np.full((m + 1, m + 1), far, dtype=np.int64)
     dist[:n_leaves, :n_leaves] = 1 - np.eye(n_leaves, dtype=np.int64)
     flat, w = dist.ravel(), m + 1
-    # Each term for a pair of height sum s reads pairs of smaller sums, so
-    # one batched step fills a sum: every a with h(a) <= h(b), against the
-    # ids b >= a of the height s - h(a), into both halves of the table.
-    for s in range(1, 2 * top + 1):
-        a = np.arange(start[max(0, s - top)], start[s // 2 + 1])
-        first = np.maximum(start[s - height[a]], a)
-        count = start[s - height[a] + 1] - first
-        a = np.repeat(a, count)
-        b = np.arange(len(a)) + np.repeat(first - np.cumsum(count) + count, count)
+    # Fills the pairs (a, b), elementwise or broadcast as a block, into both halves.
+    def fill(a, b):
         la, ra, lb, rb = left[a], right[a], left[b], right[b]
         aw, law, raw = a * w, la * w, ra * w
         d = flat.take(law + lb) + flat.take(raw + rb)
@@ -329,7 +329,22 @@ def pairwise_tree_edit_distances(trees: Sequence[Derivation]) -> list[list[int]]
             term += leaves[cost]
             np.minimum(d, term, out=d)
         flat[aw + b] = flat[b * w + a] = d
-    return dist[np.ix_(dag.roots, dag.roots)].tolist()
+
+    ones = np.ones(top + 1)  # convolved with itself: the ordered height pairs of each sum
+    wide = (np.convolve(width, width) / np.convolve(ones, ones) >= _TED_BLOCK).tolist()
+    for s in range(1, 2 * top + 1):
+        if wide[s]:
+            for h in range(max(0, s - top), s // 2 + 1):
+                fill(np.arange(start[h], start[h + 1])[:, None],
+                     np.arange(start[s - h], start[s - h + 1]))
+            continue
+        # Every a with h(a) <= h(b), against the ids b >= a of the height s - h(a).
+        a = np.arange(start[max(0, s - top)], start[s // 2 + 1])
+        first = np.maximum(start[s - height[a]], a)
+        count = start[s - height[a] + 1] - first
+        a = np.repeat(a, count)
+        fill(a, np.arange(len(a)) + np.repeat(first - np.cumsum(count) + count, count))
+    return dist.take(dag.roots, 0).take(dag.roots, 1).tolist()
 
 
 def all_derivations(symbols: Sequence[Symbol], max_size: int) -> list[Derivation]:

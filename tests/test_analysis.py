@@ -180,6 +180,27 @@ class TestPearsonSpearman:
             assert spearman(xs, ys).coefficient == approx(
                 stats.spearmanr(xs, ys).statistic, rel=1e-12, abs=1e-15)
 
+    def test_counted_ranks_equal_sorted_ranks(self):
+        # Whole numbers in [0, n] are ranked by counting; shifted by 0.5 or
+        # below 0 they keep their order and ties but are ranked by sorting.
+        rng = np.random.default_rng(9)
+        for xs in (rng.integers(0, 6, 40).astype(float), rng.integers(0, 41, 40).astype(float),
+                   np.array([3.0, 0.0, 3.0]), np.array([-0.0, 0.0, 1.0]), np.array([1.0]),
+                   np.array([0.0])):
+            ranks = stats.rankdata(xs).tolist()
+            assert analysis_module._average_ranks(xs).tolist() == ranks
+            for moved in (xs + 0.5, xs - len(xs) - 1):
+                assert analysis_module._average_ranks(moved).tolist() == ranks
+        # Past len(xs), or not whole, a sequence is sorted.
+        for xs in (np.array([4.0, 0.0, 1.0]), 0.5 * rng.integers(0, 7, 40)):
+            assert analysis_module._average_ranks(xs).tolist() == stats.rankdata(xs).tolist()
+        assert analysis_module._average_ranks(np.array([])).tolist() == []
+
+    @pytest.mark.parametrize("xs", [[], [1.0], [0.0]])
+    def test_spearman_of_fewer_than_3_pairs_raises(self, xs):
+        with pytest.raises(ValueError, match="^need at least 3 pairs$"):
+            spearman(xs, xs)
+
     def test_import_leaves_scipy_stats_unloaded(self):
         code = "import sys, treerec, treerec.cli; print('scipy.stats' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -7,7 +7,9 @@ Core claims:
     - edit distance is a metric, checked exhaustively over all derivations
       of size <= 4 on a 3-symbol alphabet
     - the subtree-table implementation agrees with an independent naive
-      recursion and with an independent bottom-up dynamic program
+      recursion and with an independent bottom-up dynamic program, with every
+      height sum filled as broadcast blocks, as flat batches, or both mixed
+      in one call
     - a tree built from shared subtree objects costs its distinct subtrees,
       however many leaves it has
     - derivations are interned: equal derivations are one object, also when
@@ -42,6 +44,7 @@ from treerec import (
     size,
     tree_edit_distance,
 )
+from treerec import derivation
 from treerec.derivation import _compile
 
 A, B, C = Symbol("a"), Symbol("b"), Symbol("c")
@@ -394,23 +397,53 @@ class TestEditDistanceHandValues:
             tree_edit_distance(doubled(A, 60), doubled(B, 1))
 
 
+def assert_agrees_with_bottomup_dp(trees):
+    """``pairwise_tree_edit_distances(trees)`` equals the bottom-up DP over
+    the distinct subtrees of ``trees``."""
+    subtrees, stack = {}, list(trees)
+    while stack:
+        t = stack.pop()
+        if t not in subtrees:
+            subtrees[t] = len(subtrees)
+            stack += [t.left, t.right] if isinstance(t, Node) else []
+    ids = [subtrees[t] for t in trees]
+    expected = bottomup_distance_matrix(list(subtrees))[np.ix_(ids, ids)]
+    assert (np.array(pairwise_tree_edit_distances(trees)) == expected).all()
+
+
+def generated_trees(num_primitives, depth_range, num_records, seed):
+    data = generate_random(GenSpec(num_primitives=num_primitives, shape=VectorShape(2),
+                                   depth_range=depth_range, num_records=num_records, seed=seed))
+    return [r.derivation for r in data.records]
+
+
+# ``_TED_BLOCK`` at 0 fills every height sum as blocks, at 10^18 as flat batches.
+BOTH_FILLS = pytest.mark.parametrize("block", [0, 10**18], ids=["blocks", "flat"])
+
+
 class TestEditDistanceGenerated:
     def test_generated_records_agree_with_bottomup_dp(self):
         # Records as the analyses see them: 16 primitives, depth 1-4 and
         # repeated derivations, so many subtree pairs share a height.
-        data = generate_random(GenSpec(num_primitives=16, shape=VectorShape(2),
-                                       depth_range=(1, 4), num_records=150, seed=4))
-        trees = [r.derivation for r in data.records]
+        trees = generated_trees(16, (1, 4), 150, 4)
         assert len(set(trees)) < len(trees)
-        subtrees, stack = {}, list(trees)
-        while stack:
-            t = stack.pop()
-            if t not in subtrees:
-                subtrees[t] = len(subtrees)
-                stack += [t.left, t.right] if isinstance(t, Node) else []
-        ids = [subtrees[t] for t in trees]
-        expected = bottomup_distance_matrix(list(subtrees))[np.ix_(ids, ids)]
-        assert (np.array(pairwise_tree_edit_distances(trees)) == expected).all()
+        assert_agrees_with_bottomup_dp(trees)
+
+    @BOTH_FILLS
+    def test_either_fill_agrees_with_bottomup_dp(self, block, monkeypatch):
+        monkeypatch.setattr(derivation, "_TED_BLOCK", block)
+        assert_agrees_with_bottomup_dp(generated_trees(16, (1, 4), 150, 4))
+
+    def test_one_call_mixing_both_fills_agrees_with_bottomup_dp(self):
+        # Over 3 primitives at depth 1-7 the middle height sums hold at least
+        # _TED_BLOCK subtree pairs per ordered height pair, the outer ones fewer.
+        trees = generated_trees(3, (1, 7), 120, 4)
+        dag = _compile(trees)
+        width = [len(dag.symbols)] + [hi - lo for lo, hi in dag.levels]
+        per_pair = [np.mean([width[h] * width[s - h] for h in range(len(width))
+                             if 0 <= s - h < len(width)]) for s in range(2 * len(width) - 1)]
+        assert min(per_pair) < derivation._TED_BLOCK <= max(per_pair)
+        assert_agrees_with_bottomup_dp(trees)
 
 
 @pytest.fixture(scope="module")
@@ -418,6 +451,11 @@ def matrix():
     trees = all_derivations([A, B, C], 4)
     assert len(trees) == 471  # (1 + 1*3 + 2*9 + 5*27) shapes x symbols
     return trees, np.array(pairwise_tree_edit_distances(trees))
+
+
+@pytest.fixture(scope="module")
+def bottomup(matrix):
+    return bottomup_distance_matrix(matrix[0])
 
 
 class TestEditDistanceExhaustive:
@@ -444,9 +482,13 @@ class TestEditDistanceExhaustive:
         sizes = np.array([size(t) for t in trees])
         assert (dist <= sizes[:, None] + sizes[None, :]).all()
 
-    def test_agrees_with_bottomup_dp(self, matrix):
-        trees, dist = matrix
-        assert (bottomup_distance_matrix(trees) == dist).all()
+    def test_agrees_with_bottomup_dp(self, matrix, bottomup):
+        assert (bottomup == matrix[1]).all()
+
+    @BOTH_FILLS
+    def test_either_fill_agrees_with_bottomup_dp(self, matrix, bottomup, block, monkeypatch):
+        monkeypatch.setattr(derivation, "_TED_BLOCK", block)
+        assert (np.array(pairwise_tree_edit_distances(matrix[0])) == bottomup).all()
 
     def test_agrees_with_naive_recursion(self, matrix):
         # Full naive recursion over every (4,4) pair is too slow; cover all
