@@ -119,8 +119,10 @@ def pearson(xs, ys, exact: bool = False) -> CorrelationResult:
 def _average_ranks(xs: np.ndarray) -> np.ndarray:
     """1-based ranks; each group of tied values gets the mean of its ranks.  Whole
     numbers in ``[0, len(xs)]``, such as edit distances, are counted, not sorted."""
-    group = xs.astype(np.intp) if len(xs) and 0 <= xs.min() and xs.max() <= len(xs) else None
-    if group is not None and (group == xs).all():
+    whole = len(xs) > 0 and all(0 <= s.min() and s.max() <= len(xs) and (np.floor(s) == s).all()
+                                for s in (xs[:64], xs))  # most float sides fail in the first 64
+    if whole:
+        group = xs.astype(np.intp)
         count = np.bincount(group)  # empty bins are never indexed below
     else:
         _, group, count = np.unique(xs, return_inverse=True, return_counts=True)

@@ -272,7 +272,7 @@ def _compile(derivations: Iterable[Derivation]) -> _Dag:
                 tuple(zip(ends, ends[1:])), np.array([ids[d] for d in roots], dtype=np.intp))
 
 
-_TED_BLOCK = 1024  # subtree pairs per height pair that fill a height sum as blocks
+_TED_BLOCK = 8192  # subtree pairs per height pair from which blocks outrun a flat batch
 
 
 def tree_edit_distance(d1: Derivation, d2: Derivation) -> int:
@@ -319,31 +319,28 @@ def pairwise_tree_edit_distances(trees: Sequence[Derivation]) -> list[list[int]]
     dist = np.full((m + 1, m + 1), far, dtype=np.int64)
     dist[:n_leaves, :n_leaves] = 1 - np.eye(n_leaves, dtype=np.int64)
     flat, w = dist.ravel(), m + 1
-    # Fills the pairs (a, b), elementwise or broadcast as a block, into both halves.
-    def fill(a, b):
-        la, ra, lb, rb = left[a], right[a], left[b], right[b]
-        aw, law, raw = a * w, la * w, ra * w
-        d = flat.take(law + lb) + flat.take(raw + rb)
-        for at, cost in ((aw + lb, rb), (aw + rb, lb), (law + b, ra), (raw + b, la)):
-            term = flat.take(at)
-            term += leaves[cost]
-            np.minimum(d, term, out=d)
-        flat[aw + b] = flat[b * w + a] = d
-
     ones = np.ones(top + 1)  # convolved with itself: the ordered height pairs of each sum
     wide = (np.convolve(width, width) / np.convolve(ones, ones) >= _TED_BLOCK).tolist()
     for s in range(1, 2 * top + 1):
-        if wide[s]:
-            for h in range(max(0, s - top), s // 2 + 1):
-                fill(np.arange(start[h], start[h + 1])[:, None],
-                     np.arange(start[s - h], start[s - h + 1]))
-            continue
-        # Every a with h(a) <= h(b), against the ids b >= a of the height s - h(a).
-        a = np.arange(start[max(0, s - top)], start[s // 2 + 1])
-        first = np.maximum(start[s - height[a]], a)
-        count = start[s - height[a] + 1] - first
-        a = np.repeat(a, count)
-        fill(a, np.arange(len(a)) + np.repeat(first - np.cumsum(count) + count, count))
+        if wide[s]:  # one block per height pair; a same-height block fills its square
+            pairs = [(np.arange(start[h], start[h + 1])[:, None],
+                      np.arange(start[s - h], start[s - h + 1]))
+                     for h in range(max(0, s - top), s // 2 + 1)]
+        else:  # every a with h(a) <= h(b), against the ids b >= a of the height s - h(a)
+            a = np.arange(start[max(0, s - top)], start[s // 2 + 1])
+            first = np.maximum(start[s - height[a]], a)
+            count = start[s - height[a] + 1] - first
+            a = np.repeat(a, count)
+            pairs = [(a, np.arange(len(a)) + np.repeat(first - np.cumsum(count) + count, count))]
+        for a, b in pairs:  # fills each pair (a, b), flat or broadcast, into both halves
+            la, ra, lb, rb = left[a], right[a], left[b], right[b]
+            aw, law, raw = a * w, la * w, ra * w
+            d = flat.take(law + lb) + flat.take(raw + rb)
+            for at, cost in ((aw + lb, rb), (aw + rb, lb), (law + b, ra), (raw + b, la)):
+                term = flat.take(at)
+                term += leaves[cost]
+                np.minimum(d, term, out=d)
+            flat[aw + b] = flat[b * w + a] = d
     return dist.take(dag.roots, 0).take(dag.roots, 1).tolist()
 
 

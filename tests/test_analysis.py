@@ -185,14 +185,16 @@ class TestPearsonSpearman:
         # below 0 they keep their order and ties but are ranked by sorting.
         rng = np.random.default_rng(9)
         for xs in (rng.integers(0, 6, 40).astype(float), rng.integers(0, 41, 40).astype(float),
-                   np.array([3.0, 0.0, 3.0]), np.array([-0.0, 0.0, 1.0]), np.array([1.0]),
+                   rng.integers(0, 30, 200).astype(float), np.array([3.0, 0.0, 3.0]), np.array([-0.0, 0.0, 1.0]), np.array([1.0]),
                    np.array([0.0])):
             ranks = stats.rankdata(xs).tolist()
             assert analysis_module._average_ranks(xs).tolist() == ranks
             for moved in (xs + 0.5, xs - len(xs) - 1):
                 assert analysis_module._average_ranks(moved).tolist() == ranks
-        # Past len(xs), or not whole, a sequence is sorted.
-        for xs in (np.array([4.0, 0.0, 1.0]), 0.5 * rng.integers(0, 7, 40)):
+        # Past len(xs), or not whole, a sequence is sorted, also when only a
+        # value after the first 64 is not whole.
+        for xs in (np.array([4.0, 0.0, 1.0]), 0.5 * rng.integers(0, 7, 40),
+                   np.r_[rng.integers(0, 6, 64), 2.5, 7.0]):
             assert analysis_module._average_ranks(xs).tolist() == stats.rankdata(xs).tolist()
         assert analysis_module._average_ranks(np.array([])).tolist() == []
 

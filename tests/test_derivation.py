@@ -434,15 +434,16 @@ class TestEditDistanceGenerated:
         monkeypatch.setattr(derivation, "_TED_BLOCK", block)
         assert_agrees_with_bottomup_dp(generated_trees(16, (1, 4), 150, 4))
 
-    def test_one_call_mixing_both_fills_agrees_with_bottomup_dp(self):
+    def test_one_call_mixing_both_fills_agrees_with_bottomup_dp(self, monkeypatch):
         # Over 3 primitives at depth 1-7 the middle height sums hold at least
-        # _TED_BLOCK subtree pairs per ordered height pair, the outer ones fewer.
+        # 1024 subtree pairs per ordered height pair, the outer ones fewer.
+        monkeypatch.setattr(derivation, "_TED_BLOCK", 1024)
         trees = generated_trees(3, (1, 7), 120, 4)
         dag = _compile(trees)
         width = [len(dag.symbols)] + [hi - lo for lo, hi in dag.levels]
         per_pair = [np.mean([width[h] * width[s - h] for h in range(len(width))
-                             if 0 <= s - h < len(width)]) for s in range(2 * len(width) - 1)]
-        assert min(per_pair) < derivation._TED_BLOCK <= max(per_pair)
+                             if 0 <= s - h < len(width)]) for s in range(1, 2 * len(width) - 1)]
+        assert min(per_pair) < 1024 <= max(per_pair)  # over the sums filled
         assert_agrees_with_bottomup_dp(trees)
 
 
