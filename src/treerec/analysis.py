@@ -78,12 +78,13 @@ def _t_approx_p_value(r: float, n: int) -> float:
 def _pearson_coefficient(xs: np.ndarray, ys: np.ndarray) -> float:
     # Exact power-of-two scaling to a largest magnitude in [0.5, 1): no mean or square overflows.
     xs, ys = (np.ldexp(s, -np.frexp(np.abs(s).max())[1]) for s in (xs, ys))
-    cx, cy = xs - xs.mean(), ys - ys.mean()
-    sx = float(np.sqrt((cx * cx).sum()))
-    sy = float(np.sqrt((cy * cy).sum()))
+    for s in (xs, ys):  # in place: the scaled copies are new, the caller's arrays stay
+        s -= s.mean()
+    sx = float(np.sqrt((xs * xs).sum()))
+    sy = float(np.sqrt((ys * ys).sum()))
     if sx == 0.0 or sy == 0.0:
         raise DegenerateInputError("correlation is undefined for a constant sequence")
-    r = float((cx * cy).sum()) / (sx * sy)
+    r = float((xs * ys).sum()) / (sx * sy)
     return max(-1.0, min(1.0, r))
 
 

@@ -226,10 +226,9 @@ class _Dag:
     ``levels[h - 1]`` is the id range ``(lo, hi)`` of the nodes of height
     ``h``; children always have lower ids, so evaluating the ids in order,
     one level slice at a time, is bottom-up.  ``roots`` has one id per
-    compiled derivation.
+    compiled derivation.  There are ``len(left)`` distinct subtrees.
     """
 
-    size: int
     symbols: tuple[Symbol, ...]
     left: np.ndarray
     right: np.ndarray
@@ -266,7 +265,7 @@ def _compile(derivations: Iterable[Derivation]) -> _Dag:
     no_children = [-1] * len(leaves)
     ends = list(accumulate(np.bincount(np.array([t._height for t in order],
                                                 dtype=np.intp)).tolist()))
-    return _Dag(len(order), tuple(t.symbol for t in leaves),
+    return _Dag(tuple(t.symbol for t in leaves),
                 np.array(no_children + [ids[t.left] for t in nodes], dtype=np.intp),
                 np.array(no_children + [ids[t.right] for t in nodes], dtype=np.intp),
                 tuple(zip(ends, ends[1:])), np.array([ids[d] for d in roots], dtype=np.intp))
@@ -305,7 +304,7 @@ def pairwise_tree_edit_distances(trees: Sequence[Derivation]) -> list[list[int]]
     dag = _compile(trees)
     # Ids run by height: height h is the block of ids from ``start[h]``.  A
     # leaf's children map to row m, far from everything: terms using it never win.
-    m, top, n_leaves = dag.size, len(dag.levels), len(dag.symbols)
+    m, top, n_leaves = len(dag.left), len(dag.levels), len(dag.symbols)
     start = np.array([0, n_leaves, *(hi for _, hi in dag.levels)])
     width = np.diff(start)
     height = np.repeat(np.arange(top + 1), width)

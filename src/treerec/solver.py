@@ -235,7 +235,7 @@ def eval_compositional(table: PrimitiveTable, comp: CompositionSpec,
     """
     single = isinstance(d, (Leaf, Node))
     dag = _compile([d] if single else d)
-    if not dag.size:
+    if not len(dag.roots):
         raise ValueError("no derivations to evaluate")
     comp = _with_weights(comp, table)
     values = _forward(dag, _table_params(table, dag.symbols), comp)[dag.roots]
@@ -308,7 +308,7 @@ def _forward(dag: _Dag, params: np.ndarray, comp: CompositionSpec) -> np.ndarray
     """Value of every subtree of ``dag``, indexed by id; ``params[i]`` is the
     value of leaf ``i``, ``dag.symbols[i]``.  One ``composes`` call per
     level."""
-    values = np.empty((dag.size,) + params.shape[1:])
+    values = np.empty((len(dag.left),) + params.shape[1:])
     values[:len(params)] = params
     for lo, hi in dag.levels:
         values[lo:hi] = composes(comp, values[dag.left[lo:hi]], values[dag.right[lo:hi]])
@@ -322,7 +322,7 @@ def _flat_index(ids: np.ndarray, width: int) -> np.ndarray:
 
 def _backward(problem: _Problem, values: np.ndarray, comp: CompositionSpec,
               seed: np.ndarray, upstream: np.ndarray) -> list[np.ndarray]:
-    """Adjoint of ``_forward`` over ``problem.dag`` for linear composition.
+    """Adjoint of ``_forward`` over ``problem.dag`` for a ``_fit_problem``'s linear ``comp``.
 
     ``upstream[k]`` is the gradient with respect to the value of the k-th subtree
     that ``seed``, a ``_flat_index``, names.  Returns the list ``_Adam.step`` takes:
@@ -339,14 +339,11 @@ def _backward(problem: _Problem, values: np.ndarray, comp: CompositionSpec,
     (``_Problem.level_index``), and the rows' roots' seed (``root_index``) are built once
     per problem; the weight gradients are ``np.tensordot``'s GEMM, on the same operands.
     """
-    if not isinstance(comp, LinearComposition):
-        raise TypeError(f"composition kind {getattr(comp, 'kind', comp)!r} "
-                        f"has no level-batched gradient")
     dag, lw, rw = problem.dag, comp.left_weights, comp.right_weights
     grads = np.zeros_like(values)
     flat, side = grads.reshape(-1), values.shape[1]
     np.add.at(flat, seed, upstream.ravel())
-    shape = (dag.size, side, -1)
+    shape = (len(values), side, -1)
     cols, gcols = values.reshape(shape), grads.reshape(shape)
     grad_lw, grad_rw = np.zeros_like(lw), np.zeros_like(rw)
     for (lo, hi), index in zip(reversed(dag.levels), reversed(problem.level_index)):
@@ -687,12 +684,10 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
     A draw is refused where the objective may have no derivative: under l1, if a residual
     is 0 at x or has another sign at x - hv or x + hv; under cosine, if a prediction at x
     has norm at most 1e-3.  A trial with no usable point in 64 draws raises ValueError, as
-    does ``trials`` below 1 or not an integer: a check of no points would report a perfect
-    0.0.  A configuration that ``fit`` refuses raises its ValueError.
+    does ``_integer``'s check that ``trials`` is at least 1: a check of no points would
+    report a perfect 0.0.  A configuration that ``fit`` refuses raises its ValueError.
     """
-    trials = _integer("trials", trials)
-    if trials < 1:
-        raise ValueError(f"gradient check needs at least one trial, got {trials}")
+    trials = _integer("trials", trials, 1)
     problem = _fit_problem(dataset, config)
     dag, shape, kind = problem.dag, problem.targets.shape[1:], problem.kind
 

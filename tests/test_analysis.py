@@ -198,6 +198,15 @@ class TestPearsonSpearman:
             assert analysis_module._average_ranks(xs).tolist() == stats.rankdata(xs).tolist()
         assert analysis_module._average_ranks(np.array([])).tolist() == []
 
+    @pytest.mark.parametrize("corr", [pearson, spearman])
+    def test_caller_arrays_are_left_unchanged(self, corr):
+        # Pearson centres its scaled copies in place, never the caller's float64 arrays.
+        rng = np.random.default_rng(10)
+        xs, ys = rng.normal(0, 1, 50), rng.integers(0, 9, 50).astype(float)
+        before = xs.copy(), ys.copy()
+        corr(xs, ys)
+        assert xs.tolist() == before[0].tolist() and ys.tolist() == before[1].tolist()
+
     @pytest.mark.parametrize("xs", [[], [1.0], [0.0]])
     def test_spearman_of_fewer_than_3_pairs_raises(self, xs):
         with pytest.raises(ValueError, match="^need at least 3 pairs$"):

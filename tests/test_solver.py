@@ -974,7 +974,7 @@ class TestGradientCheckOperation:
 
     def test_no_trials_is_refused(self, hand_instance):
         for trials in (0, -3):
-            with pytest.raises(ValueError, match="at least one trial"):
+            with pytest.raises(ValueError, match="^trials must be an integer of at least 1"):
                 gradient_check(hand_instance, FitConfig(distance=SQL2), trials=trials)
 
     @pytest.mark.parametrize("trials", [2.5, float("nan"), True], ids=str)
@@ -995,6 +995,18 @@ class TestGradientCheckOperation:
                 call()
             assert type(err.value) is ValueError
             assert str(err.value) == message
+
+    def test_table_is_refused_before_any_step(self, hand_instance, monkeypatch):
+        # ``_backward`` has no composition check of its own: ``_fit_problem``
+        # refuses a table before ``_loss_and_grads`` is ever called.
+        def step(*args):
+            raise AssertionError("_loss_and_grads ran on a table composition")
+        monkeypatch.setattr(solver_module, "_loss_and_grads", step)
+        config = FitConfig(distance=SQL2, composition=TableComposition())
+        for call in (lambda: fit(hand_instance, config),
+                     lambda: gradient_check(hand_instance, config, trials=1)):
+            with pytest.raises(ValueError, match="^cannot optimize through composition kind"):
+                call()
 
     @pytest.mark.parametrize("composition", [ADD, LinearComposition()], ids=["additive", "linear"])
     def test_no_point_clear_of_kinks_is_an_error(self, hand_instance, monkeypatch, composition):
@@ -1438,7 +1450,7 @@ def reference_backward(dag, values, comp, upstream, learn_weights):
     grads = np.zeros_like(values)
     for k, root in enumerate(dag.roots):
         grads[root] += upstream[k]
-    shape = (dag.size, values.shape[1], -1)
+    shape = (len(values), values.shape[1], -1)
     cols, gcols = values.reshape(shape), grads.reshape(shape)
     grad_lw, grad_rw = np.zeros_like(lw), np.zeros_like(rw)
     for lo, hi in reversed(dag.levels):

@@ -332,11 +332,6 @@ class TestCompose:
         with pytest.raises(CompositionLookupError):
             compose(table, s, r)
 
-    def test_table_has_no_gradient(self):
-        with pytest.raises(TypeError):
-            composition_gradients(TableComposition(), np.zeros(1), np.zeros(1),
-                                  np.zeros(1))
-
     def test_is_hard_code(self):
         assert is_hard_code(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert not is_hard_code(np.array([[0.5, 0.5], [1.0, 0.0]]))
