@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .derivation import pairwise_tree_edit_distances
-from .solver import _BLOCK_VALUES, Dataset, PrimitiveTable, _table_errors, _table_params
+from .solver import (_BLOCK_VALUES, Dataset, PrimitiveTable, _check_cosine_norms, _table_errors,
+                     _table_params)
 # Unused ``tre_datum`` and ``distance`` stay importable: perfbench's tracer wraps them.
 from .solver import tre_datum  # noqa: F401
 from .space import (AdditiveComposition, CompositionSpec, DistanceSpec, _integer,
@@ -155,11 +157,35 @@ def _pairs(kind: str, rows: np.ndarray) -> np.ndarray:
 
 def _pair_distances(dataset: Dataset, distance_spec: DistanceSpec):
     """Representation and tree edit distances of every record pair (i, j),
-    i < j, in row-major upper-triangle order, as a float and an int64 array."""
-    rep_d = _pairs(distance_spec.kind, dataset._values)
-    ted = pairwise_tree_edit_distances([r.derivation for r in dataset.records])
-    return rep_d, np.fromiter(itertools.chain.from_iterable(
-        row[i + 1:] for i, row in enumerate(ted)), np.int64, len(rep_d))
+    i < j, in row-major upper-triangle order, as a float64 and an int64 array.
+
+    The representation pairs fill on a second thread while this one fills the
+    TED table (numpy releases the GIL in both); each half runs as it would
+    alone, so no value depends on the overlap.  A worker's exception is raised
+    here after the join.  Under cosine, a zero-norm record raises ZeroNormError
+    naming it before the worker starts."""
+    kind, values, n = distance_spec.kind, dataset._values, len(dataset)
+    if kind == "cosine":
+        _check_cosine_norms(dataset)
+    rep_d = [None]
+
+    def fill():
+        try:
+            rep_d[0] = _pairs(kind, values)
+        except BaseException as err:  # raised on the calling thread below
+            rep_d[0] = err
+
+    worker = threading.Thread(target=fill)
+    worker.start()
+    try:
+        ted = pairwise_tree_edit_distances([r.derivation for r in dataset.records])
+        tree_d = np.fromiter(itertools.chain.from_iterable(
+            row[i + 1:] for i, row in enumerate(ted)), np.int64, n * (n - 1) // 2)
+    finally:
+        worker.join()
+    if isinstance(rep_d[0], BaseException):
+        raise rep_d[0]
+    return rep_d[0], tree_d
 
 
 def topographic_similarity(dataset: Dataset, distance_spec: DistanceSpec,

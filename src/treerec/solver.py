@@ -483,16 +483,21 @@ def _distinct_rows(matrix: np.ndarray):
     return ordered[starts], order[starts], inverse, np.diff(starts, append=len(order))
 
 
+def _check_cosine_norms(dataset: Dataset) -> None:
+    """Raises ZeroNormError naming the first record whose representation has
+    norm 0; its ``rows`` are the indices of every such record."""
+    values = dataset._values
+    zero = np.flatnonzero(_row_norms(values.reshape(len(values), -1)) == 0.0)
+    if zero.size:
+        raise ZeroNormError(f"cosine distance is undefined for zero-norm representation "
+                            f"in record {dataset.records[zero[0]].id!r}", zero.tolist())
+
+
 def _build_problem(dataset: Dataset, kind: str, comp: CompositionSpec) -> _Problem:
-    """Under cosine, raises ZeroNormError naming the first record whose
-    representation has norm 0."""
-    targets = dataset._values
+    """Under cosine, raises ZeroNormError as ``_check_cosine_norms`` does."""
     if kind == "cosine":
-        zero = np.flatnonzero(_row_norms(targets.reshape(len(targets), -1)) == 0.0)
-        if zero.size:
-            raise ZeroNormError(f"cosine distance is undefined for zero-norm representation "
-                                f"in record {dataset.records[zero[0]].id!r}", zero.tolist())
-    return _Problem(dataset._dag, targets, kind, comp)
+        _check_cosine_norms(dataset)
+    return _Problem(dataset._dag, dataset._values, kind, comp)
 
 
 def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec):

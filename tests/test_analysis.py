@@ -15,6 +15,10 @@ Core claims:
       in tiles equal one batched call per row to the bit, however the tiles
       split the rows; the Pearson score of l1 data scaled by 2^-700 or 2^600
       is the unscaled one to the bit
+    - the representation pairs, filled on a second thread while the TED
+      fills, equal each half computed alone, as float64 and int64; an error
+      of either half reaches the caller with its own type and leaves no
+      thread running; a cosine zero-norm record is named as ``fit`` names it
     - with l1 distance, additive composition, and unit-ball primitive entries,
       representation distances never exceed derivation distance plus twice
       the worst per-record error (verified by enumerating all record pairs);
@@ -31,6 +35,8 @@ import itertools
 import math
 import subprocess
 import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -47,10 +53,12 @@ from treerec import (
     DistanceSpec,
     FitConfig,
     GenSpec,
+    Node,
     PrimitiveTable,
     ShapeMismatchError,
     Symbol,
     VectorShape,
+    ZeroNormError,
     all_derivations,
     bound_check,
     distance,
@@ -66,8 +74,10 @@ from treerec import (
     spearman,
     topographic_similarity,
     tre_datum,
+    write_dataset,
 )
 from treerec import analysis as analysis_module
+from treerec.cli import main
 from treerec.space import distances
 
 L1 = DistanceSpec("l1")
@@ -292,6 +302,58 @@ class TestPairs:
         assert sizes == [3 * 64] * 12
 
 
+class TestPairDistances:
+    @pytest.mark.parametrize("kind", ["cosine", "l1", "squared_l2"])
+    def test_overlapped_halves_equal_each_half_alone(self, kind):
+        # 120 records of 16 values make 7140 pairs, four tiles of _pairs;
+        # a 1 µs switch interval interleaves the two threads finely.
+        spec = GenSpec(num_primitives=8, shape=VectorShape(16), depth_range=(1, 4),
+                       num_records=120, noise_sigma=0.1, seed=4)
+        ds, _ = generate_compositional(spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rep_d, tree_d = analysis_module._pair_distances(ds, DistanceSpec(kind))
+        finally:
+            sys.setswitchinterval(interval)
+        ted = pairwise_tree_edit_distances([r.derivation for r in ds.records])
+        assert rep_d.dtype == np.float64 and tree_d.dtype == np.int64
+        assert np.array_equal(rep_d, analysis_module._pairs(kind, ds._values))
+        assert np.array_equal(tree_d, np.array(ted, dtype=np.int64)[np.triu_indices(120, 1)])
+
+    @staticmethod
+    def small_dataset(deep=False):
+        tree = parse_derivation("a")
+        for _ in range(60 if deep else 0):
+            tree = Node(tree, tree)
+        rows = [("a", [1.0], tree), ("b", [2.0], parse_derivation("(a a)")),
+                ("c", [4.0], parse_derivation("((a a) a)"))]
+        return Dataset.build(rows, VectorShape(1))
+
+    def test_ted_error_reaches_the_caller_after_the_worker_joins(self, monkeypatch):
+        pairs = analysis_module._pairs
+
+        def slow(kind, rows):  # still running when the TED raises
+            time.sleep(0.2)
+            return pairs(kind, rows)
+
+        monkeypatch.setattr(analysis_module, "_pairs", slow)
+        threads = threading.active_count()
+        with pytest.raises(OverflowError, match="fewer than 2\\^60 leaves"):
+            analysis_module._pair_distances(self.small_dataset(deep=True), L1)
+        assert threading.active_count() == threads
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        def failing(kind, rows):
+            raise KeyError("no pairs today")
+
+        monkeypatch.setattr(analysis_module, "_pairs", failing)
+        threads = threading.active_count()
+        with pytest.raises(KeyError, match="no pairs today"):
+            topographic_similarity(self.small_dataset(), L1)
+        assert threading.active_count() == threads
+
+
 def reference_distance(kind, r, s):
     """One pair's distance, straight from the definitions."""
     if kind == "l1":
@@ -364,14 +426,22 @@ class TestTopographicSimilarity:
             else:
                 assert got == expected
 
-    def test_tree_side_is_the_upper_triangle_of_the_ted_matrix(self):
-        spec = GenSpec(num_primitives=16, shape=VectorShape(4), depth_range=(1, 4),
-                       num_records=60, seed=2)
-        ds, _ = generate_compositional(spec)
-        ted = pairwise_tree_edit_distances([r.derivation for r in ds.records])
-        _, tree_d = analysis_module._pair_distances(ds, L1)
-        assert tree_d.dtype == np.int64
-        assert np.array_equal(tree_d, np.array(ted, dtype=np.float64)[np.triu_indices(60, 1)])
+    def test_cosine_zero_norm_names_its_record(self, tmp_path, capsys):
+        rows = [("a", [1.0, 0.0], parse_derivation("a")),
+                ("b", [0.0, 0.0], parse_derivation("(a a)")),
+                ("c", [0.0, 1.0], parse_derivation("((a a) a)"))]
+        ds = Dataset.build(rows, VectorShape(2))
+        with pytest.raises(ZeroNormError) as fitted:
+            fit(ds, FitConfig(DistanceSpec("cosine"), steps=1))
+        with pytest.raises(ZeroNormError) as topo:
+            topographic_similarity(ds, DistanceSpec("cosine"))
+        assert str(topo.value) == str(fitted.value)
+        assert str(topo.value).endswith("in record 'b'")
+        assert topo.value.rows == (1,)
+        path = tmp_path / "zero.jsonl"
+        write_dataset(path, ds)
+        assert main(["topo", str(path), "--distance", "cosine"]) == 2
+        assert capsys.readouterr().err == f"error: {topo.value}\n"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("exponent", [-700, 600])
