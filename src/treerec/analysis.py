@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -77,9 +76,14 @@ def _t_approx_p_value(r: float, n: int) -> float:
     return float(2.0 * special.stdtr(n - 2, -abs(t)))
 
 
+def _pow2_scaled(x: np.ndarray, axis=None) -> np.ndarray:
+    """``x`` times the power of two that brings its largest magnitude along ``axis``
+    into [0.5, 1), exactly: no sum of squares overflows, and a ratio keeps its bits."""
+    return np.ldexp(x, -np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1])
+
+
 def _pearson_coefficient(xs: np.ndarray, ys: np.ndarray) -> float:
-    # Exact power-of-two scaling to a largest magnitude in [0.5, 1): no mean or square overflows.
-    xs, ys = (np.ldexp(s, -np.frexp(np.abs(s).max())[1]) for s in (xs, ys))
+    xs, ys = _pow2_scaled(xs), _pow2_scaled(ys)
     for s in (xs, ys):  # in place: the scaled copies are new, the caller's arrays stay
         s -= s.mean()
     sx = float(np.sqrt((xs * xs).sum()))
@@ -159,33 +163,23 @@ def _pair_distances(dataset: Dataset, distance_spec: DistanceSpec):
     """Representation and tree edit distances of every record pair (i, j),
     i < j, in row-major upper-triangle order, as a float64 and an int64 array.
 
-    The representation pairs fill on a second thread while this one fills the
-    TED table (numpy releases the GIL in both); each half runs as it would
-    alone, so no value depends on the overlap.  A worker's exception is raised
-    here after the join.  Under cosine, a zero-norm record raises ZeroNormError
-    naming it before the worker starts."""
+    The representation pairs fill on a one-worker pool while this thread fills
+    the TED table (numpy releases the GIL in both), so no value depends on the
+    overlap; leaving the pool joins the worker, and ``result()`` raises its
+    exception.  Under cosine, records are scaled by powers of two first and a
+    zero-norm record raises ZeroNormError naming it before the worker starts."""
+    from concurrent.futures import ThreadPoolExecutor  # here, so `import treerec` loads none
+
     kind, values, n = distance_spec.kind, dataset._values, len(dataset)
     if kind == "cosine":
-        _check_cosine_norms(dataset)
-    rep_d = [None]
-
-    def fill():
-        try:
-            rep_d[0] = _pairs(kind, values)
-        except BaseException as err:  # raised on the calling thread below
-            rep_d[0] = err
-
-    worker = threading.Thread(target=fill)
-    worker.start()
-    try:
+        values = _pow2_scaled(values, axis=tuple(range(1, values.ndim)))
+        _check_cosine_norms(dataset, values.reshape(n, -1))
+    with ThreadPoolExecutor(1) as pool:
+        rep_d = pool.submit(_pairs, kind, values)
         ted = pairwise_tree_edit_distances([r.derivation for r in dataset.records])
         tree_d = np.fromiter(itertools.chain.from_iterable(
             row[i + 1:] for i, row in enumerate(ted)), np.int64, n * (n - 1) // 2)
-    finally:
-        worker.join()
-    if isinstance(rep_d[0], BaseException):
-        raise rep_d[0]
-    return rep_d[0], tree_d
+    return rep_d.result(), tree_d
 
 
 def topographic_similarity(dataset: Dataset, distance_spec: DistanceSpec,
@@ -282,9 +276,7 @@ def mutual_information_binned(inputs, representations, bins: int = 30) -> float:
     bins = _integer("bins", bins, 2)
 
     flat = as_representation(np.stack([np.ravel(r) for r in representations]))
-    # A coordinate whose range overflows is binned on its values halved, which is exact.
-    with np.errstate(over="ignore"):
-        flat *= np.where(np.isinf(flat.max(axis=0) - flat.min(axis=0)), 0.5, 1.0)
+    flat = _pow2_scaled(flat, axis=0)  # exact, so no range overflows and no bin moves
     lo = flat.min(axis=0)
     span = flat.max(axis=0) - lo
     # A constant coordinate is divided by 1, not its span of 0, so it lands in bin 0.

@@ -288,11 +288,12 @@ def write_report(path: str | Path, report_dict: dict) -> None:
     Path(path).write_text(render_report(report_dict), encoding="utf-8")
 
 
-def _key_line(text: str, key: str, depth: int, start: int = 0) -> tuple[int, int]:
+def _key_line(text: str, key: str, depth: int, line: int = 1, start: int = 0) -> tuple[int, int]:
     """Line number and offset of the line where ``render_report`` writes
-    ``key`` at nesting ``depth``, searching from ``start``; (1, 0) if absent."""
+    ``key`` at nesting ``depth``, searching from offset ``start`` on line
+    ``line`` and counting newlines from there; ``(line, start)`` if absent."""
     at = text.find("\n" + "  " * depth + json.dumps(key) + ":", start) + 1
-    return text.count("\n", 0, at) + 1, at
+    return (line + text.count("\n", start, at), at) if at else (line, start)
 
 
 def load_report(path: str | Path) -> tuple[dict, PrimitiveTable, Shape]:
@@ -305,15 +306,15 @@ def load_report(path: str | Path) -> tuple[dict, PrimitiveTable, Shape]:
     if not isinstance(data, dict):
         raise DatasetFormatError(1, "report must be a JSON object")
     shape, _ = _parse_header(_key_line(text, "shape", 1)[0], data.get("shape"))
-    # Primitive names are searched after the "primitives" key, as a record
-    # id in "per_datum_tre" may have the same name.
+    # Each primitive name is searched after the previous one, from the
+    # "primitives" key on, as a record id in "per_datum_tre" may have the same name.
     line, start = _key_line(text, "primitives", 1)
     primitives = data.get("primitives")
     if not isinstance(primitives, dict):
         raise DatasetFormatError(line, "report needs a 'primitives' object")
     entries = {}
     for name, values in primitives.items():
-        line = _key_line(text, name, 2, start)[0]
+        line, start = _key_line(text, name, 2, line, start)
         try:
             symbol = Symbol(name)
         except ValueError as e:
@@ -332,7 +333,7 @@ def load_report(path: str | Path) -> tuple[dict, PrimitiveTable, Shape]:
         side = shape.array_shape()[0]
         weights = []
         for key in keys:
-            line, rows = _key_line(text, key, 2, start)[0], cp[key]
+            (line, start), rows = _key_line(text, key, 2, line, start), cp[key]
             if not isinstance(rows, list) or len(rows) != side:
                 raise DatasetFormatError(line, f"{key!r} must be a list of {side} rows")
             weights.append(np.stack([_parse_values(line, row, VectorShape(side),

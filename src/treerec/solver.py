@@ -483,11 +483,10 @@ def _distinct_rows(matrix: np.ndarray):
     return ordered[starts], order[starts], inverse, np.diff(starts, append=len(order))
 
 
-def _check_cosine_norms(dataset: Dataset) -> None:
-    """Raises ZeroNormError naming the first record whose representation has
-    norm 0; its ``rows`` are the indices of every such record."""
-    values = dataset._values
-    zero = np.flatnonzero(_row_norms(values.reshape(len(values), -1)) == 0.0)
+def _check_cosine_norms(dataset: Dataset, rows: np.ndarray) -> None:
+    """Raises ZeroNormError naming the first record of ``dataset`` whose flat
+    row in ``rows`` has norm 0; its ``rows`` are the indices of every such record."""
+    zero = np.flatnonzero(_row_norms(rows) == 0.0)
     if zero.size:
         raise ZeroNormError(f"cosine distance is undefined for zero-norm representation "
                             f"in record {dataset.records[zero[0]].id!r}", zero.tolist())
@@ -496,7 +495,7 @@ def _check_cosine_norms(dataset: Dataset) -> None:
 def _build_problem(dataset: Dataset, kind: str, comp: CompositionSpec) -> _Problem:
     """Under cosine, raises ZeroNormError as ``_check_cosine_norms`` does."""
     if kind == "cosine":
-        _check_cosine_norms(dataset)
+        _check_cosine_norms(dataset, dataset._values.reshape(len(dataset), -1))
     return _Problem(dataset._dag, dataset._values, kind, comp)
 
 

@@ -14,11 +14,14 @@ Core claims:
       per-pair loop (exactly for l1 and squared_l2); pair distances filled
       in tiles equal one batched call per row to the bit, however the tiles
       split the rows; the Pearson score of l1 data scaled by 2^-700 or 2^600
-      is the unscaled one to the bit
+      is the unscaled one to the bit, and so are both cosine scores of data
+      whose every other record is scaled by 2^±600, 2^900 or 2^-1000
     - the representation pairs, filled on a second thread while the TED
       fills, equal each half computed alone, as float64 and int64; an error
-      of either half reaches the caller with its own type and leaves no
-      thread running; a cosine zero-norm record is named as ``fit`` names it
+      of either half reaches the caller with its own type, a worker's
+      KeyboardInterrupt as the very object raised, and leaves no thread
+      running; importing treerec loads no executor; a cosine zero-norm
+      record is named as ``fit`` names it
     - with l1 distance, additive composition, and unit-ball primitive entries,
       representation distances never exceed derivation distance plus twice
       the worst per-record error (verified by enumerating all record pairs);
@@ -343,6 +346,26 @@ class TestPairDistances:
             analysis_module._pair_distances(self.small_dataset(deep=True), L1)
         assert threading.active_count() == threads
 
+    def test_worker_interrupt_reaches_the_caller_as_raised(self, monkeypatch):
+        interrupt = KeyboardInterrupt()
+
+        def interrupted(kind, rows):
+            raise interrupt
+
+        monkeypatch.setattr(analysis_module, "_pairs", interrupted)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt) as err:
+            analysis_module._pair_distances(self.small_dataset(), L1)
+        assert err.value is interrupt
+        assert threading.active_count() == threads
+
+    def test_import_loads_no_executor(self):
+        code = "import sys, treerec; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         def failing(kind, rows):
             raise KeyError("no pairs today")
@@ -454,6 +477,22 @@ class TestTopographicSimilarity:
                                        r.derivation) for r in data.records), data.shape)
         assert (topographic_similarity(scaled, L1, rank_based=False)
                 == topographic_similarity(data, L1, rank_based=False))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rank", [True, False], ids=["spearman", "pearson"])
+    @pytest.mark.parametrize("exponent", [600, -600, 900, -1000])
+    def test_cosine_ignores_each_records_scale(self, rank, exponent):
+        # Every other record is scaled.  Squared, 2^600 overflows and 2^-600
+        # underflows to a false zero norm; every value here stays exact times 2^-1000.
+        texts = ["a", "b", "(a b)", "((a b) a)", "(b b)"]
+        values = [[1.0, 0.25], [-0.5, 3.0], [2.0, 1.5], [0.75, -1.0], [-3.0, -0.5]]
+        rows = [(t, v, parse_derivation(t)) for t, v in zip(texts, values)]
+        data = Dataset.build(rows, VectorShape(2))
+        scaled = Dataset.build([(t, np.ldexp(v, exponent * (i % 2)), d)
+                                for i, (t, v, d) in enumerate(rows)], VectorShape(2))
+        cosine = DistanceSpec("cosine")
+        assert (topographic_similarity(scaled, cosine, rank_based=rank)
+                == topographic_similarity(data, cosine, rank_based=rank))
 
     def test_rank_mode_invariant_to_rescaling_and_relabeling(self):
         spec = GenSpec(num_primitives=4, shape=VectorShape(6), num_records=10,

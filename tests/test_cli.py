@@ -11,7 +11,8 @@ Core claims:
       ``generate_random``, and shape flags given by halves exit with code 2
     - a written report can be re-ingested and its learned primitives
       re-evaluated to the recorded per-record errors; a malformed report
-      shape is a format error
+      shape is a format error; each primitive's key is searched from the
+      previous one's, so a load reads the text once
     - a JSON boolean, or an integer beyond float range, is not a number
       anywhere in a dataset file, and JSON's NaN and Infinity literals are
       not finite values in a dataset file or a report
@@ -662,6 +663,27 @@ class TestFitCommand:
         with pytest.raises(DatasetFormatError) as err:
             load_report(report_path)
         assert err.value.line == want
+
+    def test_report_primitives_are_searched_from_the_previous_one(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # Each search starts where the last one ended, so loading reads the text once.
+        data_path, report_path = tmp_path / "data.jsonl", tmp_path / "report.json"
+        run_cli("gen", "--kind", "compositional", "--primitives", "6", "--dim", "3",
+                "--records", "30", "--seed", "2", "--out", str(data_path), capsys=capsys)
+        run_cli("fit", str(data_path), "--steps", "5", "--out", str(report_path),
+                capsys=capsys)
+        names = json.loads(report_path.read_text())["primitives"]
+        key_line, starts = dataio._key_line, []
+
+        def recorded(text, key, depth, *rest):
+            if key in names:
+                starts.append(rest[-1] if rest else 0)
+            return key_line(text, key, depth, *rest)
+
+        monkeypatch.setattr(dataio, "_key_line", recorded)
+        load_report(report_path)
+        assert len(starts) == len(names) == 6
+        assert all(a < b for a, b in zip(starts, starts[1:]))
 
     def test_learned_composition_report_round_trip(self, tmp_path, capsys):
         lang_path = tmp_path / "langs"
