@@ -265,15 +265,17 @@ def mutual_information_binned(inputs, representations, bins: int = 30) -> float:
     representations.
 
     Each representation coordinate is discretized into ``bins`` (an integer
-    of at least 2) equal-width bins over its observed range (a constant
-    coordinate collapses to bin 0); the bin-index tuple is the discrete
-    representation variable.  Inputs are weighted uniformly over records.
+    from 2 to 2**53, past which float64 positions in the range no longer
+    tell neighbouring bins apart) equal-width bins over its observed range
+    (a constant coordinate collapses to bin 0); the bin-index tuple is the
+    discrete representation variable.  Inputs are weighted uniformly over
+    records.
     """
     if len(inputs) != len(representations):
         raise ValueError("inputs and representations must have equal length")
     if len(inputs) == 0:
         raise ValueError("empty input")
-    bins = _integer("bins", bins, 2)
+    bins = _integer("bins", bins, 2, 2**53)
 
     flat = as_representation(np.stack([np.ravel(r) for r in representations]))
     flat = _pow2_scaled(flat, axis=0)  # exact, so no range overflows and no bin moves

@@ -11,17 +11,21 @@ dataset score is the mean.
 
 ``fit`` minimizes with full-batch Adam; ``closed_form_fit`` solves the
 additive / squared-L2 case exactly by SVD least squares and serves as an
-independent oracle for the iterative path.
+oracle for the iterative path.
 
 ``fit`` and ``gradient_check`` evaluate the objective through
-``_loss_and_grads``, which sums over ``_Problem.rows``, the weighted groups
-of records that share a prediction: a distinct leaf-count row under additive
-composition, in blocks of at most ``_BLOCK_VALUES`` values in two buffers per
-call, and a distinct DAG root under linear (a record under l1).  That sum,
-under l1 and squared_l2 flat over coordinates, may differ in the last bits
-from the sum of the per-record errors.  Every per-record error is
-``_record_errors`` scoring one ``_Problem.predict`` pass over the records'
-DAG, which a ``Dataset`` compiles once, with its stacked values, on first use.
+``_loss_and_grads``.  Under additive composition and squared_l2 it reads
+``_Problem.least_squares``, the objective as a quadratic about the
+least-squares optimum that ``closed_form_fit`` reports, so a step costs
+P²·D for P primitives of D values, whatever the record count.  Otherwise it
+sums over ``_Problem.rows``, the weighted groups of records that share a
+prediction: a distinct leaf-count row under additive composition, in blocks
+of at most ``_BLOCK_VALUES`` values in two buffers per call, and a distinct
+DAG root under linear (a record under l1).  Either objective, summed in
+another order, may differ in the last bits from the sum of the per-record
+errors.  Every per-record error is ``_record_errors`` scoring one
+``_Problem.predict`` pass over the records' DAG, which a ``Dataset`` compiles
+once, with its stacked values, on first use.
 """
 
 from __future__ import annotations
@@ -396,6 +400,17 @@ class _Rows:
     norms: np.ndarray | None = None     # (rows,), under cosine
 
 
+@dataclass(frozen=True)
+class _LeastSquares:
+    """Additive squared_l2's objective as ``least + <P - optimum, gram (P -
+    optimum)>`` in the flat parameters ``P`` (see ``_Problem.least_squares``)."""
+
+    gram: np.ndarray                    # (P, P) Kᵀ K, exact in integers
+    optimum: np.ndarray                 # (P, prod(shape)) np.linalg.lstsq's, minimum-norm
+    errors: list[float]                 # (n,) per-record errors at the optimum
+    least: float                        # their math.fsum
+
+
 @dataclass
 class _Problem:
     """A dataset compiled for fitting and evaluation under distance ``kind``
@@ -419,6 +434,19 @@ class _Problem:
     def predict(self, params: np.ndarray, comp: CompositionSpec) -> np.ndarray:
         """(n, *shape) predictions of the records at ``params`` under ``comp``."""
         return _forward(self.dag, params, comp)[self.dag.roots]
+
+    @cached_property
+    def least_squares(self) -> _LeastSquares:
+        """For the leaf counts K and A = Kᵀ K, the sum over records of
+        |K_k P - y_k|^2 is F(P*) + 2 <P - P*, Kᵀ (K P* - Y)> + <P - P*, A (P - P*)>,
+        whose middle term is 0 at the least-squares optimum P*: so the
+        objective and its gradient 2 A (P - P*) cost P²·D, not n·D.  Summing
+        about P*, not expanding the square, leaves near the optimum no
+        cancellation of large terms."""
+        counts, flat = self.counts, self.targets.reshape(len(self.targets), -1)
+        optimum = np.linalg.lstsq(counts, flat, rcond=None)[0]
+        errors = distances("squared_l2", counts @ optimum, flat).tolist()
+        return _LeastSquares(counts.T @ counts, optimum, errors, math.fsum(errors))
 
     @cached_property
     def level_index(self) -> list[np.ndarray]:
@@ -448,6 +476,8 @@ class _Problem:
           prediction there still raises ZeroNormError, and ``fit`` a
           DivergenceError naming a record;
         * l1 has no such reduction: the rows are the records, unweighted.
+
+        Additive squared_l2 steps read ``least_squares`` instead.
         """
         flat = self.targets.reshape(len(self.targets), -1)
         keys = self.counts if isinstance(self.comp, AdditiveComposition) else self.dag.roots[:, None]
@@ -501,20 +531,28 @@ def _build_problem(dataset: Dataset, kind: str, comp: CompositionSpec) -> _Probl
 
 def _loss_and_grads(problem: _Problem, params: np.ndarray, comp: CompositionSpec):
     """The objective at ``params`` and its gradients, the list ``_Adam.step``
-    takes (see ``_backward``), summed over ``problem.rows``; ``comp`` is
-    ``problem.comp`` with the weights in use.  The one place the objective
-    depends on ``problem.comp``: additive, linear in the parameters,
-    multiplies the flat parameters by the rows' leaf counts and the gradient
-    by their transpose; linear runs ``_forward`` over the DAG and
-    ``_backward`` from the rows' roots.
+    takes (see ``_backward``); ``comp`` is ``problem.comp`` with the weights
+    in use.  The one place the objective depends on ``problem.comp``:
+    additive squared_l2 is ``least + <P - P*, A (P - P*)>`` with gradient
+    ``2 A (P - P*)`` on ``problem.least_squares``, with no sum over records;
+    additive l1 and cosine, linear in the parameters, multiply the flat
+    parameters by the leaf counts of ``problem.rows`` and the gradient by
+    their transpose; linear runs ``_forward`` over the DAG and ``_backward``
+    from the rows' roots.
 
-    Additive runs in row blocks of at most ``_BLOCK_VALUES`` target values, in two
-    buffers per call, and adds their losses and gradients in block order.  The l1
-    gradient, of integer terms, is the same at any block count; squared_l2 and
+    Additive l1 and cosine run in row blocks of at most ``_BLOCK_VALUES`` target
+    values, in two buffers per call, and add their losses and gradients in block
+    order.  The l1 gradient, of integer terms, is the same at any block count;
     cosine results are the same while the rows fit in one block.  A cosine
     ZeroNormError names every zero-norm row, in every block, by its index in
     ``problem.rows``, so that ``fit`` names the first such record in record order."""
-    rows, flat = problem.rows, params.reshape(len(params), -1)
+    flat = params.reshape(len(params), -1)
+    if isinstance(problem.comp, AdditiveComposition) and problem.kind == "squared_l2":
+        exact = problem.least_squares
+        offset = flat - exact.optimum
+        slope = exact.gram @ offset
+        return exact.least + float(np.vdot(offset, slope)), [2.0 * slope.reshape(params.shape)]
+    rows = problem.rows
     if isinstance(problem.comp, AdditiveComposition):
         size = max(1, _BLOCK_VALUES // rows.targets.shape[1])
         scratch = np.empty((2,) + rows.targets[:size].shape)
@@ -609,7 +647,10 @@ def fit(dataset: Dataset, config: FitConfig) -> TreReport:
     distinct subtrees, and every step evaluates and differentiates that DAG
     in a fixed order, so runs are bit-reproducible given (dataset order,
     config).  Each step is one ``_loss_and_grads`` call, which under additive
-    composition uses weighted distinct leaf-count rows instead of the DAG.
+    composition uses no DAG: under squared_l2 it reads the Gram of the leaf
+    counts about ``closed_form_fit``'s solution, computed once per fit, so a
+    step does not depend on the record count; under l1 and cosine it sums
+    over weighted distinct leaf-count rows.
     Each restart ends in a ``_Restart`` record; the winner's is reported, with
     per-record errors at its parameters.  Under cosine, a zero-norm
     representation raises ZeroNormError naming its record, and a prediction
@@ -669,13 +710,10 @@ def closed_form_fit(dataset: Dataset) -> TreReport:
     solves it by SVD and returns the minimum-norm solution on rank deficiency.
     """
     problem = _build_problem(dataset, "squared_l2", AdditiveComposition())
-    flat_targets = problem.targets.reshape(len(dataset), -1)
-    solution, *_ = np.linalg.lstsq(problem.counts, flat_targets, rcond=None)
-
-    errors = distances("squared_l2", problem.counts @ solution, flat_targets).tolist()
-    run = _Restart(solution.reshape((-1,) + problem.targets.shape[1:]), problem.comp,
-                   ((0, math.fsum(errors)),), True)
-    return _report(dataset, problem, run, errors)
+    exact = problem.least_squares
+    run = _Restart(exact.optimum.reshape((-1,) + problem.targets.shape[1:]), problem.comp,
+                   ((0, exact.least),), True)
+    return _report(dataset, problem, run, exact.errors)
 
 
 def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> float:
@@ -683,7 +721,8 @@ def gradient_check(dataset: Dataset, config: FitConfig, trials: int = 100) -> fl
     directional derivatives along random directions: per trial, a random point x (with
     learned linear weights when learned) and a direction v over the same arrays.  The
     analytic side sums <g, v> over the optimizer's own ``_loss_and_grads`` at x, so it
-    also checks that the sum over its rows equals the per-record one; the numeric side is
+    also checks that objective's form, its rows' sum or additive squared_l2's
+    quadratic, against the per-record one; the numeric side is
     (F(x + hv) - F(x - hv)) / 2h, h = ``GRADCHECK_STEP``, where F sums ``_record_errors``.
     A draw is refused where the objective may have no derivative: under l1, if a residual
     is 0 at x or has another sign at x - hv or x + hv; under cosine, if a prediction at x

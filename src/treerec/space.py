@@ -53,16 +53,18 @@ class CompositionLookupError(KeyError):
     """Table composition queried with an operand pair it never registered."""
 
 
-def _integer(name: str, value, least: int | None = None) -> int:
+def _integer(name: str, value, least: int | None = None, most: int | None = None) -> int:
     """``value`` as a Python int.  A bool, anything without ``__index__``
-    (a float too, even a whole one) and, if ``least`` is given, anything
-    below it raise a ValueError that names the setting."""
+    (a float too, even a whole one) and, if ``least`` or ``most`` is given,
+    anything below or above it raise a ValueError that names the setting."""
     try:
         number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = None
-    if number is None or (least is not None and number < least):
+    if (number is None or (least is not None and number < least)
+            or (most is not None and number > most)):
         bound = "" if least is None else f" of at least {least}"
+        bound += "" if most is None else f" and at most {most}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return number
 

@@ -31,11 +31,13 @@ Core claims:
       within edit distance of each other
     - the plug-in MI estimator hits the closed-form values (0 bits, log2 n
       bits, the hand-computed 1-bit case) and stays within [0, log2 n],
-      also where a coordinate's range overflows
+      also where a coordinate's range overflows; a bin count above 2**53
+      is refused with the bad-count ValueError, with no warning
 """
 
 import itertools
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -770,3 +772,14 @@ class TestMutualInformation:
             with pytest.raises(ValueError, match="^bins must be an integer of at least 2"):
                 mutual_information_binned(labels, reps, bins=bins)
         assert mutual_information_binned(labels, reps, bins=np.int64(2)) == approx(1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bin_counts_above_2_to_the_53_are_refused(self):
+        # Past 2**53 the top value's bin index overflowed its int64 cast (a
+        # RuntimeWarning at 2**63 - 1) or the count its C long (10**30).
+        labels, reps = [0, 1, 2], [np.array([v]) for v in (0.0, 0.5, 1.0)]
+        assert mutual_information_binned(labels, reps, bins=2**53) == approx(np.log2(3))
+        for bins in (2**53 + 1, 2**63 - 1, np.uint64(2**64 - 1), 10**30):
+            message = f"bins must be an integer of at least 2 and at most {2**53}, got {bins!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                mutual_information_binned(labels, reps, bins=bins)
